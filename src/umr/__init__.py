@@ -82,6 +82,7 @@ from .trees import (
     LeveledTree,
     TreeNode,
     canonical_code,
+    canonical_tree,
     count_automorphisms,
     count_sibling_orderings,
     format_utree,
@@ -96,13 +97,11 @@ from .urysohn import (
     LESS,
     ZERO_POINT,
     CoordMap,
-    DistanceMenu,
     HomogeneityReport,
     PiecewiseLinearMap,
     QsAutomorphism,
     QsPoint,
     Translate,
-    apply_automorphism,
     check_homogeneity,
     extend_isometry,
     format_automorphism,

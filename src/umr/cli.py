@@ -38,7 +38,7 @@ from .ramsey import (
 from .rational import format_rational
 from .shapes import extremal_scan
 from .spaces import canonical_convex_order, format_uspace, order_labels, parse_uspace
-from .trees import count_automorphisms, format_utree, parse_utree, space_to_tree, tree_to_space
+from .trees import canonical_tree, count_automorphisms, format_utree, parse_utree, tree_to_space
 from .urysohn import (
     check_homogeneity,
     extend_isometry,
@@ -66,8 +66,7 @@ def _load_tree_or_space_tree(path: str):
     head = text.lstrip().splitlines()[0] if text.strip() else ""
     if head == "utree v1":
         return parse_utree(text)
-    space = parse_uspace(text)
-    return space_to_tree(space, canonical_convex_order(space))
+    return canonical_tree(parse_uspace(text))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,8 +172,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if verb == "tree":
-        space = _load_space(args.files[0])
-        print(format_utree(space_to_tree(space, canonical_convex_order(space))), end="")
+        print(format_utree(canonical_tree(_load_space(args.files[0]))), end="")
         return 0
 
     if verb == "space":

@@ -15,19 +15,14 @@ from fractions import Fraction
 from itertools import count, permutations
 
 from .errors import InternalNonIntegerTau
-from .spaces import (
-    ConvexOrder,
-    UltrametricSpace,
-    _order_sequence,
-    canonical_convex_order,
-    is_convex_order,
-)
+from .spaces import ConvexOrder, UltrametricSpace, _order_sequence, is_convex_order
 from .trees import (
     LeveledTree,
     TreeNode,
+    canonical_tree,
+    child_counts,
     count_automorphisms,
     count_sibling_orderings,
-    space_to_tree,
     tree_to_space,
 )
 
@@ -58,8 +53,7 @@ def count_convex_orders(space: UltrametricSpace) -> int:
     """Closed form: the product of (child count)! over the internal nodes of
     the space's tree, since convex orders are exactly the sibling
     rearrangements."""
-    tree = space_to_tree(space, canonical_convex_order(space))
-    return count_sibling_orderings(tree)
+    return count_sibling_orderings(canonical_tree(space))
 
 
 def order_profile(space: UltrametricSpace, order) -> tuple[Fraction, ...]:
@@ -88,8 +82,9 @@ def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
 def tau(space: UltrametricSpace) -> RamseyDegreeReport:
     """Ramsey degree report: convex-order count, isometry count, and their
     exact quotient."""
-    clo = count_convex_orders(space)
-    iso = count_automorphisms(space_to_tree(space, canonical_convex_order(space)))
+    tree = canonical_tree(space)
+    clo = count_sibling_orderings(tree)
+    iso = count_automorphisms(tree)
     if clo % iso != 0:
         raise InternalNonIntegerTau(f"{clo} not divisible by {iso}")
     return RamseyDegreeReport(clo_count=clo, iso_count=iso, tau=clo // iso)
@@ -98,12 +93,8 @@ def tau(space: UltrametricSpace) -> RamseyDegreeReport:
 def is_order_invariant(space: UltrametricSpace) -> bool:
     """True iff all convex orderings of the space are isomorphic, which
     happens exactly when its tree branches uniformly on each level."""
-    tree = space_to_tree(space, canonical_convex_order(space))
-    per_level: dict[int, set[int]] = {}
-    for node, depth in tree.iter_nodes():
-        if not node.is_leaf:
-            per_level.setdefault(depth, set()).add(len(node.children))
-    return all(len(counts) == 1 for counts in per_level.values())
+    tree = canonical_tree(space)
+    return all(len(counts) == 1 for counts in child_counts(tree.root, tree.height))
 
 
 def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
@@ -114,12 +105,9 @@ def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
     with a counter that skips any colliding input label.  The result
     contains the input isometrically and is order-invariant.
     """
-    tree = space_to_tree(space, canonical_convex_order(space))
+    tree = canonical_tree(space)
     height = tree.height
-    branch = [1] * height
-    for node, depth in tree.iter_nodes():
-        if not node.is_leaf:
-            branch[depth] = max(branch[depth], len(node.children))
+    branch = [max(counts) for counts in child_counts(tree.root, height)]
 
     taken = set(space.labels)
     counter = count(1)

@@ -6,11 +6,11 @@ with k colors, some copy of Y inside Z sees at most l colors on its own
 copies of X.  Copies are subsets (each subset counted once); the ordered
 variant additionally requires the induced order to match.
 
-The verifier enumerates colorings exhaustively.  With pruning enabled it
-walks one representative per color-permutation class (restricted-growth
-strings, first copy pinned to color 0); soundness of the pruning is a
-tested invariant, not an assumption.  Work is metered in colorings
-examined and cut off by a budget.
+The verifier enumerates colorings exhaustively, one representative per
+color-permutation class (restricted-growth strings, first copy pinned to
+color 0); soundness of this pruning is tested against a brute-force
+oracle that tries every coloring.  Work is metered in colorings examined
+and cut off by a budget.
 """
 
 from __future__ import annotations
@@ -148,41 +148,30 @@ def enumerate_copies(
     return out
 
 
-def _colorings(count: int, k: int, prune: bool) -> Iterator[list[int]]:
-    """Color assignments in canonical order.  With prune, yields restricted
-    growth strings (first copy color 0, each new color introduced in
-    sequence), one per color-permutation class.  Yields a reused list."""
+def _colorings(count: int, k: int) -> Iterator[list[int]]:
+    """Restricted growth strings in canonical order (first copy color 0,
+    each new color introduced in sequence), one per color-permutation
+    class.  Yields a reused list."""
     if count == 0:
         yield []
         return
     colors = [0] * count
-    if not prune:
-        while True:
-            yield colors
-            i = count - 1
-            while i >= 0 and colors[i] == k - 1:
-                colors[i] = 0
-                i -= 1
-            if i < 0:
-                return
-            colors[i] += 1
-    else:
-        maxes = [0] * count
-        while True:
-            yield colors
-            i = count - 1
-            while i > 0:
-                cap = min(k - 1, maxes[i - 1] + 1)
-                if colors[i] < cap:
-                    break
-                i -= 1
-            if i == 0:
-                return
-            colors[i] += 1
-            maxes[i] = max(maxes[i - 1], colors[i])
-            for j in range(i + 1, count):
-                colors[j] = 0
-                maxes[j] = maxes[j - 1]
+    maxes = [0] * count
+    while True:
+        yield colors
+        i = count - 1
+        while i > 0:
+            cap = min(k - 1, maxes[i - 1] + 1)
+            if colors[i] < cap:
+                break
+            i -= 1
+        if i == 0:
+            return
+        colors[i] += 1
+        maxes[i] = max(maxes[i - 1], colors[i])
+        for j in range(i + 1, count):
+            colors[j] = 0
+            maxes[j] = maxes[j - 1]
 
 
 def verify_arrow(
@@ -195,7 +184,6 @@ def verify_arrow(
     target_order: ConvexOrder | None = None,
     pattern_order: ConvexOrder | None = None,
     budget: int = DEFAULT_BUDGET,
-    prune: bool = True,
 ) -> ArrowVerdict:
     """Decide the arrow by exhausting colorings.
 
@@ -222,7 +210,7 @@ def verify_arrow(
             tuple(i for i, xs in enumerate(x_sets) if xs <= y_set)
         )
     examined = 0
-    for colors in _colorings(len(x_copies), k, prune):
+    for colors in _colorings(len(x_copies), k):
         examined += 1
         if examined > budget:
             raise BudgetExceeded(len(x_copies), examined - 1)
@@ -263,14 +251,10 @@ def order_type_coloring(
     for p, point in enumerate(_order_sequence(ambient_order)):
         pos[point] = p
     copies = enumerate_copies(ambient, pattern)
-    colors = []
-    for copy in copies:
-        seq = sorted(copy.mapping, key=pos.__getitem__)
-        m = len(seq)
-        profile = tuple(
-            ambient.dist[seq[p]][seq[q]] for p in range(m) for q in range(p + 1, m)
-        )
-        colors.append(profiles.index(profile))
+    colors = [
+        profiles.index(order_profile(ambient, sorted(copy.mapping, key=pos.__getitem__)))
+        for copy in copies
+    ]
     return Coloring(
         pattern=pattern,
         ambient=ambient,

@@ -1,10 +1,11 @@
 """Exhaustive generation of leveled-tree shapes and the extremal scan.
 
-Shapes are unlabeled trees with all leaves at the same depth and at least
-one branching node on every level (so each level distance is realized in
-the dual space).  They are generated bottom-up as canonically sorted child
-multisets, which yields each shape exactly once, then materialized into
-``LeveledTree`` values with placeholder labels and power-of-two levels.
+Shapes are unlabeled ``TreeNode`` trees with all leaves at the same depth
+and at least one branching node on every level (so each level distance is
+realized in the dual space).  They are generated bottom-up as canonically
+sorted child multisets, which yields each shape exactly once, then
+materialized into ``LeveledTree`` values with placeholder labels and
+power-of-two levels.
 
 The extremal scan walks every shape with a given leaf count, computes the
 Ramsey degree of each, and reports the maximum together with the arg-max
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
 from .errors import InternalNonIntegerTau
@@ -24,96 +26,73 @@ from .trees import (
     CanonicalCode,
     LeveledTree,
     TreeNode,
+    _code_and_aut,
     canonical_code,
+    child_counts,
     count_automorphisms,
     count_sibling_orderings,
 )
 
-Shape = tuple  # () is a leaf, otherwise a tuple of child shapes sorted by code
+SHAPE_PREFIX = "p"
+UNIFORM_PREFIX = "z"
+MAX_SCAN_LEAVES = 7
 
-
-def _shape_code(shape: Shape) -> str:
-    if not shape:
-        return "()"
-    return "(" + "".join(_shape_code(child) for child in shape) + ")"
-
-
-def _shape_leaves(shape: Shape) -> int:
-    if not shape:
-        return 1
-    return sum(_shape_leaves(child) for child in shape)
+_LEAF = TreeNode()
 
 
 @lru_cache(maxsize=None)
-def _shapes(height: int, leaves: int) -> tuple[Shape, ...]:
-    """All uniform-depth shapes with the given height and leaf count;
-    unary chains are allowed here and filtered by the level check later."""
+def _shapes(height: int, leaves: int) -> tuple[TreeNode, ...]:
+    """All unlabeled uniform-depth shapes with the given height and leaf
+    count, children sorted by code; unary chains are allowed here and
+    filtered by the level check later."""
     if height == 0:
-        return ((),) if leaves == 1 else ()
-    options: list[tuple[str, Shape, int]] = []
-    for count in range(1, leaves + 1):
-        for sub in _shapes(height - 1, count):
-            options.append((_shape_code(sub), sub, count))
-    options.sort(key=lambda item: item[0])
+        return (_LEAF,) if leaves == 1 else ()
+    options = sorted(
+        (
+            (sub, size)
+            for size in range(1, leaves + 1)
+            for sub in _shapes(height - 1, size)
+        ),
+        key=lambda option: _code_and_aut(option[0]),
+    )
 
-    result: list[Shape] = []
+    result: list[TreeNode] = []
 
-    def extend(start: int, remaining: int, acc: list[Shape]) -> None:
+    def extend(start: int, remaining: int, acc: list[TreeNode]) -> None:
         if remaining == 0:
             if acc:
-                result.append(tuple(acc))
+                result.append(TreeNode(children=tuple(acc)))
             return
         for idx in range(start, len(options)):
-            _, sub, count = options[idx]
-            if count > remaining:
+            sub, size = options[idx]
+            if size > remaining:
                 continue
             acc.append(sub)
-            extend(idx, remaining - count, acc)
+            extend(idx, remaining - size, acc)
             acc.pop()
 
     extend(0, leaves, [])
     return tuple(result)
 
 
-def _levels_all_branch(shape: Shape, height: int) -> bool:
-    branching = [False] * height
-
-    def walk(node: Shape, depth: int) -> None:
-        if not node:
-            return
-        if len(node) >= 2:
-            branching[depth] = True
-        for child in node:
-            walk(child, depth + 1)
-
-    walk(shape, 0)
-    return all(branching)
-
-
 def default_levels(height: int) -> DistanceSet:
     return DistanceSet(tuple(Fraction(2 ** (height - 1 - i)) for i in range(height)))
 
 
-def shape_to_tree(
-    shape: Shape, levels: DistanceSet | None = None, prefix: str = "p"
-) -> LeveledTree:
-    """Materialize a shape with labels ``<prefix>1..<prefix>n`` in leaf
-    order and, by default, power-of-two level distances."""
+def shape_to_tree(shape: TreeNode) -> LeveledTree:
+    """Materialize an unlabeled shape with labels ``p1..pn`` in leaf order
+    and power-of-two level distances."""
+    first, height = shape, 0
+    while first.children:
+        first, height = first.children[0], height + 1
+    counter = count(1)
 
-    def height_of(node: Shape) -> int:
-        return 0 if not node else 1 + height_of(node[0])
+    def build(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return TreeNode(label=f"{SHAPE_PREFIX}{next(counter)}")
+        return TreeNode(children=tuple(build(child) for child in node.children))
 
-    height = height_of(shape)
-    if levels is None:
-        levels = default_levels(height)
-    counter = iter(range(1, _shape_leaves(shape) + 1))
-
-    def build(node: Shape) -> TreeNode:
-        if not node:
-            return TreeNode(label=f"{prefix}{next(counter)}")
-        return TreeNode(children=tuple(build(child) for child in node))
-
-    return LeveledTree(build(shape), levels)
+    return LeveledTree(build(shape), default_levels(height))
 
 
 def all_tree_shapes(leaves: int) -> list[LeveledTree]:
@@ -122,15 +101,15 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
     if leaves < 1:
         raise ValueError("leaf count must be positive")
     if leaves == 1:
-        return [shape_to_tree(())]
+        return [shape_to_tree(_LEAF)]
     out = []
     for height in range(1, leaves):
         found = [
             shape
             for shape in _shapes(height, leaves)
-            if _levels_all_branch(shape, height)
+            if all(max(counts) >= 2 for counts in child_counts(shape, height))
         ]
-        found.sort(key=_shape_code)
+        found.sort(key=_code_and_aut)
         out.extend(shape_to_tree(shape) for shape in found)
     return out
 
@@ -158,18 +137,13 @@ def comb_tree(leaves: int) -> LeveledTree:
     the leftmost branch."""
     if leaves < 2:
         raise ValueError("a comb needs at least two leaves")
-    shape: Shape = ((), ())
-    for _ in range(leaves - 2):
-        chain: Shape = ()
-        depth = 1 if not shape else _height(shape)
-        for _ in range(depth):
-            chain = (chain,)
-        shape = (shape, chain)
+    shape = TreeNode(children=(_LEAF, _LEAF))
+    for height in range(1, leaves - 1):
+        chain = _LEAF
+        for _ in range(height):
+            chain = TreeNode(children=(chain,))
+        shape = TreeNode(children=(shape, chain))
     return shape_to_tree(shape)
-
-
-def _height(shape: Shape) -> int:
-    return 0 if not shape else 1 + _height(shape[0])
 
 
 def tree_degree(tree: LeveledTree) -> int:
@@ -199,13 +173,13 @@ class ExtremalReport:
     all_combs: bool
 
 
-def extremal_scan(leaves: int, max_leaves: int = 7) -> ExtremalReport:
+def extremal_scan(leaves: int) -> ExtremalReport:
     """Scan every shape with the given leaf count and report the maximum
     Ramsey degree, the shapes attaining it, and whether they are combs."""
     if leaves < 2:
         raise ValueError("scan needs at least two leaves")
-    if leaves > max_leaves:
-        raise ValueError(f"scan capped at {max_leaves} leaves")
+    if leaves > MAX_SCAN_LEAVES:
+        raise ValueError(f"scan capped at {MAX_SCAN_LEAVES} leaves")
     shapes = all_tree_shapes(leaves)
     degrees = [tree_degree(tree) for tree in shapes]
     best = max(degrees)
@@ -248,17 +222,16 @@ def _vectors_with_product(height: int, product: int) -> Iterator[tuple[int, ...]
                 yield (b,) + rest
 
 
-def uniform_tree(
-    vector: tuple[int, ...], levels: DistanceSet, prefix: str = "z"
-) -> LeveledTree:
-    """Complete tree where every depth-l node has vector[l] children."""
+def uniform_tree(vector: tuple[int, ...], levels: DistanceSet) -> LeveledTree:
+    """Complete tree where every depth-l node has vector[l] children, leaves
+    labeled ``z1..zn``."""
     if len(vector) != len(levels):
         raise ValueError("branching vector length must match the level count")
-    counter = iter(range(1, 10 ** 9))
+    counter = count(1)
 
     def build(depth: int) -> TreeNode:
         if depth == len(vector):
-            return TreeNode(label=f"{prefix}{next(counter)}")
+            return TreeNode(label=f"{UNIFORM_PREFIX}{next(counter)}")
         return TreeNode(children=tuple(build(depth + 1) for _ in range(vector[depth])))
 
     return LeveledTree(build(0), levels)

@@ -56,6 +56,9 @@ class DistanceSet:
     def __getitem__(self, index: int) -> Fraction:
         return self.values[index]
 
+    def __contains__(self, value) -> bool:
+        return value in self.values
+
 
 @dataclass(frozen=True)
 class ConvexOrder:

@@ -26,6 +26,7 @@ from .spaces import (
     DistanceSet,
     UltrametricSpace,
     _order_sequence,
+    canonical_convex_order,
     distance_set,
     is_convex_order,
 )
@@ -33,7 +34,7 @@ from .spaces import (
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeNode:
     children: tuple["TreeNode", ...] = ()
     label: str | None = None
@@ -59,31 +60,22 @@ class LeveledTree:
 
     def __post_init__(self):
         height = len(self.levels)
-        branching = [False] * height
         labels = []
-
-        def walk(node: TreeNode, depth: int) -> None:
+        for node, depth in self.iter_nodes():
             if node.is_leaf:
                 if depth != height:
                     raise ValueError(f"leaf at depth {depth}, expected {height}")
                 if node.label is None:
                     raise ValueError("leaf without a label")
                 labels.append(node.label)
-                return
-            if node.label is not None:
+            elif node.label is not None:
                 raise ValueError("internal node carries a label")
-            if depth >= height:
+            elif depth >= height:
                 raise ValueError("internal node below the leaf level")
-            if len(node.children) >= 2:
-                branching[depth] = True
-            for child in node.children:
-                walk(child, depth + 1)
-
-        walk(self.root, 0)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate leaf labels")
-        for depth, has in enumerate(branching):
-            if not has:
+        for depth, counts in enumerate(child_counts(self.root, height)):
+            if max(counts) < 2:
                 raise ValueError(
                     f"level {depth} has no branching node; its distance is unrealized"
                 )
@@ -93,17 +85,7 @@ class LeveledTree:
         return len(self.levels)
 
     def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode) -> None:
-            if node.is_leaf:
-                out.append(node)
-                return
-            for child in node.children:
-                walk(child)
-
-        walk(self.root)
-        return out
+        return [node for node, _ in self.iter_nodes() if node.is_leaf]
 
     def leaf_labels(self) -> tuple[str, ...]:
         return tuple(leaf.label for leaf in self.leaves())  # type: ignore[misc]
@@ -118,6 +100,17 @@ class LeveledTree:
                 stack.append((child, depth + 1))
 
 
+def child_counts(root: TreeNode, height: int) -> list[set[int]]:
+    """Child counts of the internal nodes on each level 0..height-1, found
+    breadth first."""
+    counts: list[set[int]] = []
+    level = [root]
+    for _ in range(height):
+        counts.append({len(node.children) for node in level if node.children})
+        level = [child for node in level for child in node.children]
+    return counts
+
+
 def space_to_tree(space: UltrametricSpace, order) -> LeveledTree:
     """Tree of the ordered space: depth-m nodes are the balls of the m-th
     realized distance, siblings sorted so the leaf sequence equals the
@@ -125,6 +118,16 @@ def space_to_tree(space: UltrametricSpace, order) -> LeveledTree:
     seq = _order_sequence(order)
     if not is_convex_order(space, seq):
         raise NonConvexOrder(f"order {seq} is not convex for this space")
+    return _build_tree(space, seq)
+
+
+def canonical_tree(space: UltrametricSpace) -> LeveledTree:
+    """Tree of the space under its canonical convex order, which is convex
+    by construction and so is not checked again."""
+    return _build_tree(space, canonical_convex_order(space).sequence)
+
+
+def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
     radii = distance_set(space)
     height = len(radii)
 
@@ -234,6 +237,17 @@ def parse_utree(text: str) -> LeveledTree:
     body = " ".join(lines[2:])
 
     tokens = body.replace("(", " ( ").replace(")", " ) ").split()
+    # a valid tree nests no deeper than its level count; checking first
+    # keeps the recursive parse within that depth
+    depth = deepest = 0
+    for token in tokens:
+        if token == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif token == ")":
+            depth -= 1
+    if deepest > len(values):
+        raise FormatError(f"tree nests {deepest} deep but has {len(values)} levels")
     pos = 0
 
     def parse_node() -> TreeNode:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     DuplicatePoint,
@@ -35,6 +35,7 @@ from .errors import (
     NotPartialIsometry,
 )
 from .rational import as_fraction, format_rational, parse_rational
+from .spaces import DistanceSet
 
 _ZERO = Fraction(0)
 
@@ -43,37 +44,11 @@ EQUAL = 0
 GREATER = 1
 
 
-@dataclass(frozen=True)
-class DistanceMenu:
-    """Allowed distances: nonempty, strictly decreasing, positive."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.values:
-            raise ValueError("menu must be nonempty")
-        for v in self.values:
-            if v <= 0:
-                raise ValueError("menu values must be positive")
-        for a, b in zip(self.values, self.values[1:]):
-            if a <= b:
-                raise ValueError("menu must be strictly decreasing")
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.values[index]
-
-    def __contains__(self, value) -> bool:
-        return value in self.values
-
-
-def menu_of(*values) -> DistanceMenu:
-    return DistanceMenu(tuple(as_fraction(v) for v in values))
+def menu_of(*values) -> DistanceSet:
+    """Distance menu: nonempty, strictly decreasing, positive."""
+    if not values:
+        raise ValueError("menu must be nonempty")
+    return DistanceSet(tuple(as_fraction(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -134,7 +109,7 @@ def qs_point(mapping) -> QsPoint:
     return QsPoint(tuple(cleaned))
 
 
-def _check_support(point: QsPoint, menu: DistanceMenu) -> None:
+def _check_support(point: QsPoint, menu: DistanceSet) -> None:
     for s in point.support():
         if s not in menu:
             raise ValueError(f"coordinate {format_rational(s)} not in menu")
@@ -157,7 +132,7 @@ def _largest_difference(x: QsPoint, y: QsPoint):
     return None
 
 
-def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceMenu | None = None) -> Fraction:
+def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> Fraction:
     """0 for equal points, otherwise the largest coordinate where they
     differ."""
     if menu is not None:
@@ -167,7 +142,7 @@ def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceMenu | None = None) -> Fra
     return _ZERO if diff is None else diff[0]
 
 
-def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceMenu | None = None) -> int:
+def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> int:
     """LESS/EQUAL/GREATER by the values at the largest differing
     coordinate."""
     if menu is not None:
@@ -311,23 +286,18 @@ class QsAutomorphism:
 IDENTITY = QsAutomorphism()
 
 
-def apply_automorphism(auto: QsAutomorphism, point: QsPoint) -> QsPoint:
-    """Evaluate the move list left to right."""
-    return auto(point)
-
-
 def invert_automorphism(auto: QsAutomorphism) -> QsAutomorphism:
     return QsAutomorphism(tuple(move.invert() for move in reversed(auto.moves)))
 
 
-def _vector(point: QsPoint, menu: DistanceMenu) -> tuple[Fraction, ...]:
+def _vector(point: QsPoint, menu: DistanceSet) -> tuple[Fraction, ...]:
     """Coordinates along the menu, largest scale first.  Plain tuple
     comparison of vectors is exactly the lexicographic point order."""
     return tuple(point.value_at(s) for s in menu)
 
 
 def extend_isometry(
-    pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceMenu
+    pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet
 ) -> QsAutomorphism:
     """Extend a finite distance- and order-preserving map to a full
     automorphism.
@@ -364,13 +334,8 @@ def extend_isometry(
     if xs[0] != ys[0]:
         moves.append(Translate(ys[0] - xs[0]))
 
-    def run(point: QsPoint) -> QsPoint:
-        for move in moves:
-            point = move.apply(point)
-        return point
-
     for m in range(1, n):
-        carried = run(xs[m])
+        carried = QsAutomorphism(tuple(moves))(xs[m])
         wanted = ys[m]
         if carried == wanted:
             continue
@@ -400,24 +365,24 @@ def extend_isometry(
 
 # --- randomized generation and the homogeneity harness ----------------------
 
-def random_point(
-    menu: DistanceMenu,
-    rng: random.Random,
-    density: float = 0.75,
-    span: int = 18,
-    grid: int = 6,
-) -> QsPoint:
-    """Random finitely supported point: each coordinate present with the
-    given density, values on the integer grid scaled by 1/grid."""
+POINT_DENSITY = 0.75
+POINT_SPAN = 18
+POINT_GRID = 6
+
+
+def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
+    """Random finitely supported point: each coordinate present with
+    probability POINT_DENSITY, values n/POINT_GRID for integers n with
+    |n| <= POINT_SPAN."""
     items = {}
     for s in menu:
-        if rng.random() < density:
-            items[s] = Fraction(rng.randint(-span, span), grid)
+        if rng.random() < POINT_DENSITY:
+            items[s] = Fraction(rng.randint(-POINT_SPAN, POINT_SPAN), POINT_GRID)
     return qs_point(items)
 
 
 def random_automorphism(
-    menu: DistanceMenu, rng: random.Random, max_moves: int = 3
+    menu: DistanceSet, rng: random.Random, max_moves: int = 3
 ) -> QsAutomorphism:
     """Random composition of valid primitive moves."""
     slopes = (
@@ -466,7 +431,7 @@ class HomogeneityReport:
 
 
 def check_homogeneity(
-    menu: DistanceMenu,
+    menu: DistanceSet,
     n: int,
     trials: int,
     seed: int,
@@ -530,18 +495,18 @@ def _first_diff(u: tuple, v: tuple) -> int:
 #   1                      1 2
 #   1/2                    1/2 -3/4
 
-def format_menu(menu: DistanceMenu) -> str:
+def format_menu(menu: DistanceSet) -> str:
     return "\n".join(["menu v1"] + [format_rational(v) for v in menu]) + "\n"
 
 
-def parse_menu(text: str) -> DistanceMenu:
+def parse_menu(text: str) -> DistanceSet:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "menu v1":
         raise FormatError("expected 'menu v1' header")
     if len(lines) == 1:
         raise FormatError("menu must list at least one distance")
     try:
-        return DistanceMenu(tuple(parse_rational(tok) for tok in lines[1:]))
+        return DistanceSet(tuple(parse_rational(tok) for tok in lines[1:]))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -553,7 +518,7 @@ def format_qpoint(point: QsPoint) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_qpoint(text: str, menu: DistanceMenu) -> QsPoint:
+def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "qpoint v1":
         raise FormatError("expected 'qpoint v1' header")
@@ -630,7 +595,7 @@ def format_automorphism(auto: QsAutomorphism) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_automorphism(text: str, menu: DistanceMenu) -> QsAutomorphism:
+def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
     moves: list[Move] = []
     for line in (ln.strip() for ln in text.splitlines()):
         if not line:
@@ -665,8 +630,12 @@ def parse_automorphism(text: str, menu: DistanceMenu) -> QsAutomorphism:
             raise FormatError(f"missing coordmap field {exc}") from exc
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-    auto = QsAutomorphism(tuple(moves))
-    for move in auto.moves:
+    for move in moves:
         if isinstance(move, Translate):
-            _check_support(move.offset, menu)
-    return auto
+            scales = move.offset.support()
+        else:
+            scales = (move.scale, *move.center.support(), *(t for t, _ in move.shifts))
+        for s in scales:
+            if s not in menu:
+                raise FormatError(f"coordinate {format_rational(s)} not in menu")
+    return QsAutomorphism(tuple(moves))

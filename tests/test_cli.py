@@ -73,6 +73,14 @@ def test_iso_accepts_both_formats(files, capsys):
     assert run(capsys, "iso", files["c3.utree"]) == (0, "iso=2\n")
 
 
+def test_iso_rejects_deep_nesting(tmp_path, capsys):
+    path = tmp_path / "deep.utree"
+    path.write_text("utree v1\nlevels 1\n" + "(" * 3000 + "a" + ")" * 3000 + "\n")
+    code, out = run(capsys, "iso", str(path))
+    assert code == 1
+    assert out.startswith("FormatError ")
+
+
 def test_clo_and_orders(files, capsys):
     assert run(capsys, "clo", files["c3.uspace"]) == (0, "clo=4\n")
     code, out = run(capsys, "orders", files["c3.uspace"])

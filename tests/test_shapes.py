@@ -9,7 +9,8 @@ from util import cb4, comb4, e3
 
 def test_shape_counts_match_hand_enumeration():
     # n=4: flat, {2,2}, {3,1}, {2,1,1} at height 2, comb and double-split at height 3
-    assert [len(umr.all_tree_shapes(n)) for n in (1, 2, 3, 4)] == [1, 1, 2, 6]
+    counts = [len(umr.all_tree_shapes(n)) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 20, 90, 468]
 
 
 def test_shapes_are_valid_and_distinct():

@@ -1,9 +1,39 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umr
 from util import brute_isometry_count, c3, cb4, e3, shape_spaces
+
+
+@st.composite
+def leveled_trees(draw):
+    """Random leveled tree: shuffled leaf labels grouped bottom up, each
+    level splitting its row of nodes into consecutive runs with at least one
+    run of two or more, under random decreasing rational levels."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    nodes = [umr.TreeNode(label=label) for label in labels]
+    height = 0
+    while len(nodes) > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, len(nodes) - 1), max_size=len(nodes) - 2)))
+        bounds = [0, *cuts, len(nodes)]
+        nodes = [
+            umr.TreeNode(children=tuple(nodes[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        height += 1
+    levels = draw(
+        st.lists(
+            st.fractions(min_value=F(1, 20), max_value=100, max_denominator=20),
+            min_size=height,
+            max_size=height,
+            unique=True,
+        )
+    )
+    return umr.LeveledTree(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
 
 
 def test_c3_tree_structure():
@@ -126,3 +156,20 @@ def test_utree_validation_errors():
 def test_sibling_ordering_count():
     tree = umr.space_to_tree(cb4(), umr.canonical_convex_order(cb4()))
     assert umr.count_sibling_orderings(tree) == 8
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(leveled_trees())
+def test_random_tree_round_trip(tree):
+    space, order = umr.tree_to_space(tree)
+    assert umr.space_to_tree(space, order) == tree
+    canonical = umr.canonical_tree(space)
+    assert umr.canonical_code(canonical) == umr.canonical_code(tree)
+    assert umr.count_automorphisms(canonical) == umr.count_automorphisms(tree)
+    assert umr.count_sibling_orderings(canonical) == umr.count_sibling_orderings(tree)
+
+
+def test_canonical_tree_matches_checked_build():
+    for space in shape_spaces(6):
+        expected = umr.space_to_tree(space, umr.canonical_convex_order(space))
+        assert umr.canonical_tree(space) == expected

@@ -347,3 +347,17 @@ def test_extension_serialization_matches():
     text = umr.format_automorphism(auto)
     assert text == "coordmap s=1/2 center=0 alpha=1/2 phi=1/2:3,1:1 shifts=-\n"
     assert umr.parse_automorphism(text, MENU2)(x2) == y2
+
+
+def test_automorphism_parse_rejects_off_menu_scales():
+    off_menu = [
+        "coordmap s=1/3 center=0 alpha=0 phi=- shifts=-\n",
+        "coordmap s=1/2 center=3:2 alpha=0 phi=- shifts=-\n",
+        "coordmap s=1 center=0 alpha=0 phi=- shifts=1/3:1\n",
+        "translate 1/3:1\n",
+    ]
+    for text in off_menu:
+        with pytest.raises(umr.FormatError):
+            umr.parse_automorphism(text, MENU2)
+    on_menu = "coordmap s=1 center=0 alpha=0 phi=- shifts=1/2:1\ntranslate 1:1\n"
+    assert len(umr.parse_automorphism(on_menu, MENU2).moves) == 2

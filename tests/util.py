@@ -2,13 +2,13 @@
 
 The oracles deliberately avoid the library's own code paths: isometries
 are counted by scanning all permutations against the raw matrix, convexity
-is re-derived from the interval definition, and the validity check is a
-naive triple loop.  Expected values in the tests come from these, never
+is re-derived from the interval definition, the validity check is a naive
+triple loop, and arrows are decided by trying every coloring.  Expected values in the tests come from these, never
 from the functions under test.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import umr
 
@@ -92,6 +92,36 @@ def brute_convex_orders(space):
         for seq in permutations(range(space.size))
         if oracle_is_convex(space, seq)
     ]
+
+
+def brute_arrow_holds(ambient, target, pattern, k, l):
+    """Unordered arrow ambient -> (target)^pattern_{k,l}: copies are the
+    subsets of the raw matrix that some bijection makes isometric to the
+    smaller space, and all k ** copies colorings are tried."""
+
+    def copies(small):
+        m = small.size
+        return [
+            frozenset(subset)
+            for subset in combinations(range(ambient.size), m)
+            if any(
+                all(
+                    ambient.dist[perm[i]][perm[j]] == small.dist[i][j]
+                    for i in range(m)
+                    for j in range(i + 1, m)
+                )
+                for perm in permutations(subset)
+            )
+        ]
+
+    x_sets = copies(pattern)
+    y_members = [
+        [i for i, x in enumerate(x_sets) if x <= y] for y in copies(target)
+    ]
+    return all(
+        any(len({colors[i] for i in members}) <= l for members in y_members)
+        for colors in product(range(k), repeat=len(x_sets))
+    )
 
 
 def naive_valid(matrix):
