@@ -26,9 +26,7 @@ from .trees import (
     CanonicalCode,
     LeveledTree,
     TreeNode,
-    _code_and_aut,
     canonical_code,
-    child_counts,
     count_automorphisms,
     count_sibling_orderings,
 )
@@ -40,39 +38,57 @@ MAX_SCAN_LEAVES = 7
 _LEAF = TreeNode()
 
 
+# A memo entry: (canonical code, bitmask of the levels on which the shape
+# has a node with two or more children, the shape itself).
+_Coded = tuple[str, int, TreeNode]
+
+
 @lru_cache(maxsize=None)
-def _shapes(height: int, leaves: int) -> tuple[TreeNode, ...]:
-    """All unlabeled uniform-depth shapes with the given height and leaf
-    count, children sorted by code; unary chains are allowed here and
-    filtered by the level check later."""
+def _shapes(height: int, leaves: int, need: int = 0) -> tuple[_Coded, ...]:
+    """Every uniform-depth shape with the given height and leaf count that
+    branches on every level in the bitmask ``need``, in code order.  With
+    no levels needed, unary chains are included: they occur inside
+    branching shapes.
+
+    The root's children are a multiset of shapes one level lower, taken in
+    nondecreasing (leaf count, code) order, so each multiset comes once.  A
+    branch is cut when the leaves left cannot cover the levels still
+    missing: a shape with m leaves branches on at most m - 1 levels.
+    """
     if height == 0:
-        return (_LEAF,) if leaves == 1 else ()
-    options = sorted(
-        (
-            (sub, size)
-            for size in range(1, leaves + 1)
-            for sub in _shapes(height - 1, size)
-        ),
-        key=lambda option: _code_and_aut(option[0]),
-    )
+        return (("()", 0, _LEAF),) if leaves == 1 else ()
+    options = [
+        (size, *entry) for size in range(1, leaves + 1) for entry in _shapes(height - 1, size)
+    ]
+    child_need = need >> 1
+    result: list[_Coded] = []
+    chosen: list[tuple[str, TreeNode]] = []
 
-    result: list[TreeNode] = []
-
-    def extend(start: int, remaining: int, acc: list[TreeNode]) -> None:
-        if remaining == 0:
-            if acc:
-                result.append(TreeNode(children=tuple(acc)))
-            return
+    def extend(start: int, remaining: int, branching: int) -> None:
         for idx in range(start, len(options)):
-            sub, size = options[idx]
-            if size > remaining:
-                continue
-            acc.append(sub)
-            extend(idx, remaining - size, acc)
-            acc.pop()
+            size, code, sub_branching, sub = options[idx]
+            left = remaining - size
+            if left < 0:
+                return
+            covered = branching | sub_branching
+            missing = (child_need & ~covered).bit_count()
+            if left == 0:
+                root_branches = bool(chosen)
+                if missing or (need & 1 and not root_branches):
+                    continue
+                children = sorted([*chosen, (code, sub)], key=lambda child: child[0])
+                result.append((
+                    "(" + "".join(c for c, _ in children) + ")",
+                    root_branches | covered << 1,
+                    TreeNode(children=tuple(node for _, node in children)),
+                ))
+            elif missing < left:
+                chosen.append((code, sub))
+                extend(idx, left, covered)
+                chosen.pop()
 
-    extend(0, leaves, [])
-    return tuple(result)
+    extend(0, leaves, 0)
+    return tuple(sorted(result, key=lambda entry: entry[0]))
 
 
 def default_levels(height: int) -> DistanceSet:
@@ -102,16 +118,11 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
         raise ValueError("leaf count must be positive")
     if leaves == 1:
         return [shape_to_tree(_LEAF)]
-    out = []
-    for height in range(1, leaves):
-        found = [
-            shape
-            for shape in _shapes(height, leaves)
-            if all(max(counts) >= 2 for counts in child_counts(shape, height))
-        ]
-        found.sort(key=_code_and_aut)
-        out.extend(shape_to_tree(shape) for shape in found)
-    return out
+    return [
+        shape_to_tree(shape)
+        for height in range(1, leaves)
+        for _, _, shape in _shapes(height, leaves, (1 << height) - 1)
+    ]
 
 
 def is_comb(tree: LeveledTree) -> bool:

@@ -207,20 +207,40 @@ def _order_sequence(order) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _nearest_unused(space: UltrametricSpace, point: int, used: list[bool]) -> list[int]:
+    """The points not yet used that lie nearest to ``point``, ascending.
+
+    A sequence is a convex order iff each point after the first is one of
+    these for its predecessor: every ball entered and not yet finished
+    contains the last point placed, so leaving it early skips a nearer
+    unused point, and a nearest unused point never leaves a ball early.
+    """
+    row = space.dist[point]
+    nearest: list[int] = []
+    best = None
+    for q, taken in enumerate(used):
+        if taken:
+            continue
+        d = row[q]
+        if best is None or d < best:
+            best, nearest = d, [q]
+        elif d == best:
+            nearest.append(q)
+    return nearest
+
+
 def is_convex_order(space: UltrametricSpace, order) -> bool:
     """True iff every ball at every realized radius is an interval of the
-    order."""
+    order, checked in O(n^2) as: each point is nearest to its predecessor
+    among the points not yet placed."""
     seq = _order_sequence(order)
     if sorted(seq) != list(range(space.size)):
         raise ValueError("order must be a permutation of the point indices")
-    pos = [0] * space.size
-    for p, point in enumerate(seq):
-        pos[point] = p
-    for radius in distance_set(space):
-        for block in ball_partition(space, radius):
-            places = [pos[p] for p in block]
-            if max(places) - min(places) + 1 != len(places):
-                return False
+    used = [False] * space.size
+    for prev, point in zip(seq, seq[1:]):
+        used[prev] = True
+        if point not in _nearest_unused(space, prev, used):
+            return False
     return True
 
 

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import umr
 from umr.cli import main
-from util import c3, comb4, e3, equilateral
+from util import brute_convex_orders, c3, comb4, e3, equilateral, profile_classes
 
 
 @pytest.fixture
@@ -100,6 +101,38 @@ def test_types(files, capsys):
         "type 0 size=2 rep=a b c",
         "type 1 size=2 rep=c a b",
     ]
+
+
+def test_orders_and_types_match_the_permutation_filter(tmp_path, capsys):
+    rng = random.Random(222)
+    labels = [f"q{i}" for i in range(8)]
+    rng.shuffle(labels)
+    leaves = [umr.TreeNode(label=label) for label in labels]
+    pairs = [umr.TreeNode(children=tuple(leaves[i:i + 2])) for i in range(0, 8, 2)]
+    root = umr.TreeNode(children=(
+        umr.TreeNode(children=tuple(pairs[:2])), umr.TreeNode(children=tuple(pairs[2:]))
+    ))
+    levels = umr.DistanceSet((F(9, 2), F(5, 3), F(2, 7)))
+    space, _ = umr.tree_to_space(umr.LeveledTree(root, levels))
+    points = list(range(8))
+    rng.shuffle(points)
+    space = space.restrict(points)
+    path = tmp_path / "u222.uspace"
+    path.write_text(umr.format_uspace(space))
+
+    brute = brute_convex_orders(space)
+    assert len(brute) == 128
+
+    def name(seq):
+        return " ".join(space.labels[p] for p in seq)
+
+    expected = "".join(f"order {name(seq)}\n" for seq in brute)
+    assert run(capsys, "orders", str(path)) == (0, expected)
+    expected = "".join(
+        f"type {i} size={len(members)} rep={name(members[0])}\n"
+        for i, members in enumerate(profile_classes(space, brute))
+    )
+    assert run(capsys, "types", str(path)) == (0, expected)
 
 
 def test_hull(files, capsys):

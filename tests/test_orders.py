@@ -1,7 +1,22 @@
+import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import umr
-from util import brute_convex_orders, c3, cb4, comb4, e3, equilateral, shape_spaces
+from util import (
+    brute_convex_orders,
+    c3,
+    cb4,
+    comb4,
+    convexity_oracle,
+    e3,
+    equilateral,
+    leveled_trees,
+    profile_classes,
+    shape_spaces,
+)
 
 
 def test_enumerate_c3_orders_exactly():
@@ -16,6 +31,45 @@ def test_enumerate_e3_orders_all_six():
 def test_one_point_space_has_one_order():
     space = umr.validate_space([[0]], ["a"])
     assert [tuple(o) for o in umr.enumerate_convex_orders(space)] == [(0,)]
+
+
+def _shuffled_shape_spaces(max_leaves):
+    """Each shape space twice, its point storage order shuffled from a fixed
+    seed: once with the power-of-two levels, once with fractional ones."""
+    rng = random.Random(20261018)
+    for n in range(1, max_leaves + 1):
+        for tree in umr.all_tree_shapes(n):
+            fractional = umr.DistanceSet(tuple(F(7, 3 * k + 2) for k in range(tree.height)))
+            for levels in (tree.levels, fractional):
+                space, _ = umr.tree_to_space(umr.LeveledTree(tree.root, levels))
+                points = list(range(space.size))
+                rng.shuffle(points)
+                yield space.restrict(points)
+
+
+def test_enumeration_is_the_ordered_filter_oracle():
+    for space in _shuffled_shape_spaces(6):
+        brute = brute_convex_orders(space)
+        assert [tuple(order) for order in umr.enumerate_convex_orders(space)] == brute
+
+        got = [
+            (tuple(cls.representative), [tuple(m) for m in cls.members])
+            for cls in umr.order_type_partition(space)
+        ]
+        assert got == [(members[0], members) for members in profile_classes(space, brute)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(leveled_trees(max_leaves=10), st.data())
+def test_enumeration_on_random_trees(tree, data):
+    if umr.count_sibling_orderings(tree) > 20000:
+        return
+    space, _ = umr.tree_to_space(tree)
+    space = space.restrict(data.draw(st.permutations(range(space.size))))
+    orders = [tuple(order) for order in umr.enumerate_convex_orders(space)]
+    assert all(a < b for a, b in zip(orders, orders[1:]))
+    assert all(map(convexity_oracle(space), orders))
+    assert len(orders) == umr.count_convex_orders(space)
 
 
 def test_count_formula_matches_filter_oracle():

@@ -2,38 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import umr
-from util import brute_isometry_count, c3, cb4, e3, shape_spaces
-
-
-@st.composite
-def leveled_trees(draw):
-    """Random leveled tree: shuffled leaf labels grouped bottom up, each
-    level splitting its row of nodes into consecutive runs with at least one
-    run of two or more, under random decreasing rational levels."""
-    n = draw(st.integers(1, 7))
-    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
-    nodes = [umr.TreeNode(label=label) for label in labels]
-    height = 0
-    while len(nodes) > 1:
-        cuts = sorted(draw(st.sets(st.integers(1, len(nodes) - 1), max_size=len(nodes) - 2)))
-        bounds = [0, *cuts, len(nodes)]
-        nodes = [
-            umr.TreeNode(children=tuple(nodes[lo:hi]))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        height += 1
-    levels = draw(
-        st.lists(
-            st.fractions(min_value=F(1, 20), max_value=100, max_denominator=20),
-            min_size=height,
-            max_size=height,
-            unique=True,
-        )
-    )
-    return umr.LeveledTree(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
+from util import brute_isometry_count, c3, cb4, e3, leveled_trees, shape_spaces
 
 
 def test_c3_tree_structure():
@@ -159,7 +130,7 @@ def test_sibling_ordering_count():
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(leveled_trees())
+@given(leveled_trees(max_leaves=7))
 def test_random_tree_round_trip(tree):
     space, order = umr.tree_to_space(tree)
     assert umr.space_to_tree(space, order) == tree

@@ -10,6 +10,8 @@ from the functions under test.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from hypothesis import strategies as st
+
 import umr
 
 
@@ -72,26 +74,47 @@ def brute_isometry_count(space):
     return count
 
 
-def oracle_is_convex(space, seq):
-    """Interval definition, re-derived: every ball around every center at
-    every pairwise distance is contiguous in the sequence."""
-    pos = {p: i for i, p in enumerate(seq)}
+def convexity_oracle(space):
+    """Interval definition, re-derived: a predicate that is true for a
+    sequence iff every ball around every center at every pairwise distance
+    is contiguous in it."""
     n = space.size
     radii = {space.dist[i][j] for i in range(n) for j in range(i + 1, n)}
-    for center in range(n):
-        for r in radii:
-            places = sorted(pos[y] for y in range(n) if space.dist[y][center] <= r)
-            if places and places[-1] - places[0] + 1 != len(places):
+    balls = {
+        frozenset(y for y in range(n) if space.dist[y][center] <= r)
+        for center in range(n)
+        for r in radii
+    }
+
+    def is_convex(seq):
+        pos = {p: i for i, p in enumerate(seq)}
+        for ball in balls:
+            places = [pos[y] for y in ball]
+            if max(places) - min(places) + 1 != len(places):
                 return False
-    return True
+        return True
+
+    return is_convex
+
+
+def oracle_is_convex(space, seq):
+    return convexity_oracle(space)(seq)
 
 
 def brute_convex_orders(space):
-    return [
-        seq
-        for seq in permutations(range(space.size))
-        if oracle_is_convex(space, seq)
-    ]
+    """The convex orders among all n! permutations, in lexicographic order."""
+    return list(filter(convexity_oracle(space), permutations(range(space.size))))
+
+
+def profile_classes(space, orders):
+    """Orders grouped by the distances they read between every earlier and
+    later point, groups in order of first appearance."""
+    n = space.size
+    classes = {}
+    for seq in orders:
+        profile = tuple(space.dist[seq[p]][seq[q]] for p in range(n) for q in range(p + 1, n))
+        classes.setdefault(profile, []).append(seq)
+    return list(classes.values())
 
 
 def brute_arrow_holds(ambient, target, pattern, k, l):
@@ -157,6 +180,35 @@ def shape_spaces(max_leaves, max_height=None):
             space, _ = umr.tree_to_space(tree)
             out.append(space)
     return out
+
+
+@st.composite
+def leveled_trees(draw, max_leaves):
+    """Random leveled tree with at most max_leaves leaves: shuffled leaf
+    labels grouped bottom up, each level splitting its row of nodes into
+    consecutive runs with at least one run of two or more, under random
+    decreasing rational levels."""
+    n = draw(st.integers(1, max_leaves))
+    labels = draw(st.permutations([f"x{i}" for i in range(n)]))
+    nodes = [umr.TreeNode(label=label) for label in labels]
+    height = 0
+    while len(nodes) > 1:
+        cuts = sorted(draw(st.sets(st.integers(1, len(nodes) - 1), max_size=len(nodes) - 2)))
+        bounds = [0, *cuts, len(nodes)]
+        nodes = [
+            umr.TreeNode(children=tuple(nodes[lo:hi]))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        height += 1
+    levels = draw(
+        st.lists(
+            st.fractions(min_value=Fraction(1, 20), max_value=100, max_denominator=20),
+            min_size=height,
+            max_size=height,
+            unique=True,
+        )
+    )
+    return umr.LeveledTree(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
 
 
 def frac(text):
