@@ -447,6 +447,8 @@ def check_homogeneity(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     failures = []
     for t in range(trials):
         rng = random.Random(seed + t)

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import random
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umr
-from umr.cli import main
+from umr.cli import VERBS, main
 from util import brute_convex_orders, c3, comb4, e3, equilateral, profile_classes
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -72,6 +80,14 @@ def test_tree_and_space_round_trip(files, capsys):
 def test_iso_accepts_both_formats(files, capsys):
     assert run(capsys, "iso", files["c3.uspace"]) == (0, "iso=2\n")
     assert run(capsys, "iso", files["c3.utree"]) == (0, "iso=2\n")
+
+
+def test_iso_sniffs_the_stripped_header(tmp_path, capsys):
+    # parse_utree strips every line, so the sniff must too
+    path = tmp_path / "padded.utree"
+    path.write_text("\n  utree v1   \nlevels 2 1\n((a b) (c))\n")
+    assert run(capsys, "iso", str(path)) == (0, "iso=2\n")
+    assert run(capsys, "space", str(path)) == (0, umr.format_uspace(c3()))
 
 
 def test_iso_rejects_deep_nesting(tmp_path, capsys):
@@ -299,6 +315,14 @@ def test_qs_check_seed_header(files, capsys):
     assert lines[1] == "qs-check trials=5 n=2 pass=5 fail=0"
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_qs_check_rejects_no_trials(files, capsys, trials):
+    code, out = run(
+        capsys, "qs-check", "--menu", files["menu.menu"], "-n", "2", "--trials", trials,
+    )
+    assert (code, out) == (1, "seed=0\nValueError trials must be at least 1\n")
+
+
 def test_identical_invocations_identical_output(files, capsys):
     _, first = run(capsys, "tau", files["c3.uspace"])
     _, second = run(capsys, "tau", files["c3.uspace"])
@@ -366,7 +390,137 @@ def test_every_verb_is_reachable(files, capsys, tmp_path):
             "qs-check", "--menu", files["menu.menu"], "-n", "1", "--trials", "2",
         ],
     }
+    assert list(invocations) == list(VERBS)
     for verb, argv in invocations.items():
         code = main(argv)
         capsys.readouterr()
         assert code == 0, f"verb {verb} exited {code}"
+
+
+def table_flags(verb):
+    return {flag for flags, _ in VERBS[verb][0] for flag in flags if flag.startswith("-")}
+
+
+def readme_flags(text):
+    return set(re.findall(r"(?<![\w-])--?[A-Za-z]\w*", text))
+
+
+def test_readme_command_line_matches_the_verb_table():
+    section = README.read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    synopsis = section.split("```", 2)[1]
+    assert readme_flags(synopsis) == set().union(*map(table_flags, VERBS))
+    rows = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        usage = line.split("|")[1]
+        # a row may name several verbs: "`clo f` / `tau f`", "`qs-dist / qs-cmp p q ...`"
+        for part in re.split(r"`\s*/\s*`|\s/\s", usage.strip(" `")):
+            rows[part.split()[0]] = readme_flags(usage)
+    assert sorted(rows) == sorted(VERBS)
+    for verb, flags in rows.items():
+        assert flags == table_flags(verb), verb
+
+
+# Fragments of the five text formats, valid and not, for the fuzz below.
+RATIONALS = st.sampled_from(
+    ["1", "2", "1/2", "1/4", "3/2", "2/4", "0", "-1", "-1/2", "1/0", "x", ""]
+)
+LABELS = st.sampled_from(["a", "b", "c", "d"])
+LINES = st.one_of(
+    st.sampled_from([
+        "uspace v1", "utree v1", "menu v1", "qpoint v1", " utree v1  ", "uspace v2",
+        "points", "labels", "levels", "d", "", "((a b) (c))", "(a b)", "((a) (b c))",
+        "(a (b c))", "(", ")", "((a b)", "()", "a b",
+    ]),
+    st.integers(-1, 5).map("points {}".format),
+    st.lists(LABELS, max_size=5).map(lambda names: " ".join(["labels", *names])),
+    st.tuples(LABELS, LABELS, RATIONALS).map(lambda t: "d {} {} {}".format(*t)),
+    st.lists(RATIONALS, max_size=3).map(lambda values: " ".join(["levels", *values])),
+    st.tuples(RATIONALS, RATIONALS).map(" ".join),
+    RATIONALS,
+)
+SPACES = [umr.format_uspace(space) for space in (c3(), e3(), comb4(), equilateral(2))]
+TREES = ["utree v1\nlevels 2 1\n((a b) (c))\n", "utree v1\nlevels 1\n(a b c)\n"]
+MENUS = [umr.format_menu(umr.menu_of(1, F(1, 2), F(1, 4))), "menu v1\n1\n"]
+QPOINTS = [
+    umr.format_qpoint(umr.qs_point(coords))
+    for coords in ({}, {F(1, 2): 3}, {F(1): -1, F(1, 4): F(1, 2)})
+]
+
+
+def valid_texts(verb, flag):
+    """The inputs that argument of that verb expects when used rightly."""
+    if flag == "--menu":
+        return MENUS
+    if flag == "files" and verb.startswith("qs-"):
+        return QPOINTS
+    return {"space": TREES, "iso": SPACES + TREES}.get(verb, SPACES)
+
+
+# every integer flag of the table, bounded so that no run is long
+INT_RANGES = {
+    "-k": (-1, 3), "-l": (-1, 3), "-n": (-1, 8), "--trials": (-1, 3),
+    "--budget": (-1, 1000), "--seed": (0, 3),
+}
+
+
+@st.composite
+def invocations(draw, verb):
+    """An argv for ``verb`` built from its specs in the table, and the text
+    of each file it names (paths relative to a scratch directory).  A run
+    carries at most one fault, so that many runs reach the library."""
+    argv, files = [verb], {}
+
+    def new_file(flag):
+        name = f"f{len(files)}"
+        files[name] = draw(st.sampled_from(valid_texts(verb, flag)))
+        return name
+
+    for flags, options in VERBS[verb][0]:
+        flag = flags[0]
+        if not flag.startswith("-"):
+            count = options["nargs"]
+            count = draw(st.integers(1, 4)) if count == "+" else count
+            argv += [new_file(flag) for _ in range(count)]
+        elif options.get("action") == "store_true":
+            argv += [flag] * draw(st.booleans())
+        elif "type" in options:
+            argv += [flag, str(draw(st.integers(*INT_RANGES[flag])))]
+        else:
+            argv += [flag, new_file(flag)]
+    fault = draw(st.sampled_from(["none", "text", "text", "path", "drop", "stray"]))
+    if fault == "text" and files:
+        # this or another kind of text, lines replaced by or joined by fragments
+        name = draw(st.sampled_from(sorted(files)))
+        text = draw(st.just(files[name]) | st.sampled_from(SPACES + TREES + MENUS + QPOINTS))
+        lines = text.splitlines()
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines)))
+            lines[at:at + draw(st.integers(0, 1))] = [draw(LINES)]
+        files[name] = "\n".join(lines) + "\n"
+    elif fault == "path" and files:
+        at = draw(st.sampled_from([i for i, token in enumerate(argv) if token in files]))
+        argv[at] = draw(st.sampled_from(["missing", "."] + sorted(files)))
+    elif fault == "drop":
+        # a dropped or a stray token can only make a usage error (or
+        # help), never an unbounded default
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif fault == "stray":
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--bogus", "x"])))
+    return argv, files
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_main_never_raises(tmp_path_factory, verb, data):
+    argv, files = data.draw(invocations(verb))
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in files.items():
+        (root / name).write_text(text)
+    argv = [str(root / token) if token in files or token in ("missing", ".") else token
+            for token in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)

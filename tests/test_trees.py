@@ -144,3 +144,4 @@ def test_canonical_tree_matches_checked_build():
     for space in shape_spaces(6):
         expected = umr.space_to_tree(space, umr.canonical_convex_order(space))
         assert umr.canonical_tree(space) == expected
+        assert expected.levels == umr.distance_set(space)

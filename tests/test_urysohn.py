@@ -253,6 +253,13 @@ def test_homogeneity_small_run_passes():
     assert report.all_passed
 
 
+@pytest.mark.parametrize("n, trials", [(0, 5), (2, 0), (2, -3)])
+def test_homogeneity_rejects_empty_runs(n, trials):
+    # a run of no trials would report "all passed" on nothing
+    with pytest.raises(ValueError, match="must be at least 1"):
+        umr.check_homogeneity(MENU2, n, trials, seed=0)
+
+
 def test_homogeneity_detects_perturbed_targets():
     rng = random.Random(19)
     rejected = 0
