@@ -64,7 +64,6 @@ from .shapes import (
     uniform_tree,
 )
 from .spaces import (
-    ConvexOrder,
     DistanceSet,
     UltrametricSpace,
     ball_partition,

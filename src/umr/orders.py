@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import count
 
 from .errors import InternalNonIntegerTau
-from .spaces import ConvexOrder, UltrametricSpace, _nearest_unused, _order_sequence
+from .spaces import UltrametricSpace, _nearest_unused
 from .trees import (
     LeveledTree,
     TreeNode,
@@ -34,8 +34,14 @@ from .trees import (
 
 @dataclass(frozen=True)
 class OrderTypeClass:
-    representative: ConvexOrder
-    members: tuple[ConvexOrder, ...]
+    """Convex orders of one order type, in lexicographic order."""
+
+    members: tuple[tuple[int, ...], ...]
+
+    @property
+    def representative(self) -> tuple[int, ...]:
+        """The first member, the class's lexicographic minimum."""
+        return self.members[0]
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,7 @@ class RamseyDegreeReport:
     tau: int
 
 
-def enumerate_convex_orders(space: UltrametricSpace) -> list[ConvexOrder]:
+def enumerate_convex_orders(space: UltrametricSpace) -> list[tuple[int, ...]]:
     """Every convex order exactly once, in lexicographic index order.
 
     Depth-first: any first point, then each next point among the unused
@@ -55,13 +61,13 @@ def enumerate_convex_orders(space: UltrametricSpace) -> list[ConvexOrder]:
     n = space.size
     used = [False] * n
     seq: list[int] = []
-    out: list[ConvexOrder] = []
+    out: list[tuple[int, ...]] = []
 
     def extend(point: int) -> None:
         used[point] = True
         seq.append(point)
         if len(seq) == n:
-            out.append(ConvexOrder(tuple(seq)))
+            out.append(tuple(seq))
         else:
             for nxt in _nearest_unused(space, point, used):
                 extend(nxt)
@@ -80,13 +86,12 @@ def count_convex_orders(space: UltrametricSpace) -> int:
     return count_sibling_orderings(canonical_tree(space))
 
 
-def order_profile(space: UltrametricSpace, order) -> tuple[Fraction, ...]:
+def order_profile(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Distance sequence read along an order; equal profiles mean the unique
     order-preserving bijection is an isometry."""
-    seq = _order_sequence(order)
-    n = len(seq)
+    n = len(order)
     return tuple(
-        space.dist[seq[p]][seq[q]] for p in range(n) for q in range(p + 1, n)
+        space.dist[order[p]][order[q]] for p in range(n) for q in range(p + 1, n)
     )
 
 
@@ -94,13 +99,10 @@ def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
     """Partition of the convex orders into order types, classes listed by
     first appearance; each representative is its class's lexicographic
     minimum."""
-    classes: dict[tuple[Fraction, ...], list[ConvexOrder]] = {}
+    classes: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
     for order in enumerate_convex_orders(space):
         classes.setdefault(order_profile(space, order), []).append(order)
-    return [
-        OrderTypeClass(representative=members[0], members=tuple(members))
-        for members in classes.values()
-    ]
+    return [OrderTypeClass(tuple(members)) for members in classes.values()]
 
 
 def tau(space: UltrametricSpace) -> RamseyDegreeReport:

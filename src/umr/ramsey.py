@@ -22,17 +22,12 @@ from typing import Callable, Iterator
 from .errors import BudgetExceeded, OracleFailure
 from .orders import order_profile, order_type_partition
 from .shapes import branching_vectors, uniform_tree
-from .spaces import (
-    ConvexOrder,
-    UltrametricSpace,
-    _order_sequence,
-    canonical_convex_order,
-)
+from .spaces import UltrametricSpace, canonical_convex_order
 from .trees import space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
 
-OrderedSpace = tuple[UltrametricSpace, ConvexOrder]
+OrderedSpace = tuple[UltrametricSpace, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -111,8 +106,8 @@ def _match_subset(
 def enumerate_copies(
     ambient: UltrametricSpace,
     pattern: UltrametricSpace,
-    ambient_order: ConvexOrder | None = None,
-    pattern_order: ConvexOrder | None = None,
+    ambient_order: tuple[int, ...] | None = None,
+    pattern_order: tuple[int, ...] | None = None,
 ) -> list[Copy]:
     """All subsets of the ambient space isometric to the pattern, one Copy
     per subset, in lexicographic subset order.  Passing both orders switches
@@ -131,14 +126,13 @@ def enumerate_copies(
                 out.append(Copy(mapping))
         return out
     apos = [0] * n
-    for p, point in enumerate(_order_sequence(ambient_order)):
+    for p, point in enumerate(ambient_order):
         apos[point] = p
-    pseq = _order_sequence(pattern_order)
     for subset in combinations(range(n), m):
         arranged = sorted(subset, key=apos.__getitem__)
         mapping = [0] * m
         for rank, point in enumerate(arranged):
-            mapping[pseq[rank]] = point
+            mapping[pattern_order[rank]] = point
         if all(
             ambient.dist[mapping[i]][mapping[j]] == pattern.dist[i][j]
             for i in range(m)
@@ -180,12 +174,13 @@ def verify_arrow(
     pattern: UltrametricSpace,
     k: int,
     l: int,
-    ambient_order: ConvexOrder | None = None,
-    target_order: ConvexOrder | None = None,
-    pattern_order: ConvexOrder | None = None,
+    ambient_order: tuple[int, ...] | None = None,
+    target_order: tuple[int, ...] | None = None,
+    pattern_order: tuple[int, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ArrowVerdict:
-    """Decide the arrow by exhausting colorings.
+    """Decide the arrow by exhausting colorings; the ordered arrow takes all
+    three orders, the unordered one none (ValueError otherwise).
 
     Returns a verdict with the first counterexample coloring (in canonical
     enumeration order) when the arrow fails; raises BudgetExceeded when the
@@ -193,15 +188,8 @@ def verify_arrow(
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    ordered = ambient_order is not None
-    x_copies = enumerate_copies(
-        ambient, pattern, ambient_order if ordered else None,
-        pattern_order if ordered else None,
-    )
-    y_copies = enumerate_copies(
-        ambient, target, ambient_order if ordered else None,
-        target_order if ordered else None,
-    )
+    x_copies = enumerate_copies(ambient, pattern, ambient_order, pattern_order)
+    y_copies = enumerate_copies(ambient, target, ambient_order, target_order)
     x_sets = [frozenset(c.mapping) for c in x_copies]
     y_members = []
     for y in y_copies:
@@ -239,7 +227,7 @@ def verify_arrow(
 
 
 def order_type_coloring(
-    ambient: UltrametricSpace, ambient_order: ConvexOrder, pattern: UltrametricSpace
+    ambient: UltrametricSpace, ambient_order: tuple[int, ...], pattern: UltrametricSpace
 ) -> Coloring:
     """Color each unordered copy of the pattern by the order type it induces
     under the ambient convex order; uses exactly one color per order type."""
@@ -248,7 +236,7 @@ def order_type_coloring(
         order_profile(pattern, cls.representative) for cls in classes
     ]
     pos = [0] * ambient.size
-    for p, point in enumerate(_order_sequence(ambient_order)):
+    for p, point in enumerate(ambient_order):
         pos[point] = p
     copies = enumerate_copies(ambient, pattern)
     colors = [
@@ -268,7 +256,7 @@ def verify_degree_lower(
     pattern: UltrametricSpace,
     target: UltrametricSpace,
     ambient: UltrametricSpace,
-    ambient_order: ConvexOrder,
+    ambient_order: tuple[int, ...],
 ) -> bool:
     """True iff the order-type coloring takes its full palette on every copy
     of the target inside the ambient space."""
@@ -286,9 +274,9 @@ def verify_degree_lower(
 
 def search_witness(
     pattern: UltrametricSpace,
-    pattern_order: ConvexOrder,
+    pattern_order: tuple[int, ...],
     target: UltrametricSpace,
-    target_order: ConvexOrder,
+    target_order: tuple[int, ...],
     k: int,
     budget: int = DEFAULT_BUDGET,
 ) -> OrderedSpace:
@@ -329,7 +317,7 @@ def search_witness(
 @dataclass(frozen=True)
 class ChainResult:
     space: UltrametricSpace
-    order: ConvexOrder
+    order: tuple[int, ...]
     steps: tuple[UltrametricSpace, ...]
     value_bound: int
     verdict: ArrowVerdict | None

@@ -2,9 +2,10 @@
 
 An ultrametric space satisfies the strong triangle inequality
 ``d(x,z) <= max(d(x,y), d(y,z))``, which forces the closed balls of any
-fixed radius to partition the point set.  A linear order on the points is
-*convex* when every ball is an interval of it; convex orders are the
-combinatorial backbone of everything else in this package.
+fixed radius to partition the point set.  A linear order on the points,
+a tuple of point indices, is *convex* when every ball is an interval of
+it; convex orders are the combinatorial backbone of everything else in
+this package.
 
 Point identity is by label.  Two spaces compare equal when they carry the
 same label set with the same label-to-label distances, regardless of the
@@ -58,19 +59,6 @@ class DistanceSet:
 
     def __contains__(self, value) -> bool:
         return value in self.values
-
-
-@dataclass(frozen=True)
-class ConvexOrder:
-    """A permutation of point indices under which every ball is an interval."""
-
-    sequence: tuple[int, ...]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.sequence)
-
-    def __len__(self) -> int:
-        return len(self.sequence)
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,12 +189,6 @@ def ball_partition(space: UltrametricSpace, radius: Fraction) -> tuple[tuple[int
     return tuple(blocks)
 
 
-def _order_sequence(order) -> tuple[int, ...]:
-    if isinstance(order, ConvexOrder):
-        return order.sequence
-    return tuple(order)
-
-
 def _nearest_unused(space: UltrametricSpace, point: int, used: list[bool]) -> list[int]:
     """The points not yet used that lie nearest to ``point``, ascending.
 
@@ -229,53 +211,34 @@ def _nearest_unused(space: UltrametricSpace, point: int, used: list[bool]) -> li
     return nearest
 
 
-def is_convex_order(space: UltrametricSpace, order) -> bool:
+def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
     """True iff every ball at every realized radius is an interval of the
     order, checked in O(n^2) as: each point is nearest to its predecessor
     among the points not yet placed."""
-    seq = _order_sequence(order)
-    if sorted(seq) != list(range(space.size)):
+    if sorted(order) != list(range(space.size)):
         raise ValueError("order must be a permutation of the point indices")
     used = [False] * space.size
-    for prev, point in zip(seq, seq[1:]):
+    for prev, point in zip(order, order[1:]):
         used[prev] = True
         if point not in _nearest_unused(space, prev, used):
             return False
     return True
 
 
-def canonical_convex_order(space: UltrametricSpace) -> ConvexOrder:
-    """Deterministic convex order: refine balls radius by radius, visiting
-    blocks in order of their smallest point index."""
-    radii = distance_set(space).values
-    height = len(radii)
-    sequence: list[int] = []
-
-    def arrange(points: list[int], level: int) -> None:
-        if len(points) == 1:
-            sequence.append(points[0])
-            return
-        threshold = radii[level] if level < height else _ZERO
-        blocks: list[list[int]] = []
-        for p in sorted(points):
-            for block in blocks:
-                if space.dist[block[0]][p] <= threshold:
-                    block.append(p)
-                    break
-            else:
-                blocks.append([p])
-        if len(blocks) == 1:
-            arrange(blocks[0], level + 1)
-            return
-        for block in blocks:
-            arrange(block, level + 1)
-
-    arrange(list(range(space.size)), 1)
-    return ConvexOrder(tuple(sequence))
+def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
+    """The lexicographically least convex order: point 0, then each time
+    the lowest-index point among the unused points nearest to the last."""
+    unused = list(range(1, space.size))
+    order = [0]
+    while unused:
+        nearest = min(unused, key=space.dist[order[-1]].__getitem__)
+        unused.remove(nearest)
+        order.append(nearest)
+    return tuple(order)
 
 
-def order_labels(space: UltrametricSpace, order) -> tuple[str, ...]:
-    return tuple(space.labels[p] for p in _order_sequence(order))
+def order_labels(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(space.labels[p] for p in order)
 
 
 # --- USPACE text format ----------------------------------------------------

@@ -21,14 +21,7 @@ from typing import Iterator
 
 from .errors import FormatError, NonConvexOrder
 from .rational import format_rational, parse_rational
-from .spaces import (
-    ConvexOrder,
-    DistanceSet,
-    UltrametricSpace,
-    _order_sequence,
-    canonical_convex_order,
-    is_convex_order,
-)
+from .spaces import DistanceSet, UltrametricSpace, canonical_convex_order, is_convex_order
 
 _ZERO = Fraction(0)
 
@@ -110,20 +103,19 @@ def child_counts(root: TreeNode, height: int) -> list[set[int]]:
     return counts
 
 
-def space_to_tree(space: UltrametricSpace, order) -> LeveledTree:
+def space_to_tree(space: UltrametricSpace, order: tuple[int, ...]) -> LeveledTree:
     """Tree of the ordered space: depth-m nodes are the balls of the m-th
     realized distance, siblings sorted so the leaf sequence equals the
     given convex order."""
-    seq = _order_sequence(order)
-    if not is_convex_order(space, seq):
-        raise NonConvexOrder(f"order {seq} is not convex for this space")
-    return _build_tree(space, seq)
+    if not is_convex_order(space, order):
+        raise NonConvexOrder(f"order {order} is not convex for this space")
+    return _build_tree(space, order)
 
 
 def canonical_tree(space: UltrametricSpace) -> LeveledTree:
     """Tree of the space under its canonical convex order, which is convex
     by construction and so is not checked again."""
-    return _build_tree(space, canonical_convex_order(space).sequence)
+    return _build_tree(space, canonical_convex_order(space))
 
 
 def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
@@ -149,47 +141,64 @@ def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
     return LeveledTree(build(0, space.size, 0), radii)
 
 
-def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, ConvexOrder]:
+def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
     """Dual space of a tree: points are the leaves in left-to-right order,
     the distance of two leaves is the level distance of their deepest
     common ancestor, and the returned order is the identity."""
-    labels = tree.leaf_labels()
-    n = len(labels)
-    dist = [[_ZERO] * n for _ in range(n)]
-    counter = iter(range(n))
-
-    def walk(node: TreeNode, depth: int) -> list[int]:
+    labels: list[str] = []
+    # joins[i]: depth of the deepest common ancestor of leaves i and i + 1,
+    # whose child is the first node visited after leaf i
+    joins: list[int] = []
+    for node, depth in tree.iter_nodes():
+        if len(joins) < len(labels):
+            joins.append(depth - 1)
         if node.is_leaf:
-            return [next(counter)]
-        groups = [walk(child, depth + 1) for child in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for s in groups[gi]:
-                    for t in groups[gj]:
-                        dist[s][t] = dist[t][s] = tree.levels[depth]
-        return [leaf for group in groups for leaf in group]
+            labels.append(node.label)  # type: ignore[arg-type]
+    n = len(labels)
+    levels = tree.levels.values
+    dist = [[_ZERO] * n for _ in range(n)]
+    for s in range(n):
+        row = dist[s]
+        top = tree.height
+        for t in range(s + 1, n):
+            if joins[t - 1] < top:
+                top = joins[t - 1]
+            row[t] = dist[t][s] = levels[top]
+    space = UltrametricSpace(tuple(labels), tuple(tuple(row) for row in dist))
+    return space, tuple(range(n))
 
-    walk(tree.root, 0)
-    space = UltrametricSpace(labels, tuple(tuple(row) for row in dist))
-    return space, ConvexOrder(tuple(range(n)))
 
-
-def _code_and_aut(node: TreeNode) -> tuple[str, int]:
+def _code_and_aut(root: TreeNode) -> tuple[str, int]:
     # aut(node) = prod of child auts * prod over equal-code groups of mult!
-    if node.is_leaf:
-        return "()", 1
-    coded = sorted(_code_and_aut(child) for child in node.children)
-    aut = 1
-    run_code, run_length = None, 0
-    for code, child_aut in coded:
-        aut *= child_aut
-        if code == run_code:
-            run_length += 1
-        else:
-            aut *= factorial(run_length)
-            run_code, run_length = code, 1
-    aut *= factorial(run_length)
-    return "(" + "".join(code for code, _ in coded) + ")", aut
+    # Popping children pushed in order visits each node before its subtrees,
+    # last child first; the reverse of that visit is a post-order, so each
+    # node finds its children's results on top of ``done``.
+    visited = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        visited.append(node)
+        stack.extend(node.children)
+    done: list[tuple[str, int]] = []
+    for node in reversed(visited):
+        k = len(node.children)
+        if not k:
+            done.append(("()", 1))
+            continue
+        coded = sorted(done[-k:])
+        del done[-k:]
+        aut = 1
+        run_code, run_length = None, 0
+        for code, child_aut in coded:
+            aut *= child_aut
+            if code == run_code:
+                run_length += 1
+            else:
+                aut *= factorial(run_length)
+                run_code, run_length = code, 1
+        aut *= factorial(run_length)
+        done.append(("(" + "".join(code for code, _ in coded) + ")", aut))
+    return done[0]
 
 
 def count_automorphisms(tree: LeveledTree) -> int:
@@ -240,8 +249,8 @@ def parse_utree(text: str) -> LeveledTree:
     body = " ".join(lines[2:])
 
     tokens = body.replace("(", " ( ").replace(")", " ) ").split()
-    # a valid tree nests no deeper than its level count; checking first
-    # keeps the recursive parse within that depth
+    # a valid tree nests no deeper than its level count; that is reported
+    # ahead of any other fault in the tree text
     depth = deepest = 0
     for token in tokens:
         if token == "(":
@@ -251,31 +260,30 @@ def parse_utree(text: str) -> LeveledTree:
             depth -= 1
     if deepest > len(values):
         raise FormatError(f"tree nests {deepest} deep but has {len(values)} levels")
-    pos = 0
-
-    def parse_node() -> TreeNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormatError("unexpected end of tree text")
-        token = tokens[pos]
-        pos += 1
-        if token == ")":
+    # open_kids[-1] collects the children of the innermost unclosed bracket
+    open_kids: list[list[TreeNode]] = []
+    root = None
+    for token in tokens:
+        if root is not None:
+            raise FormatError("trailing tokens after tree")
+        if token == "(":
+            open_kids.append([])
+            continue
+        if token != ")":
+            node = TreeNode(label=token)
+        elif not open_kids:
             raise FormatError("unexpected ')'")
-        if token != "(":
-            return TreeNode(label=token)
-        kids = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            kids.append(parse_node())
-        if pos >= len(tokens):
-            raise FormatError("missing ')'")
-        pos += 1
-        if not kids:
-            raise FormatError("internal node with no children")
-        return TreeNode(children=tuple(kids))
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise FormatError("trailing tokens after tree")
+        else:
+            kids = open_kids.pop()
+            if not kids:
+                raise FormatError("internal node with no children")
+            node = TreeNode(children=tuple(kids))
+        if open_kids:
+            open_kids[-1].append(node)
+        else:
+            root = node
+    if open_kids:
+        raise FormatError("missing ')'")
     try:
         return LeveledTree(root, DistanceSet(values))
     except ValueError as exc:

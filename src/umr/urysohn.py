@@ -554,7 +554,10 @@ def _parse_inline_point(token: str) -> QsPoint:
         if ":" not in chunk:
             raise FormatError(f"bad point chunk {chunk!r}")
         s, v = chunk.split(":", 1)
-        items[parse_rational(s)] = parse_rational(v)
+        scale = parse_rational(s)
+        if scale in items:
+            raise FormatError(f"repeated coordinate {s}")
+        items[scale] = parse_rational(v)
     return qs_point(items)
 
 
@@ -603,18 +606,18 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
         if not line:
             continue
         parts = line.split()
-        if parts[0] == "translate" and len(parts) == 2:
-            moves.append(Translate(_parse_inline_point(parts[1])))
-            continue
-        if parts[0] != "coordmap":
-            raise FormatError(f"unknown move {line!r}")
-        fields = {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise FormatError(f"bad field {part!r}")
-            key, value = part.split("=", 1)
-            fields[key] = value
         try:
+            if parts[0] == "translate" and len(parts) == 2:
+                moves.append(Translate(_parse_inline_point(parts[1])))
+                continue
+            if parts[0] != "coordmap":
+                raise FormatError(f"unknown move {line!r}")
+            fields = {}
+            for part in parts[1:]:
+                if "=" not in part:
+                    raise FormatError(f"bad field {part!r}")
+                key, value = part.split("=", 1)
+                fields[key] = value
             pl_pairs = _parse_inline_pairs(fields["phi"])
             moves.append(
                 CoordMap(
@@ -637,7 +640,11 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
             scales = move.offset.support()
         else:
             scales = (move.scale, *move.center.support(), *(t for t, _ in move.shifts))
+        seen = set()
         for s in scales:
             if s not in menu:
                 raise FormatError(f"coordinate {format_rational(s)} not in menu")
+            if s in seen:
+                raise FormatError(f"repeated coordinate {format_rational(s)}")
+            seen.add(s)
     return QsAutomorphism(tuple(moves))

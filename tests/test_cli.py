@@ -2,6 +2,7 @@ import contextlib
 import io
 import random
 import re
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -96,6 +97,29 @@ def test_iso_rejects_deep_nesting(tmp_path, capsys):
     code, out = run(capsys, "iso", str(path))
     assert code == 1
     assert out.startswith("FormatError ")
+
+
+def test_deep_valid_tree_answers(tmp_path, capsys):
+    # a comb of height h has h + 1 leaves and Θ(h²) nodes, so a tree deeper
+    # than the recursion limit is tested under a lowered limit instead
+    n = 301
+    path = tmp_path / "comb.utree"
+    path.write_text(umr.format_utree(umr.comb_tree(n)))
+    labels = " ".join(f"p{k}" for k in range(1, n + 1))
+    expected = f"uspace v1\npoints {n}\nlabels {labels}\n" + "".join(
+        f"d p{i} p{j} {2 ** (j - 2)}\n"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        iso = run(capsys, "iso", str(path))
+        space = run(capsys, "space", str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso == (0, "iso=2\n")
+    assert space == (0, expected)
 
 
 def test_clo_and_orders(files, capsys):

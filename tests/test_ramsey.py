@@ -35,7 +35,7 @@ def test_ordered_copies_respect_the_order():
     # pair-before-singleton reading of c3 under its identity order
     copies = umr.enumerate_copies(ambient, c3(), ordered(ambient), ordered(c3()))
     assert len(copies) == 2
-    singleton_first = umr.ConvexOrder((2, 0, 1))
+    singleton_first = (2, 0, 1)
     copies = umr.enumerate_copies(ambient, c3(), ordered(ambient), singleton_first)
     assert len(copies) == 2
     for copy in copies:
@@ -217,13 +217,26 @@ def test_search_witness_minimal_cases():
 
 def test_search_witness_single_point_pattern():
     one = umr.validate_space([[0]], ["x"])
-    z, _ = umr.search_witness(one, umr.ConvexOrder((0,)), e3(), ordered(e3()), 2)
+    z, _ = umr.search_witness(one, (0,), e3(), ordered(e3()), 2)
     verdict = umr.verify_arrow(
         z, e3(), one, 2, 1,
         ambient_order=ordered(z), target_order=ordered(e3()),
-        pattern_order=umr.ConvexOrder((0,)),
+        pattern_order=(0,),
     )
     assert verdict.holds
+
+
+def test_arrow_takes_all_three_orders_or_none():
+    pair = equilateral(2)
+    partial = [
+        {"pattern_order": (0, 1)},
+        {"target_order": (0, 1, 2)},
+        {"pattern_order": (0, 1), "target_order": (0, 1, 2)},
+        {"ambient_order": tuple(range(6)), "pattern_order": (0, 1)},
+    ]
+    for orders in partial:
+        with pytest.raises(ValueError, match="pass both orders or neither"):
+            umr.verify_arrow(equilateral(6), e3(), pair, 2, 1, **orders)
 
 
 def test_search_budget_exceeded():

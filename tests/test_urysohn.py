@@ -368,3 +368,16 @@ def test_automorphism_parse_rejects_off_menu_scales():
             umr.parse_automorphism(text, MENU2)
     on_menu = "coordmap s=1 center=0 alpha=0 phi=- shifts=1/2:1\ntranslate 1:1\n"
     assert len(umr.parse_automorphism(on_menu, MENU2).moves) == 2
+
+
+def test_automorphism_parse_raises_only_format_errors():
+    bad = {
+        "translate -1:2\n": "scales must be positive",
+        "translate 1:2,1:3\n": "repeated coordinate 1",
+        "translate 1/2:1,1:1,2/4:3\n": "repeated coordinate 2/4",
+        "coordmap s=1/4 center=1:1,1:2 alpha=0 phi=- shifts=-\n": "repeated coordinate 1",
+        "coordmap s=1 center=0 alpha=0 phi=- shifts=1/2:1,1/2:2\n": "repeated coordinate 1/2",
+    }
+    for text, message in bad.items():
+        with pytest.raises(umr.FormatError, match=message):
+            umr.parse_automorphism(text, MENU3)
