@@ -29,6 +29,7 @@ from .trees import (
     canonical_code,
     count_automorphisms,
     count_sibling_orderings,
+    post_order,
 )
 
 SHAPE_PREFIX = "p"
@@ -102,13 +103,14 @@ def shape_to_tree(shape: TreeNode) -> LeveledTree:
     while first.children:
         first, height = first.children[0], height + 1
     counter = count(1)
-
-    def build(node: TreeNode) -> TreeNode:
+    done: list[TreeNode] = []
+    for node in post_order(shape):
         if node.is_leaf:
-            return TreeNode(label=f"{SHAPE_PREFIX}{next(counter)}")
-        return TreeNode(children=tuple(build(child) for child in node.children))
-
-    return LeveledTree(build(shape), default_levels(height))
+            done.append(TreeNode(label=f"{SHAPE_PREFIX}{next(counter)}"))
+        else:
+            k = len(node.children)
+            done[-k:] = [TreeNode(children=tuple(done[-k:]))]
+    return LeveledTree(done[0], default_levels(height))
 
 
 def all_tree_shapes(leaves: int) -> list[LeveledTree]:

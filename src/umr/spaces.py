@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -116,6 +117,10 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     unordered pairs in index order: EmptySpace, DuplicateLabel,
     NonzeroDiagonal, AsymmetricMatrix, NonpositiveOffDiagonal, then
     UltrametricViolation(x, y, z) where d(x,y) > max(d(x,z), d(z,y)).
+
+    Cost: O(n^2) for a valid space, which is checked along the
+    nearest-unused walk; O(n^3) in the worst case only to name an invalid
+    space's witness.
     """
     names = tuple(labels)
     n = len(names)
@@ -138,14 +143,41 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
                 raise AsymmetricMatrix(names[i], names[j])
             if dist[i][j] <= 0:
                 raise NonpositiveOffDiagonal(names[i], names[j])
-    for i in range(n):
-        for j in range(i + 1, n):
-            for z in range(n):
-                if z == i or z == j:
-                    continue
-                if dist[i][j] > max(dist[i][z], dist[z][j]):
-                    raise UltrametricViolation(names[i], names[j], names[z])
-    return UltrametricSpace(names, dist)
+    # The matrix is ultrametric iff along the nearest-unused walk w every
+    # d(w_i, w_j) is the largest step between positions i and j.  If it is
+    # ultrametric, the walk is a convex order (see _nearest_unused), and in
+    # a convex order the ball of radius d(w_i, w_j) around w_i is an
+    # interval holding every step between i and j, so d(w_i, w_j) is their
+    # maximum.  Conversely, for positions a < b < c path maxima give
+    # d(a, c) = max(d(a, b), d(b, c)) >= d(a, b), d(b, c), which is the
+    # strong triangle inequality for every triple.
+    walk = _walk(dist)
+    steps = [dist[a][b] for a, b in zip(walk, walk[1:])]
+    if all(
+        list(map(dist[p].__getitem__, walk[i + 1:])) == list(accumulate(steps[i:], max))
+        for i, p in enumerate(walk)
+    ):
+        return UltrametricSpace(names, dist)
+    raise UltrametricViolation(*(names[k] for k in _first_witness(dist)))
+
+
+def _first_witness(dist: Matrix) -> tuple[int, int, int]:
+    """The first (i, j, z), pairs i < j in index order and then z
+    ascending, with d(i,j) > max(d(i,z), d(z,j)), for a symmetric matrix
+    known to have one.  Distances are replaced by their ranks among the
+    distinct values, which keeps every comparison exact; z = i and z = j
+    give max = d(i,j) and so never witness."""
+    rank = {v: k for k, v in enumerate(sorted({v for row in dist for v in row}))}
+    ranks = [[rank[v] for v in row] for row in dist]
+    n = len(ranks)
+    return next(
+        (i, j, z)
+        for i, row in enumerate(ranks)
+        for j in range(i + 1, n)
+        if min(map(max, row, ranks[j])) < row[j]
+        for z in range(n)
+        if max(row[z], ranks[j][z]) < row[j]
+    )
 
 
 def space_from_distances(labels: Sequence[str], pairs: dict) -> UltrametricSpace:
@@ -228,10 +260,16 @@ def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
 def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
     """The lexicographically least convex order: point 0, then each time
     the lowest-index point among the unused points nearest to the last."""
-    unused = list(range(1, space.size))
+    return _walk(space.dist)
+
+
+def _walk(dist: Matrix) -> tuple[int, ...]:
+    """The nearest-unused walk over a raw matrix: point 0, then each time
+    the lowest-index unused point nearest to the last one."""
+    unused = list(range(1, len(dist)))
     order = [0]
     while unused:
-        nearest = min(unused, key=space.dist[order[-1]].__getitem__)
+        nearest = min(unused, key=dist[order[-1]].__getitem__)
         unused.remove(nearest)
         order.append(nearest)
     return tuple(order)
@@ -282,6 +320,8 @@ def parse_uspace(text: str) -> UltrametricSpace:
         raise DuplicateLabel(next(l for l in names if names.count(l) > 1))
     rows = [[_ZERO] * n for _ in range(n)]
     filled = set()
+    # equal tokens share one parsed Fraction
+    values: dict[str, Fraction] = {}
     for line in lines[3:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "d":
@@ -293,7 +333,9 @@ def parse_uspace(text: str) -> UltrametricSpace:
         if a == b or key in filled:
             raise FormatError(f"repeated or diagonal pair in {line!r}")
         filled.add(key)
-        value = parse_rational(parts[3])
+        value = values.get(parts[3])
+        if value is None:
+            value = values[parts[3]] = parse_rational(parts[3])
         rows[index[a]][index[b]] = value
         rows[index[b]][index[a]] = value
     if len(filled) != n * (n - 1) // 2:

@@ -122,23 +122,22 @@ def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
     # seq is convex, so each distance is the largest adjacent one between
     # its two points: the adjacent distances are all the distances, found
     # in O(n) rather than by another O(n^2) distance_set scan
-    steps = {space.dist[a][b] for a, b in zip(seq, seq[1:])}
-    radii = DistanceSet(tuple(sorted(steps, reverse=True)))
+    steps = [space.dist[a][b] for a, b in zip(seq, seq[1:])]
+    radii = DistanceSet(tuple(sorted(set(steps), reverse=True)))
     height = len(radii)
-
-    def build(lo: int, hi: int, level: int) -> TreeNode:
-        if level == height:
-            return TreeNode(label=space.labels[seq[lo]])
-        threshold = radii[level + 1] if level + 1 < height else _ZERO
-        kids = []
-        start = lo
-        for stop in range(lo + 1, hi + 1):
-            if stop == hi or space.dist[seq[start]][seq[stop]] > threshold:
-                kids.append(build(start, stop, level + 1))
-                start = stop
-        return TreeNode(children=tuple(kids))
-
-    return LeveledTree(build(0, space.size, 0), radii)
+    depth_of = {radius: depth for depth, radius in enumerate(radii)}
+    # nodes[m] holds the finished children of the open node at depth m - 1.
+    # Neighbours a step of radii[m] apart share their ancestors down to
+    # depth m, so the open nodes below it close between them; after the
+    # last leaf every node closes and nodes[0] holds the root.
+    nodes: list[list[TreeNode]] = [[] for _ in range(height + 1)]
+    joins = [depth_of[step] for step in steps] + [-1]
+    for point, join in zip(seq, joins):
+        nodes[height].append(TreeNode(label=space.labels[point]))
+        for depth in range(height - 1, join, -1):
+            nodes[depth].append(TreeNode(children=tuple(nodes[depth + 1])))
+            nodes[depth + 1] = []
+    return LeveledTree(nodes[0][0], radii)
 
 
 def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
@@ -168,19 +167,26 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
     return space, tuple(range(n))
 
 
-def _code_and_aut(root: TreeNode) -> tuple[str, int]:
-    # aut(node) = prod of child auts * prod over equal-code groups of mult!
-    # Popping children pushed in order visits each node before its subtrees,
-    # last child first; the reverse of that visit is a post-order, so each
-    # node finds its children's results on top of ``done``.
+def post_order(root: TreeNode) -> list[TreeNode]:
+    """Every node after its subtrees, children left to right, so leaves
+    come in leaf order and a fold over the list finds a node's children's
+    results on top of its stack."""
+    # popping children pushed in order visits each node before its
+    # subtrees, last child first; the reverse of that visit is this order
     visited = []
     stack = [root]
     while stack:
         node = stack.pop()
         visited.append(node)
         stack.extend(node.children)
+    visited.reverse()
+    return visited
+
+
+def _code_and_aut(root: TreeNode) -> tuple[str, int]:
+    # aut(node) = prod of child auts * prod over equal-code groups of mult!
     done: list[tuple[str, int]] = []
-    for node in reversed(visited):
+    for node in post_order(root):
         k = len(node.children)
         if not k:
             done.append(("()", 1))
@@ -228,14 +234,27 @@ def count_sibling_orderings(tree: LeveledTree) -> int:
 #   ((a b) (c))                     nested parentheses, leaves are labels
 
 def format_utree(tree: LeveledTree) -> str:
-    def render(node: TreeNode) -> str:
-        if node.is_leaf:
-            return node.label  # type: ignore[return-value]
-        return "(" + " ".join(render(child) for child in node.children) + ")"
+    # pending holds what is still to be written, next item last: nodes,
+    # and the separators and closing brackets between them
+    parts: list[str] = []
+    pending: list[TreeNode | str] = [tree.root]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item.is_leaf:
+            parts.append(item.label)  # type: ignore[arg-type]
+        else:
+            parts.append("(")
+            pending.append(")")
+            for k, child in enumerate(reversed(item.children)):
+                if k:
+                    pending.append(" ")
+                pending.append(child)
 
     levels = " ".join(format_rational(v) for v in tree.levels)
     header = f"levels {levels}" if levels else "levels"
-    return "\n".join(["utree v1", header, render(tree.root)]) + "\n"
+    return "\n".join(["utree v1", header, "".join(parts)]) + "\n"
 
 
 def parse_utree(text: str) -> LeveledTree:

@@ -99,18 +99,23 @@ def test_iso_rejects_deep_nesting(tmp_path, capsys):
     assert out.startswith("FormatError ")
 
 
+def comb_uspace(n):
+    """USPACE text of the n-point comb p1..pn: d(pi, pj) = 2^(j - 2)."""
+    labels = " ".join(f"p{k}" for k in range(1, n + 1))
+    return f"uspace v1\npoints {n}\nlabels {labels}\n" + "".join(
+        f"d p{i} p{j} {2 ** (j - 2)}\n"
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    )
+
+
 def test_deep_valid_tree_answers(tmp_path, capsys):
     # a comb of height h has h + 1 leaves and Θ(h²) nodes, so a tree deeper
     # than the recursion limit is tested under a lowered limit instead
     n = 301
     path = tmp_path / "comb.utree"
     path.write_text(umr.format_utree(umr.comb_tree(n)))
-    labels = " ".join(f"p{k}" for k in range(1, n + 1))
-    expected = f"uspace v1\npoints {n}\nlabels {labels}\n" + "".join(
-        f"d p{i} p{j} {2 ** (j - 2)}\n"
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    )
+    expected = comb_uspace(n)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(250)
     try:
@@ -120,6 +125,34 @@ def test_deep_valid_tree_answers(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert iso == (0, "iso=2\n")
     assert space == (0, expected)
+
+
+def test_deep_valid_space_answers(tmp_path, capsys):
+    # the tree of a 301-point comb space is 300 levels deep, and so is
+    # comb_tree(301); hull is never run on it, since the hull of a comb
+    # has 2^300 points
+    n = 301
+    text = comb_uspace(n)
+    space_path = tmp_path / "comb.uspace"
+    space_path.write_text(text)
+    tree_path = tmp_path / "comb.utree"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        iso = run(capsys, "iso", str(space_path))
+        clo = run(capsys, "clo", str(space_path))
+        tau = run(capsys, "tau", str(space_path))
+        code, tree = run(capsys, "tree", str(space_path))
+        tree_path.write_text(tree)
+        back = run(capsys, "space", str(tree_path))
+        comb = umr.format_utree(umr.comb_tree(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert iso == (0, "iso=2\n")
+    assert clo == (0, f"clo={2 ** (n - 1)}\n")
+    assert tau == (0, f"clo={2 ** (n - 1)} iso=2 tau={2 ** (n - 2)}\n")
+    assert (code, tree) == (0, comb)
+    assert back == (0, text)
 
 
 def test_clo_and_orders(files, capsys):

@@ -4,7 +4,7 @@ from itertools import islice
 import pytest
 
 import umr
-from util import cb4, comb4, e3
+from util import cb4, comb4, e3, profile_classes
 
 
 def test_shape_counts_match_hand_enumeration():
@@ -47,6 +47,22 @@ def test_tree_degree_matches_space_tau():
         for tree in umr.all_tree_shapes(n):
             space, _ = umr.tree_to_space(tree)
             assert umr.tree_degree(tree) == umr.tau(space).tau
+
+
+def test_ten_leaf_tree_beats_the_comb():
+    # max tau = 2^(n-2), attained only by combs, holds for n <= 9; at n = 10
+    # this non-comb has degree 360 > 2^8
+    tree = umr.parse_utree(
+        "utree v1\nlevels 16 8 4 2 1\n"
+        "(((((p1 p2)))) ((((p3) (p4)))) ((((p5)) ((p6)))) "
+        "((((p7))) (((p8)))) ((((p9)))) ((((p10)))))\n"
+    )
+    space, _ = umr.tree_to_space(tree)
+    report = umr.tau(space)
+    assert (report.clo_count, report.iso_count, report.tau) == (11520, 32, 360)
+    assert report.tau > 2 ** 8 == umr.tree_degree(umr.comb_tree(10))
+    assert len(profile_classes(space, umr.enumerate_convex_orders(space))) == 360
+    assert not umr.is_comb(tree)
 
 
 def test_extremal_scan_small():

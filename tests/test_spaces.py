@@ -1,10 +1,22 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umr
-from util import c3, e3, equilateral, naive_valid, oracle_is_convex, shape_spaces
+from util import (
+    c3,
+    e3,
+    equilateral,
+    leveled_trees,
+    naive_first_error,
+    naive_valid,
+    oracle_is_convex,
+    shape_spaces,
+)
 
 
 def test_one_point_matrix_is_valid():
@@ -140,6 +152,65 @@ def test_validate_matches_naive_triple_loop():
         except umr.SpaceValidationError:
             got = False
         assert got == expected
+
+
+def validation_outcome(matrix, labels):
+    """What validate_space does, in the oracle's terms."""
+    try:
+        umr.validate_space(matrix, labels)
+    except umr.SpaceValidationError as err:
+        return type(err), err.labels
+    return None
+
+
+def test_validate_names_the_oracle_witness_on_every_small_matrix():
+    # every symmetric zero-diagonal matrix with n <= 4 over {1, 2, 3} and
+    # n = 5 over {1, 2}: only the ultrametric stage can fail
+    checked = violations = 0
+    for n, alphabet in ((1, (1, 2, 3)), (2, (1, 2, 3)), (3, (1, 2, 3)), (4, (1, 2, 3)), (5, (1, 2))):
+        labels = [f"x{k}" for k in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for values in product(alphabet, repeat=len(pairs)):
+            rows = [[0] * n for _ in range(n)]
+            for (i, j), v in zip(pairs, values):
+                rows[i][j] = rows[j][i] = v
+            expected = naive_first_error(rows, labels)
+            assert validation_outcome(rows, labels) == expected, rows
+            checked += 1
+            violations += expected is not None
+    assert checked == 1 + 3 + 27 + 729 + 1024
+    assert 0 < violations < checked
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(leveled_trees(max_leaves=12), st.data())
+def test_validate_names_the_oracle_error_on_perturbed_trees(tree, data):
+    space, _ = umr.tree_to_space(tree)
+    n = space.size
+    order = data.draw(st.permutations(range(n)))
+    rows = [[space.dist[p][q] for q in order] for p in order]
+    labels = [space.labels[p] for p in order]
+    kind = data.draw(
+        st.sampled_from(["none", "diagonal", "asymmetric", "zero", "negative", "above top"])
+    )
+    if kind == "diagonal":
+        k = data.draw(st.integers(0, n - 1))
+        rows[k][k] = F(1, 2)
+    elif kind != "none" and n >= 2:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        top = max(tree.levels)
+        value = {
+            "asymmetric": rows[i][j] + F(1, 3),
+            "zero": F(0),
+            "negative": -rows[i][j],
+            "above top": top + data.draw(st.fractions(min_value=F(1, 7), max_value=5)),
+        }[kind]
+        rows[i][j] = value
+        # a one-sided zero or negative entry is asymmetric and nonpositive
+        # at once, which pins the order of those two checks
+        if kind == "above top" or (kind in ("zero", "negative") and data.draw(st.booleans())):
+            rows[j][i] = value
+    assert validation_outcome(rows, labels) == naive_first_error(rows, labels)
 
 
 def test_uspace_round_trip():

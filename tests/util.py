@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the library's own code paths: isometries
 are counted by scanning all permutations against the raw matrix, convexity
-is re-derived from the interval definition, the validity check is a naive
-triple loop, and arrows are decided by trying every coloring.  Expected values in the tests come from these, never
-from the functions under test.
+is re-derived from the interval definition, the validity check and its
+first witness are naive scans ending in a triple loop, and arrows are
+decided by trying every coloring.  Expected values in the tests come from
+these, never from the functions under test.
 """
 
 from fractions import Fraction
@@ -168,6 +169,34 @@ def naive_valid(matrix):
                 ):
                     return False
     return True
+
+
+def naive_first_error(matrix, labels):
+    """The error ``validate_space`` must raise, as (class, labels), or None
+    for a valid space: the documented checks in their documented order,
+    each a plain scan of the raw matrix, the last one the triple loop."""
+    names = list(labels)
+    n = len(names)
+    if n == 0:
+        return umr.EmptySpace, ()
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            return umr.DuplicateLabel, (name,)
+    for i in range(n):
+        if matrix[i][i] != 0:
+            return umr.NonzeroDiagonal, (names[i],)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][j] != matrix[j][i]:
+                return umr.AsymmetricMatrix, (names[i], names[j])
+            if matrix[i][j] <= 0:
+                return umr.NonpositiveOffDiagonal, (names[i], names[j])
+    for i in range(n):
+        for j in range(i + 1, n):
+            for z in range(n):
+                if z not in (i, j) and matrix[i][j] > max(matrix[i][z], matrix[z][j]):
+                    return umr.UltrametricViolation, (names[i], names[j], names[z])
+    return None
 
 
 def shape_spaces(max_leaves, max_height=None):
