@@ -56,11 +56,12 @@ extension = umr.extend_isometry(list(zip(sources, targets)), menu)
 print("extension matches all four targets:",
       all(extension(p) == q for p, q in zip(sources, targets)))
 sample = [umr.random_point(menu, rng) for _ in range(200)]
+mapped = [(a, extension(a)) for a in sample]
 ok = all(
-    umr.qs_distance(a, b) == umr.qs_distance(extension(a), extension(b))
-    and umr.qs_lex_compare(a, b) == umr.qs_lex_compare(extension(a), extension(b))
-    for i, a in enumerate(sample)
-    for b in sample[i + 1:]
+    umr.qs_distance(a, b) == umr.qs_distance(fa, fb)
+    and umr.qs_lex_compare(a, b) == umr.qs_lex_compare(fa, fb)
+    for i, (a, fa) in enumerate(mapped)
+    for b, fb in mapped[i + 1:]
 )
 print("and preserves distance + order on 200 fresh points:", ok)
 

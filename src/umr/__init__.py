@@ -77,7 +77,6 @@ from .spaces import (
     validate_space,
 )
 from .trees import (
-    CanonicalCode,
     LeveledTree,
     TreeNode,
     canonical_code,

@@ -272,7 +272,7 @@ def _extremal(args) -> int:
     )
     for finding in report.argmax:
         comb = "yes" if finding.comb else "no"
-        print(f"shape {finding.code.text} tau={finding.degree} comb={comb}")
+        print(f"shape {finding.code} tau={finding.degree} comb={comb}")
     return 0
 
 

@@ -23,7 +23,6 @@ from typing import Iterator
 from .errors import InternalNonIntegerTau
 from .spaces import DistanceSet
 from .trees import (
-    CanonicalCode,
     LeveledTree,
     TreeNode,
     canonical_code,
@@ -128,20 +127,16 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
 
 
 def is_comb(tree: LeveledTree) -> bool:
-    """True when all branching nodes lie on a single root-to-leaf branch."""
-    paths: list[tuple[int, ...]] = []
-
-    def walk(node: TreeNode, path: tuple[int, ...]) -> None:
-        if len(node.children) >= 2:
-            paths.append(path)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,))
-
-    walk(tree.root, ())
-    paths.sort(key=len)
-    for shorter, longer in zip(paths, paths[1:]):
-        if longer[: len(shorter)] != shorter:
+    """True when all branching nodes lie on a single root-to-leaf branch,
+    that is when no node has two children whose subtrees branch."""
+    branched: list[bool] = []  # per finished subtree: has a branching node
+    for node in post_order(tree.root):
+        k = len(node.children)
+        kids = branched[len(branched) - k:]
+        del branched[len(branched) - k:]
+        if sum(kids) > 1:
             return False
+        branched.append(k >= 2 or any(kids))
     return True
 
 
@@ -150,11 +145,11 @@ def comb_tree(leaves: int) -> LeveledTree:
     the leftmost branch."""
     if leaves < 2:
         raise ValueError("a comb needs at least two leaves")
+    # the unary chains share their lower parts; shape_to_tree copies them out
     shape = TreeNode(children=(_LEAF, _LEAF))
-    for height in range(1, leaves - 1):
-        chain = _LEAF
-        for _ in range(height):
-            chain = TreeNode(children=(chain,))
+    chain = _LEAF
+    for _ in range(leaves - 2):
+        chain = TreeNode(children=(chain,))
         shape = TreeNode(children=(shape, chain))
     return shape_to_tree(shape)
 
@@ -171,7 +166,7 @@ def tree_degree(tree: LeveledTree) -> int:
 
 @dataclass(frozen=True)
 class ShapeFinding:
-    code: CanonicalCode
+    code: str
     degree: int
     comb: bool
 

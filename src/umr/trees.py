@@ -28,6 +28,10 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True, slots=True)
 class TreeNode:
+    """Rooted tree node.  Two nodes are equal when their trees are, labels
+    and child order included; equality and hashing walk the tree without
+    recursion, so they work at any depth."""
+
     children: tuple["TreeNode", ...] = ()
     label: str | None = None
 
@@ -35,14 +39,17 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
+    def _signature(self) -> list[tuple[str | None, int]]:
+        # labels and child counts in post order determine the tree
+        return [(node.label, len(node.children)) for node in post_order(self)]
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
-    """Order-comparable token string identifying a tree up to a
-    level-preserving, parent-respecting bijection (sibling order and leaf
-    labels ignored)."""
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TreeNode):
+            return NotImplemented
+        return self is other or self._signature() == other._signature()
 
-    text: str
+    def __hash__(self) -> int:
+        return hash(tuple(self._signature()))
 
 
 @dataclass(frozen=True)
@@ -213,8 +220,11 @@ def count_automorphisms(tree: LeveledTree) -> int:
     return _code_and_aut(tree.root)[1]
 
 
-def canonical_code(tree: LeveledTree) -> CanonicalCode:
-    return CanonicalCode(_code_and_aut(tree.root)[0])
+def canonical_code(tree: LeveledTree) -> str:
+    """Order-comparable token string identifying a tree up to a
+    level-preserving, parent-respecting bijection (sibling order and leaf
+    labels ignored)."""
+    return _code_and_aut(tree.root)[0]
 
 
 def count_sibling_orderings(tree: LeveledTree) -> int:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import (
@@ -152,6 +153,9 @@ def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> i
     if diff is None:
         return EQUAL
     return LESS if diff[1] < diff[2] else GREATER
+
+
+_by_lex = cmp_to_key(qs_lex_compare)
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,6 @@ def invert_automorphism(auto: QsAutomorphism) -> QsAutomorphism:
     return QsAutomorphism(tuple(move.invert() for move in reversed(auto.moves)))
 
 
-def _vector(point: QsPoint, menu: DistanceSet) -> tuple[Fraction, ...]:
-    """Coordinates along the menu, largest scale first.  Plain tuple
-    comparison of vectors is exactly the lexicographic point order."""
-    return tuple(point.value_at(s) for s in menu)
-
-
 def extend_isometry(
     pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet
 ) -> QsAutomorphism:
@@ -326,9 +324,9 @@ def extend_isometry(
                 raise NotOrderPreserving(i, j)
     if n == 0:
         return IDENTITY
-    ranking = sorted(range(n), key=lambda i: _vector(sources[i], menu))
-    xs = [sources[i] for i in ranking]
-    ys = [targets[i] for i in ranking]
+    ordered = sorted(pairs, key=lambda pair: _by_lex(pair[0]))
+    xs = [p for p, _ in ordered]
+    ys = [q for _, q in ordered]
 
     moves: list[Move] = []
     if xs[0] != ys[0]:
@@ -346,11 +344,7 @@ def extend_isometry(
         high = min(wanted.value_at(s), carried.value_at(s))
         assert low < high
         alpha = (low + high) / 2
-        shifts = tuple(
-            (t, wanted.value_at(t) - carried.value_at(t))
-            for t in menu
-            if t < s and wanted.value_at(t) != carried.value_at(t)
-        )
+        shifts = tuple((t, delta) for t, delta in (wanted - carried).coords if t < s)
         moves.append(
             CoordMap(
                 scale=s,
@@ -442,7 +436,9 @@ def check_homogeneity(
     Each trial draws n distinct points, pushes them through a random
     automorphism to get an order-isometric image, extends the finite map,
     and then checks that the extension hits every target exactly and
-    preserves distance and order on every pair from an independent sample.
+    preserves distance and order on every pair from an independent sample,
+    checked along the sample's sorted order with O(s log s) comparisons;
+    that is exact because the lex order is convex on every finite set.
     Trial i uses seed + i, so trials are independent of scheduling.
     """
     if n < 1:
@@ -467,28 +463,22 @@ def check_homogeneity(
         ok = all(extension(p) == q for p, q in zip(points, images))
         if ok:
             sample = [random_point(menu, rng) for _ in range(samples)]
-            vec_in = [_vector(p, menu) for p in sample]
-            vec_out = [_vector(extension(p), menu) for p in sample]
-            for i in range(samples):
-                vi, wi = vec_in[i], vec_out[i]
-                for j in range(i + 1, samples):
-                    if _first_diff(vi, vec_in[j]) != _first_diff(wi, vec_out[j]) or (
-                        (vi < vec_in[j]) != (wi < vec_out[j])
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
+            ok = _preserves_sample(extension, sample)
         if not ok:
             failures.append(t)
     return HomogeneityReport(trials, trials - len(failures), tuple(failures))
 
 
-def _first_diff(u: tuple, v: tuple) -> int:
-    for i in range(len(u)):
-        if u[i] != v[i]:
-            return i
-    return -1
+def _preserves_sample(auto: QsAutomorphism, sample: Sequence[QsPoint]) -> bool:
+    """Whether ``auto`` preserves distance and order on every sample pair."""
+    # Lex order is convex on every finite set, so each distance is the
+    # largest adjacent step between its two points, in both sorted lists.
+    points = sorted(set(sample), key=_by_lex)
+    images = [auto(p) for p in points]
+    return all(
+        qs_lex_compare(a, b) == LESS and qs_distance(x, y) == qs_distance(a, b)
+        for x, y, a, b in zip(points, points[1:], images, images[1:])
+    )
 
 
 # --- text formats ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -35,6 +36,16 @@ def test_comb_tree_shape():
         assert len(comb.leaf_labels()) == n
         assert umr.is_comb(comb)
         assert umr.tree_degree(comb) == 2 ** (n - 2)
+
+
+def test_deep_comb_compares_hashes_and_is_a_comb():
+    # deeper than the recursion limit: none of these may recurse per level
+    comb = umr.comb_tree(1200)
+    assert sys.getrecursionlimit() < comb.height
+    assert umr.is_comb(comb)
+    again = umr.parse_utree(umr.format_utree(comb))
+    assert again == comb
+    assert hash(again) == hash(comb)
 
 
 def test_comb4_space_matches_comb_tree():

@@ -106,6 +106,18 @@ def test_canonical_code_stable_under_reserialization():
     assert umr.canonical_code(reparsed) == umr.canonical_code(tree)
 
 
+def test_node_equality_counts_labels_and_child_order():
+    a, b = umr.TreeNode(label="a"), umr.TreeNode(label="b")
+    pair = umr.TreeNode(children=(a, b))
+    assert pair == umr.TreeNode(children=(umr.TreeNode(label="a"), b))
+    assert hash(pair) == hash(umr.TreeNode(children=(umr.TreeNode(label="a"), b)))
+    assert pair != umr.TreeNode(children=(b, a))
+    assert pair != umr.TreeNode(children=(a, b, umr.TreeNode(label="c")))
+    assert umr.TreeNode(children=(pair,)) != umr.TreeNode(children=(pair, pair))
+    assert a != umr.TreeNode(children=(a,))
+    assert a != "a"
+
+
 def test_utree_round_trip_normalizes_whitespace():
     text = "utree v1\nlevels 2 1\n( ( a   b )   (c) )\n"
     tree = umr.parse_utree(text)
@@ -133,7 +145,9 @@ def test_sibling_ordering_count():
 @given(leveled_trees(max_leaves=7))
 def test_random_tree_round_trip(tree):
     space, order = umr.tree_to_space(tree)
-    assert umr.space_to_tree(space, order) == tree
+    rebuilt = umr.space_to_tree(space, order)
+    assert rebuilt == tree
+    assert hash(rebuilt) == hash(tree)
     canonical = umr.canonical_tree(space)
     assert umr.canonical_code(canonical) == umr.canonical_code(tree)
     assert umr.count_automorphisms(canonical) == umr.count_automorphisms(tree)

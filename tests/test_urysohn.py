@@ -3,8 +3,12 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import umr
+from umr import urysohn
+from util import naive_preserves_sample
 
 
 MENU2 = umr.menu_of(1, F(1, 2))
@@ -258,6 +262,70 @@ def test_homogeneity_rejects_empty_runs(n, trials):
     # a run of no trials would report "all passed" on nothing
     with pytest.raises(ValueError, match="must be at least 1"):
         umr.check_homogeneity(MENU2, n, trials, seed=0)
+
+
+# Image breakers over MENU2: one reverses the order, one turns distance
+# 1/2 into 1/4 and keeps the order, one merges points 1/2 apart.
+BREAKERS = {
+    "reverse order": lambda q: -q,
+    "change one distance": lambda q: umr.qs_point(
+        {F(1, 4) if s == F(1, 2) else s: v for s, v in q.coords}
+    ),
+    "merge two points": lambda q: q.restrict_above(F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("breaker", BREAKERS.values(), ids=list(BREAKERS))
+def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, breaker):
+    extend = urysohn.extend_isometry
+    check = urysohn._preserves_sample
+    verdicts = []
+
+    def broken_extend(pairs, menu):
+        # hits every target, and breaks the image of every other point
+        auto, targets = extend(pairs, menu), dict(pairs)
+        return lambda p: targets[p] if p in targets else breaker(auto(p))
+
+    def recorded_check(auto, sample):
+        verdict = check(auto, sample)
+        verdicts.append((verdict, naive_preserves_sample(auto, sample)))
+        return verdict
+
+    monkeypatch.setattr(urysohn, "extend_isometry", broken_extend)
+    monkeypatch.setattr(urysohn, "_preserves_sample", recorded_check)
+    report = umr.check_homogeneity(MENU2, 3, trials=8, seed=40, samples=30)
+    assert report.failures == tuple(range(8))
+    assert verdicts == [(False, False)] * 8
+
+
+def qs_points(menu):
+    # few values per coordinate, so samples repeat points and share prefixes
+    values = st.integers(-3, 3).map(lambda k: F(k, 2))
+    return st.dictionaries(st.sampled_from(list(menu)), values).map(umr.qs_point)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    sample=st.lists(qs_points(MENU3), max_size=12),
+    seed=st.integers(0, 2**16),
+    breaker=st.sampled_from([None, *BREAKERS.values()]),
+)
+def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
+    auto = umr.random_automorphism(MENU3, random.Random(seed))
+    mapped = auto if breaker is None else lambda p: breaker(auto(p))
+    verdict = urysohn._preserves_sample(mapped, sample)
+    assert verdict == naive_preserves_sample(mapped, sample)
+    if breaker is None:
+        assert verdict
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.lists(qs_points(MENU2), max_size=8))
+def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
+    table = {p: data.draw(qs_points(MENU2)) for p in sample}
+    assert urysohn._preserves_sample(table.get, sample) == naive_preserves_sample(
+        table.get, sample
+    )
 
 
 def test_homogeneity_detects_perturbed_targets():

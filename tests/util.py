@@ -3,9 +3,10 @@
 The oracles deliberately avoid the library's own code paths: isometries
 are counted by scanning all permutations against the raw matrix, convexity
 is re-derived from the interval definition, the validity check and its
-first witness are naive scans ending in a triple loop, and arrows are
-decided by trying every coloring.  Expected values in the tests come from
-these, never from the functions under test.
+first witness are naive scans ending in a triple loop, arrows are decided
+by trying every coloring, and the homogeneity harness's sample check is a
+pair loop over plain coordinate dicts.  Expected values in the tests come
+from these, never from the functions under test.
 """
 
 from fractions import Fraction
@@ -197,6 +198,25 @@ def naive_first_error(matrix, labels):
                 if z not in (i, j) and matrix[i][j] > max(matrix[i][z], matrix[z][j]):
                     return umr.UltrametricViolation, (names[i], names[j], names[z])
     return None
+
+
+def naive_preserves_sample(auto, sample):
+    """Whether the map ``auto`` keeps distance and lex order on every pair
+    of the sample, each read off the points' coordinate dicts."""
+
+    def geometry(p, q):
+        a, b = dict(p.coords), dict(q.coords)
+        differ = [s for s in a.keys() | b.keys() if a.get(s, 0) != b.get(s, 0)]
+        if not differ:
+            return 0, 0
+        s = max(differ)
+        return s, (a.get(s, 0) > b.get(s, 0)) - (a.get(s, 0) < b.get(s, 0))
+
+    mapped = [(p, auto(p)) for p in sample]
+    return all(
+        geometry(p, q) == geometry(fp, fq)
+        for (p, fp), (q, fq) in combinations(mapped, 2)
+    )
 
 
 def shape_spaces(max_leaves, max_height=None):
