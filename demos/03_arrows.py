@@ -1,7 +1,10 @@
-"""Arrow statements checked by exhaustive coloring search.
+"""Arrow statements checked by a pruned depth-first coloring search.
 
 Z -> (Y)^X_{k,l} says: color the copies of X inside Z with k colors however
 you like; some copy of Y will see at most l colors on its own copies of X.
+The search cuts a partial coloring once some Y-copy can see at most l
+colors in every completion; ``colorings=`` still counts every coloring
+decided, cut ones included, so K6 reports all 16384.
 
 Run:  python demos/03_arrows.py
 """

@@ -1,23 +1,27 @@
-"""Arrow verification by exhaustive coloring search, witness chaining, and
-the order-type lower-bound coloring.
+"""Arrow verification by a pruned depth-first coloring search, witness
+chaining, and the order-type lower-bound coloring.
 
 ``Z -> (Y)^X_{k,l}`` means: however the copies of X inside Z are colored
 with k colors, some copy of Y inside Z sees at most l colors on its own
 copies of X.  Copies are subsets (each subset counted once); the ordered
 variant additionally requires the induced order to match.
 
-The verifier enumerates colorings exhaustively, one representative per
+The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
-color 0); soundness of this pruning is tested against a brute-force
-oracle that tries every coloring.  Work is metered in colorings examined
-and cut off by a budget.
+color 0), and cuts a subtree once some Y-copy can see at most l colors in
+every completion of the partial coloring; a cut subtree is counted, not
+visited.  Both prunings are tested against oracles that try every
+coloring and that scan the restricted-growth strings one by one.  Work is
+metered in colorings decided, the number that scan examines, and cut off
+by a budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator
+from math import comb
+from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, OracleFailure
 from .orders import order_profile, order_type_partition
@@ -142,30 +146,39 @@ def enumerate_copies(
     return out
 
 
-def _colorings(count: int, k: int) -> Iterator[list[int]]:
-    """Restricted growth strings in canonical order (first copy color 0,
-    each new color introduced in sequence), one per color-permutation
-    class.  Yields a reused list."""
-    if count == 0:
-        yield []
-        return
-    colors = [0] * count
-    maxes = [0] * count
-    while True:
-        yield colors
-        i = count - 1
-        while i > 0:
-            cap = min(k - 1, maxes[i - 1] + 1)
-            if colors[i] < cap:
-                break
-            i -= 1
-        if i == 0:
-            return
-        colors[i] += 1
-        maxes[i] = max(maxes[i - 1], colors[i])
-        for j in range(i + 1, count):
-            colors[j] = 0
-            maxes[j] = maxes[j - 1]
+def _completions(rows: int, k: int, cap: int) -> list[list[int]]:
+    """``table[r][m]`` for r below ``rows`` (at least one row): the
+    restricted-growth completions of r more copies when colors 0..m are in
+    use, each capped at ``cap``.  A capped entry is only ever compared with
+    the budget, and an entry below the cap is exact because its summands
+    are."""
+    table = [[1] * k]
+    for _ in range(rows - 1):
+        prev = table[-1]
+        table.append([
+            min(cap, (m + 1) * prev[m] + (prev[m + 1] if m + 1 < k else 0))
+            for m in range(k)
+        ])
+    return table
+
+
+def _members(
+    x_copies: Sequence[Copy], y_copies: Sequence[Copy], m: int, y_size: int
+) -> list[list[int]]:
+    """For each Y-copy, the indices of the X-copies inside it: its m-subsets
+    looked up in an index of the X-copies, or a scan of the X-copies when
+    that takes fewer tests."""
+    x_sets = [frozenset(c.mapping) for c in x_copies]
+    if comb(y_size, m) > len(x_sets):
+        return [
+            [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
+            for y in y_copies
+        ]
+    index = {xs: i for i, xs in enumerate(x_sets)}
+    return [
+        [index[s] for s in map(frozenset, combinations(y.mapping, m)) if s in index]
+        for y in y_copies
+    ]
 
 
 def verify_arrow(
@@ -179,51 +192,98 @@ def verify_arrow(
     pattern_order: tuple[int, ...] | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> ArrowVerdict:
-    """Decide the arrow by exhausting colorings; the ordered arrow takes all
-    three orders, the unordered one none (ValueError otherwise).
+    """Decide the arrow by a depth-first search over colorings; the ordered
+    arrow takes all three orders, the unordered one none (ValueError
+    otherwise).
 
-    Returns a verdict with the first counterexample coloring (in canonical
-    enumeration order) when the arrow fails; raises BudgetExceeded when the
-    coloring budget runs out before a verdict.
+    Colorings are restricted-growth strings (copy 0 has color 0, each copy
+    at most one above the largest color before it), searched in
+    lexicographic order.  Once some Y-copy can see at most l colors in
+    every completion of the partial coloring (its colors seen plus its
+    uncolored X-copies, capped at k), the whole subtree is good: it is
+    counted, not visited.  So a full coloring the search reaches is the
+    first counterexample, and ``colorings`` is the number of colorings
+    decided, the same number an exhaustive scan examines: all of them when
+    the arrow holds, the counterexample's rank when it fails.  Raises
+    BudgetExceeded when that number is above the budget.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
     x_copies = enumerate_copies(ambient, pattern, ambient_order, pattern_order)
     y_copies = enumerate_copies(ambient, target, ambient_order, target_order)
-    x_sets = [frozenset(c.mapping) for c in x_copies]
-    y_members = []
-    for y in y_copies:
-        y_set = frozenset(y.mapping)
-        y_members.append(
-            tuple(i for i, xs in enumerate(x_sets) if xs <= y_set)
+    n = len(x_copies)
+    members = _members(x_copies, y_copies, pattern.size, target.size)
+    table = _completions(n, k, max(budget, 0) + 1)
+    colors = [0] * n
+
+    def decided(count: int, holds: bool) -> ArrowVerdict:
+        if count > budget:
+            raise BudgetExceeded(n, max(budget, 0))
+        witness = None if holds else Coloring(
+            pattern=pattern, ambient=ambient, copies=tuple(x_copies),
+            colors=tuple(colors), k=k,
         )
-    examined = 0
-    for colors in _colorings(len(x_copies), k):
-        examined += 1
-        if examined > budget:
-            raise BudgetExceeded(len(x_copies), examined - 1)
-        good = False
-        for members in y_members:
-            seen: set[int] = set()
-            within = True
-            for idx in members:
-                seen.add(colors[idx])
-                if len(seen) > l:
-                    within = False
-                    break
-            if within:
-                good = True
-                break
-        if not good:
-            witness = Coloring(
-                pattern=pattern,
-                ambient=ambient,
-                copies=tuple(x_copies),
-                colors=tuple(colors),
-                k=k,
-            )
-            return ArrowVerdict(False, witness, len(x_copies), examined)
-    return ArrowVerdict(True, None, len(x_copies), examined)
+        return ArrowVerdict(holds, witness, n, count)
+
+    # Some Y-copy sees at most l colors whatever the coloring.
+    if any(min(len(inside), k) <= l for inside in members):
+        return decided(table[-1][0], True)
+    if n == 0:
+        return decided(1, False)
+    # From here k > l, so a Y-copy is safe once seen + uncolored <= l.
+    covering: list[list[int]] = [[] for _ in range(n)]
+    for y, inside in enumerate(members):
+        for i in inside:
+            covering[i].append(y)
+    uncolored = [len(inside) for inside in members]
+    seen = [[0] * k for _ in members]
+    distinct = [0] * len(members)
+    top = [0] * n  # largest color among copies 0..i
+
+    def place(i: int) -> bool:
+        """Color copy i with colors[i]; True when that makes a Y-copy safe."""
+        c = colors[i]
+        safe = False
+        for y in covering[i]:
+            uncolored[y] -= 1
+            if not seen[y][c]:
+                distinct[y] += 1
+            seen[y][c] += 1
+            if distinct[y] + uncolored[y] <= l:
+                safe = True
+        return safe
+
+    def unplace(i: int) -> None:
+        c = colors[i]
+        for y in covering[i]:
+            uncolored[y] += 1
+            seen[y][c] -= 1
+            if not seen[y][c]:
+                distinct[y] -= 1
+
+    count = 0
+    i = 0
+    while True:
+        if not place(i):
+            if i == n - 1:
+                return decided(count + 1, False)
+            i += 1
+            top[i] = top[i - 1]
+            continue
+        count += table[n - 1 - i][top[i]]
+        if count > budget:
+            raise BudgetExceeded(n, max(budget, 0))
+        # Step to the next coloring in order, backing out of copies whose
+        # color cannot go higher.
+        unplace(i)
+        while i > 0 and colors[i] == min(k - 1, top[i - 1] + 1):
+            colors[i] = 0
+            i -= 1
+            unplace(i)
+        if i == 0:
+            return decided(count, True)
+        colors[i] += 1
+        top[i] = max(top[i - 1], colors[i])
 
 
 def order_type_coloring(
@@ -261,15 +321,11 @@ def verify_degree_lower(
     """True iff the order-type coloring takes its full palette on every copy
     of the target inside the ambient space."""
     coloring = order_type_coloring(ambient, ambient_order, pattern)
-    x_sets = [frozenset(c.mapping) for c in coloring.copies]
-    for y in enumerate_copies(ambient, target):
-        y_set = frozenset(y.mapping)
-        seen = {
-            coloring.colors[i] for i, xs in enumerate(x_sets) if xs <= y_set
-        }
-        if len(seen) != coloring.k:
-            return False
-    return True
+    y_copies = enumerate_copies(ambient, target)
+    return all(
+        len({coloring.colors[i] for i in inside}) == coloring.k
+        for inside in _members(coloring.copies, y_copies, pattern.size, target.size)
+    )
 
 
 def search_witness(

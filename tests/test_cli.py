@@ -246,6 +246,42 @@ def test_arrow_budget_exceeded(files, capsys):
     assert out == "arrow budget-exceeded copies=15 colorings=7\n"
 
 
+def test_arrow_budget_edges(files, capsys):
+    arrow = (
+        "arrow", "--Z", files["e6.uspace"], "--Y", files["e3.uspace"],
+        "--X", files["e2.uspace"], "-k", "2", "-l", "1", "--budget",
+    )
+    assert run(capsys, *arrow, "16384") == (0, "arrow holds copies=15 colorings=16384\n")
+    assert run(capsys, *arrow, "16383") == (
+        2, "arrow budget-exceeded copies=15 colorings=16383\n"
+    )
+    for budget in ("0", "-1"):
+        assert run(capsys, *arrow, budget) == (
+            2, "arrow budget-exceeded copies=15 colorings=0\n"
+        )
+
+
+def test_arrow_search_depth_is_not_call_depth(files, tmp_path, capsys):
+    # 60 points have 1770 pairs, one search level each; c3 has no copy in
+    # an equilateral space, so the first coloring already fails
+    z = tmp_path / "e60.uspace"
+    z.write_text(umr.format_uspace(equilateral(60)))
+    arrow = ("arrow", "--Z", str(z), "--X", files["e2.uspace"], "-k", "2", "-l", "1")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        no_target = run(capsys, *arrow, "--Y", files["c3.uspace"])
+        triangles = run(capsys, *arrow, "--Y", files["e3.uspace"], "--budget", "1000")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert no_target == (
+        1,
+        "arrow fails copies=1770 colorings=1\n"
+        + "".join(f"copy {i} color 0\n" for i in range(1770)),
+    )
+    assert triangles == (2, "arrow budget-exceeded copies=1770 colorings=1000\n")
+
+
 def test_arrow_ordered_flag(files, capsys):
     code, out = run(
         capsys, "arrow", "--ordered",

@@ -7,6 +7,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Lines a demo must print, so that a change in how colorings are counted
+# shows up here too.
+PRINTS = {
+    "03_arrows.py": (
+        "arrow fails copies=10 colorings=237",
+        "arrow holds copies=15 colorings=16384",
+    ),
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -18,3 +26,5 @@ def test_demo_runs_cleanly(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    for line in PRINTS.get(demo.name, ()):
+        assert line in result.stdout

@@ -1,9 +1,24 @@
 from fractions import Fraction as F
+from itertools import product
+from math import comb, factorial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import umr
-from util import brute_arrow_holds, c3, cb4, comb4, e3, equilateral
+from umr.ramsey import _completions
+from util import (
+    _colorings,
+    brute_arrow_holds,
+    c3,
+    cb4,
+    comb4,
+    e3,
+    equilateral,
+    exhaustive_arrow,
+    leveled_trees,
+)
 
 
 def ordered(space):
@@ -118,18 +133,43 @@ def test_pruning_is_sound():
         assert verdict.holds == brute_arrow_holds(ambient, target, pattern, k, l)
 
 
+def stirling2(n, j):
+    return sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1)) // factorial(j)
+
+
+def restricted_growth_count(n, k):
+    return sum(stirling2(n, j) for j in range(1, k + 1)) if n else 1
+
+
 def test_pruned_enumeration_counts_color_classes():
-    from math import comb, factorial
-
-    from umr.ramsey import _colorings
-
-    def stirling2(n, j):
-        return sum((-1) ** i * comb(j, i) * (j - i) ** n for i in range(j + 1)) // factorial(j)
-
     for n in range(1, 8):
         for k in (1, 2, 3):
             pruned = sum(1 for _ in _colorings(n, k))
-            assert pruned == sum(stirling2(n, j) for j in range(1, k + 1))
+            assert pruned == restricted_growth_count(n, k)
+
+
+def test_completion_table_counts_restricted_growth_strings():
+    def brute(r, m, k):
+        # strings of r more colors, each at most one above the largest so far
+        count = 0
+        for tail in product(range(k), repeat=r):
+            top = m
+            for c in tail:
+                if c > top + 1:
+                    break
+                top = max(top, c)
+            else:
+                count += 1
+        return count
+
+    for n in range(1, 9):
+        for k in (1, 2, 3, 4):
+            table = _completions(n, k, 10 ** 9)
+            assert len(table) == n
+            assert table[n - 1][0] == restricted_growth_count(n, k)
+            assert table == [[brute(r, m, k) for m in range(k)] for r in range(n)]
+            capped = _completions(n, k, 7)
+            assert capped == [[min(7, t) for t in row] for row in table]
 
 
 def test_budget_exceeded():
@@ -137,6 +177,135 @@ def test_budget_exceeded():
     with pytest.raises(umr.BudgetExceeded) as err:
         umr.verify_arrow(equilateral(6), e3(), pair, 2, 1, budget=10)
     assert err.value.colorings == 10
+
+
+def exhaustive_outcome(ambient, target, pattern, k, l, orders, budget):
+    try:
+        return exhaustive_arrow(ambient, target, pattern, k, l, budget=budget, **orders)
+    except umr.BudgetExceeded as exc:
+        return "budget-exceeded", exc.copies, exc.colorings
+
+
+def assert_search_gives(expected, ambient, target, pattern, k, l, orders, budget):
+    """verify_arrow agrees with the oracle's outcome on verdict, colorings,
+    witness colors and copies, or on both BudgetExceeded fields."""
+    try:
+        verdict = umr.verify_arrow(ambient, target, pattern, k, l, budget=budget, **orders)
+    except umr.BudgetExceeded as exc:
+        assert ("budget-exceeded", exc.copies, exc.colorings) == expected
+        return
+    colors = None if verdict.witness is None else verdict.witness.colors
+    assert (verdict.holds, verdict.colorings, colors) == expected
+    copies = umr.enumerate_copies(
+        ambient, pattern, orders.get("ambient_order"), orders.get("pattern_order")
+    )
+    assert verdict.copies == len(copies)
+    if verdict.witness is not None:
+        assert verdict.witness.copies == tuple(copies)
+
+
+def arrow_orders(ambient, target, pattern, with_orders):
+    if not with_orders:
+        return {}
+    return {
+        "ambient_order": ordered(ambient),
+        "target_order": ordered(target),
+        "pattern_order": ordered(pattern),
+    }
+
+
+# Largest number of restricted-growth colorings an instance below may have,
+# so that the one-by-one oracle stays quick; K6 with pairs and 2 colors
+# (16384) is among them.
+EXHAUSTIVE_LIMIT = 16384
+
+
+def small_instances():
+    """Every (Z, Y, X) with Y of at most 4 points and X of at most 3 among
+    the equilateral spaces of 1-6 points, c3, cb4, comb4 and their hulls."""
+    spaces = [equilateral(n) for n in range(1, 7)]
+    for base in (c3(), cb4(), comb4()):
+        for space in (base, umr.order_invariant_hull(base)):
+            if space not in spaces:
+                spaces.append(space)
+    for ambient in spaces:
+        for target in spaces:
+            for pattern in spaces:
+                if pattern.size > 3 or target.size > 4:
+                    continue
+                if not pattern.size <= target.size <= ambient.size:
+                    continue
+                for with_orders in (False, True):
+                    orders = arrow_orders(ambient, target, pattern, with_orders)
+                    n = len(umr.enumerate_copies(
+                        ambient, pattern, orders.get("ambient_order"), orders.get("pattern_order")
+                    ))
+                    for k in (1, 2, 3):
+                        if restricted_growth_count(n, k) > EXHAUSTIVE_LIMIT:
+                            continue
+                        for l in range(1, k + 1):
+                            yield ambient, target, pattern, k, l, orders
+
+
+def test_search_matches_exhaustive_scan_on_small_instances(monkeypatch):
+    # each instance is decided a dozen times over the same copy lists
+    enumerate_copies = umr.ramsey.enumerate_copies
+    found = {}
+
+    def copies_once(*args):
+        if args not in found:
+            found[args] = enumerate_copies(*args)
+        return found[args]
+
+    monkeypatch.setattr(umr.ramsey, "enumerate_copies", copies_once)
+    monkeypatch.setattr(umr, "enumerate_copies", copies_once)
+    instances = 0
+    for instance in small_instances():
+        unlimited = exhaustive_outcome(*instance, umr.DEFAULT_BUDGET)
+        rank = unlimited[1]
+        for budget in (-1, 0, rank - 1, rank, rank + 1):
+            # the scan never reaches a budget at or above the rank
+            expected = unlimited if budget >= rank else exhaustive_outcome(*instance, budget)
+            assert_search_gives(expected, *instance, budget)
+        instances += 1
+    assert instances > 2000
+
+
+@st.composite
+def arrow_instances(draw):
+    """Z, Y and X from random leveled trees, Y and X on levels drawn from
+    Z's so that copies can exist."""
+    z_tree = draw(leveled_trees(6))
+    ambient, _ = umr.tree_to_space(z_tree)
+    spaces = []
+    for max_leaves in (4, 3):
+        tree = draw(leveled_trees(max_leaves))
+        height = len(tree.levels)
+        assume(height <= len(z_tree.levels))
+        levels = draw(st.lists(
+            st.sampled_from(z_tree.levels.values), min_size=height, max_size=height, unique=True,
+        )) if height else []
+        tree = umr.LeveledTree(tree.root, umr.DistanceSet(tuple(sorted(levels, reverse=True))))
+        spaces.append(umr.tree_to_space(tree)[0])
+    target, pattern = spaces
+    k = draw(st.integers(1, 3))
+    l = draw(st.integers(1, k))
+    orders = arrow_orders(ambient, target, pattern, draw(st.booleans()))
+    return ambient, target, pattern, k, l, orders
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrow_instances(), st.data())
+def test_search_matches_exhaustive_scan_on_random_instances(instance, data):
+    ambient, target, pattern, k, l, orders = instance
+    n = len(umr.enumerate_copies(
+        ambient, pattern, orders.get("ambient_order"), orders.get("pattern_order")
+    ))
+    total = restricted_growth_count(n, k)
+    assume(total <= 4096)
+    budget = data.draw(st.one_of(st.sampled_from([-1, 0]), st.integers(0, total + 1)))
+    expected = exhaustive_outcome(*instance, budget)
+    assert_search_gives(expected, *instance, budget)
 
 
 def test_order_type_coloring_constant_for_pair():
@@ -197,6 +366,30 @@ def test_degree_lower_examples():
     assert umr.verify_degree_lower(e3(), e3(), equilateral(5), ordered(equilateral(5)))
     pair = equilateral(2)
     assert umr.verify_degree_lower(pair, pair, equilateral(4), ordered(equilateral(4)))
+
+
+def test_degree_lower_matches_a_subset_scan():
+    spaces = [equilateral(n) for n in range(2, 6)] + [c3(), cb4(), comb4()]
+    spaces += [umr.order_invariant_hull(c3()), umr.order_invariant_hull(comb4())]
+    verdicts = set()
+    for ambient in spaces:
+        order = ordered(ambient)
+        for target in spaces:
+            for pattern in spaces:
+                if not pattern.size <= target.size <= ambient.size:
+                    continue
+                coloring = umr.order_type_coloring(ambient, order, pattern)
+                x_sets = [frozenset(c.mapping) for c in coloring.copies]
+                expected = all(
+                    len({
+                        color for xs, color in zip(x_sets, coloring.colors)
+                        if xs <= frozenset(y.mapping)
+                    }) == coloring.k
+                    for y in umr.enumerate_copies(ambient, target)
+                )
+                assert umr.verify_degree_lower(pattern, target, ambient, order) == expected
+                verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_degree_lower_on_larger_ambient():

@@ -4,7 +4,8 @@ The oracles deliberately avoid the library's own code paths: isometries
 are counted by scanning all permutations against the raw matrix, convexity
 is re-derived from the interval definition, the validity check and its
 first witness are naive scans ending in a triple loop, arrows are decided
-by trying every coloring, and the homogeneity harness's sample check is a
+by trying every coloring (or every restricted-growth coloring, one by one,
+for the engine's counts), and the homogeneity harness's sample check is a
 pair loop over plain coordinate dicts.  Expected values in the tests come
 from these, never from the functions under test.
 """
@@ -147,6 +148,59 @@ def brute_arrow_holds(ambient, target, pattern, k, l):
         any(len({colors[i] for i in members}) <= l for members in y_members)
         for colors in product(range(k), repeat=len(x_sets))
     )
+
+
+def _colorings(count, k):
+    """Restricted growth strings in canonical order (first copy color 0,
+    each new color introduced in sequence), one per color-permutation
+    class.  Yields a reused list."""
+    if count == 0:
+        yield []
+        return
+    colors = [0] * count
+    maxes = [0] * count
+    while True:
+        yield colors
+        i = count - 1
+        while i > 0:
+            cap = min(k - 1, maxes[i - 1] + 1)
+            if colors[i] < cap:
+                break
+            i -= 1
+        if i == 0:
+            return
+        colors[i] += 1
+        maxes[i] = max(maxes[i - 1], colors[i])
+        for j in range(i + 1, count):
+            colors[j] = 0
+            maxes[j] = maxes[j - 1]
+
+
+def exhaustive_arrow(
+    ambient, target, pattern, k, l,
+    ambient_order=None, target_order=None, pattern_order=None,
+    budget=umr.DEFAULT_BUDGET,
+):
+    """The arrow decided by examining restricted-growth colorings one by
+    one in canonical order: ``(holds, colorings examined, first bad
+    coloring or None)``, or BudgetExceeded once the count passes the
+    budget.  Copies come from ``umr.enumerate_copies``; containment is a
+    subset scan."""
+    x_copies = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
+    y_copies = umr.enumerate_copies(ambient, target, ambient_order, target_order)
+    x_sets = [frozenset(c.mapping) for c in x_copies]
+    y_members = [
+        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
+        for y in y_copies
+    ]
+    examined = 0
+    for colors in _colorings(len(x_copies), k):
+        examined += 1
+        if examined > budget:
+            raise umr.BudgetExceeded(len(x_copies), examined - 1)
+        if not any(len({colors[i] for i in members}) <= l for members in y_members):
+            return False, examined, tuple(colors)
+    return True, examined, None
 
 
 def naive_valid(matrix):
