@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, OracleFailure
@@ -162,19 +161,10 @@ def _completions(rows: int, k: int, cap: int) -> list[list[int]]:
     return table
 
 
-def _members(
-    x_copies: Sequence[Copy], y_copies: Sequence[Copy], m: int, y_size: int
-) -> list[list[int]]:
+def _members(x_copies: Sequence[Copy], y_copies: Sequence[Copy], m: int) -> list[list[int]]:
     """For each Y-copy, the indices of the X-copies inside it: its m-subsets
-    looked up in an index of the X-copies, or a scan of the X-copies when
-    that takes fewer tests."""
-    x_sets = [frozenset(c.mapping) for c in x_copies]
-    if comb(y_size, m) > len(x_sets):
-        return [
-            [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
-            for y in y_copies
-        ]
-    index = {xs: i for i, xs in enumerate(x_sets)}
+    looked up in an index of the X-copies."""
+    index = {frozenset(c.mapping): i for i, c in enumerate(x_copies)}
     return [
         [index[s] for s in map(frozenset, combinations(y.mapping, m)) if s in index]
         for y in y_copies
@@ -212,8 +202,11 @@ def verify_arrow(
     x_copies = enumerate_copies(ambient, pattern, ambient_order, pattern_order)
     y_copies = enumerate_copies(ambient, target, ambient_order, target_order)
     n = len(x_copies)
-    members = _members(x_copies, y_copies, pattern.size, target.size)
-    table = _completions(n, k, max(budget, 0) + 1)
+    members = _members(x_copies, y_copies, pattern.size)
+    # Copy i never gets a color above i, so a palette of n colors gives the
+    # same colorings as any larger k.
+    palette = min(k, max(n, 1))
+    table = _completions(n, palette, max(budget, 0) + 1)
     colors = [0] * n
 
     def decided(count: int, holds: bool) -> ArrowVerdict:
@@ -228,15 +221,17 @@ def verify_arrow(
     # Some Y-copy sees at most l colors whatever the coloring.
     if any(min(len(inside), k) <= l for inside in members):
         return decided(table[-1][0], True)
-    if n == 0:
+    # No Y-copy at all: the first coloring (every copy color 0) fails.
+    if not members:
         return decided(1, False)
-    # From here k > l, so a Y-copy is safe once seen + uncolored <= l.
+    # From here every Y-copy has more than l members and k > l, so a Y-copy
+    # is safe once seen + uncolored <= l.
     covering: list[list[int]] = [[] for _ in range(n)]
     for y, inside in enumerate(members):
         for i in inside:
             covering[i].append(y)
     uncolored = [len(inside) for inside in members]
-    seen = [[0] * k for _ in members]
+    seen = [[0] * palette for _ in members]
     distinct = [0] * len(members)
     top = [0] * n  # largest color among copies 0..i
 
@@ -276,7 +271,7 @@ def verify_arrow(
         # Step to the next coloring in order, backing out of copies whose
         # color cannot go higher.
         unplace(i)
-        while i > 0 and colors[i] == min(k - 1, top[i - 1] + 1):
+        while i > 0 and colors[i] == min(palette - 1, top[i - 1] + 1):
             colors[i] = 0
             i -= 1
             unplace(i)
@@ -324,7 +319,7 @@ def verify_degree_lower(
     y_copies = enumerate_copies(ambient, target)
     return all(
         len({coloring.colors[i] for i in inside}) == coloring.k
-        for inside in _members(coloring.copies, y_copies, pattern.size, target.size)
+        for inside in _members(coloring.copies, y_copies, pattern.size)
     )
 
 

@@ -261,6 +261,19 @@ def test_arrow_budget_edges(files, capsys):
         )
 
 
+def test_arrow_with_a_huge_palette(files, capsys):
+    arrow = (
+        "arrow", "--Z", files["e3.uspace"], "--Y", files["e3.uspace"],
+        "--X", files["e2.uspace"], "-k", "1000000000", "-l",
+    )
+    assert run(capsys, *arrow, "1") == (
+        1, "arrow fails copies=3 colorings=2\ncopy 0 color 0\ncopy 1 color 0\ncopy 2 color 1\n"
+    )
+    assert run(capsys, *arrow, "2") == (
+        1, "arrow fails copies=3 colorings=5\ncopy 0 color 0\ncopy 1 color 1\ncopy 2 color 2\n"
+    )
+
+
 def test_arrow_search_depth_is_not_call_depth(files, tmp_path, capsys):
     # 60 points have 1770 pairs, one search level each; c3 has no copy in
     # an equilateral space, so the first coloring already fails

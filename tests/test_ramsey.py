@@ -271,6 +271,24 @@ def test_search_matches_exhaustive_scan_on_small_instances(monkeypatch):
     assert instances > 2000
 
 
+def test_search_at_a_palette_larger_than_the_copies():
+    # colors never go above the copy index, so k far beyond the number of
+    # copies decides like the one-by-one scan and allocates nothing per color
+    k = 10 ** 9
+    for ambient in (e3(), equilateral(4)):
+        for l in (1, 2, 3):
+            for with_orders in (False, True):
+                orders = arrow_orders(ambient, e3(), equilateral(2), with_orders)
+                instance = (ambient, e3(), equilateral(2), k, l, orders)
+                unlimited = exhaustive_outcome(*instance, umr.DEFAULT_BUDGET)
+                rank = unlimited[1]
+                for budget in (0, rank - 1, rank):
+                    expected = unlimited if budget >= rank else exhaustive_outcome(*instance, budget)
+                    assert_search_gives(expected, *instance, budget)
+    verdict = umr.verify_arrow(e3(), e3(), equilateral(2), k, 1)
+    assert verdict.witness.k == k
+
+
 @st.composite
 def arrow_instances(draw):
     """Z, Y and X from random leveled trees, Y and X on levels drawn from
