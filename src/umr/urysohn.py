@@ -26,8 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Sequence
+from itertools import combinations
+from typing import NoReturn, Sequence
 
 from .errors import (
     DuplicatePoint,
@@ -84,10 +84,7 @@ class QsPoint:
         return QsPoint(tuple((s, v) for s, v in self.coords if s > scale))
 
     def __add__(self, other: "QsPoint") -> "QsPoint":
-        items = dict(self.coords)
-        for s, v in other.coords:
-            items[s] = items.get(s, _ZERO) + v
-        return qs_point(items)
+        return QsPoint(_add_coords(self.coords, other.coords))
 
     def __neg__(self) -> "QsPoint":
         return QsPoint(tuple((s, -v) for s, v in self.coords))
@@ -97,6 +94,30 @@ class QsPoint:
 
 
 ZERO_POINT = QsPoint()
+
+
+def _add_coords(a, b) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Coordinatewise sum of two (scale, value) tuples, both in decreasing
+    scale order, merged in that order; coordinates summing to 0 are dropped."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        s, t = a[i][0], b[j][0]
+        if s > t:
+            out.append(a[i])
+            i += 1
+        elif s < t:
+            out.append(b[j])
+            j += 1
+        else:
+            total = a[i][1] + b[j][1]
+            if total:
+                out.append((s, total))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def qs_point(mapping) -> QsPoint:
@@ -155,7 +176,18 @@ def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> i
     return LESS if diff[1] < diff[2] else GREATER
 
 
-_by_lex = cmp_to_key(qs_lex_compare)
+def _lex_key(point: QsPoint, scales: Sequence[Fraction]) -> list[Fraction]:
+    """The point's values at ``scales`` (decreasing, covering its support).
+    Such lists compare as their points do in lex order."""
+    key = []
+    coords, i = point.coords, 0
+    for s in scales:
+        if i < len(coords) and coords[i][0] == s:
+            key.append(coords[i][1])
+            i += 1
+        else:
+            key.append(_ZERO)
+    return key
 
 
 @dataclass(frozen=True)
@@ -253,16 +285,20 @@ class CoordMap:
             raise ValueError("value map must be the identity up to the threshold")
 
     def apply(self, point: QsPoint) -> QsPoint:
-        if point.restrict_above(self.scale) != self.center:
+        coords, k = point.coords, len(self.center.coords)
+        if coords[:k] != self.center.coords:
             return point
-        value = point.value_at(self.scale)
+        below, value = coords[k:], _ZERO
+        if below:
+            if below[0][0] > self.scale:
+                return point
+            if below[0][0] == self.scale:
+                below, value = below[1:], below[0][1]
         if value <= self.threshold:
             return point
-        items = dict(point.coords)
-        items[self.scale] = self.value_map(value)
-        for t, delta in self.shifts:
-            items[t] = items.get(t, _ZERO) + delta
-        return qs_point(items)
+        image = self.value_map(value)
+        moved = ((self.scale, image),) if image else ()
+        return QsPoint(coords[:k] + moved + _add_coords(below, self.shifts))
 
     def invert(self) -> "CoordMap":
         return CoordMap(
@@ -300,9 +336,14 @@ def extend_isometry(
     """Extend a finite distance- and order-preserving map to a full
     automorphism.
 
-    The pairs are validated pairwise first (errors cite the positions in
-    the given sequence), then sorted by the order of their sources.  The
-    first pair is matched by a translation.  Each later source x, already
+    The pairs are sorted by source once and validated along that order:
+    sources and targets must be strictly increasing, with equal distances
+    between neighbours.  The lex order is convex on every finite set, so
+    each distance is the largest adjacent step between its two points, and
+    this accepts exactly the valid maps with O(n log n) comparisons.  Only
+    when it fails does the all-pairs scan run, to name the first bad pair
+    (errors cite the positions in the given sequence).  The first sorted
+    pair is matched by a translation.  Each later source x, already
     carried to h(x) by the moves so far, is captured by one CoordMap: with
     s the distance from the previous source, h(x) and the wanted target
     agree above s and both sit above all earlier targets at s, so a
@@ -314,19 +355,18 @@ def extend_isometry(
     for p in sources + targets:
         _check_support(p, menu)
     n = len(pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sources[i] == sources[j]:
-                raise DuplicatePoint(f"sources {i} and {j} coincide")
-            if qs_distance(sources[i], sources[j]) != qs_distance(targets[i], targets[j]):
-                raise NotPartialIsometry(i, j)
-            if qs_lex_compare(sources[i], sources[j]) != qs_lex_compare(targets[i], targets[j]):
-                raise NotOrderPreserving(i, j)
     if n == 0:
         return IDENTITY
-    ordered = sorted(pairs, key=lambda pair: _by_lex(pair[0]))
+    ordered = sorted(pairs, key=lambda pair: _lex_key(pair[0], menu.values))
     xs = [p for p, _ in ordered]
     ys = [q for _, q in ordered]
+    steps = []
+    for m in range(1, n):
+        dx = _largest_difference(xs[m - 1], xs[m])
+        dy = _largest_difference(ys[m - 1], ys[m])
+        if dx is None or dy is None or dy[1] >= dy[2] or dx[0] != dy[0]:
+            _raise_first_bad_pair(sources, targets)
+        steps.append(dx[0])
 
     moves: list[Move] = []
     if xs[0] != ys[0]:
@@ -337,7 +377,7 @@ def extend_isometry(
         wanted = ys[m]
         if carried == wanted:
             continue
-        s = qs_distance(xs[m - 1], xs[m])
+        s = steps[m - 1]
         # geometry of the sorted configuration, guaranteed by validation
         assert qs_distance(carried, wanted) <= s
         low = ys[m - 1].value_at(s)
@@ -357,6 +397,19 @@ def extend_isometry(
     return QsAutomorphism(tuple(moves))
 
 
+def _raise_first_bad_pair(sources: list[QsPoint], targets: list[QsPoint]) -> NoReturn:
+    """Raise for the first pair (i, j), in the given order, that the map
+    does not keep apart, at the same distance and in the same order."""
+    for i, j in combinations(range(len(sources)), 2):
+        if sources[i] == sources[j]:
+            raise DuplicatePoint(f"sources {i} and {j} coincide")
+        if qs_distance(sources[i], sources[j]) != qs_distance(targets[i], targets[j]):
+            raise NotPartialIsometry(i, j)
+        if qs_lex_compare(sources[i], sources[j]) != qs_lex_compare(targets[i], targets[j]):
+            raise NotOrderPreserving(i, j)
+    raise AssertionError("the sorted check failed on a valid map")
+
+
 # --- randomized generation and the homogeneity harness ----------------------
 
 POINT_DENSITY = 0.75
@@ -368,11 +421,13 @@ def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
     """Random finitely supported point: each coordinate present with
     probability POINT_DENSITY, values n/POINT_GRID for integers n with
     |n| <= POINT_SPAN."""
-    items = {}
+    coords = []
     for s in menu:
         if rng.random() < POINT_DENSITY:
-            items[s] = Fraction(rng.randint(-POINT_SPAN, POINT_SPAN), POINT_GRID)
-    return qs_point(items)
+            value = rng.randint(-POINT_SPAN, POINT_SPAN)
+            if value:
+                coords.append((s, Fraction(value, POINT_GRID)))
+    return QsPoint(tuple(coords))
 
 
 def random_automorphism(
@@ -439,19 +494,26 @@ def check_homogeneity(
     preserves distance and order on every pair from an independent sample,
     checked along the sample's sorted order with O(s log s) comparisons;
     that is exact because the lex order is convex on every finite set.
-    Trial i uses seed + i, so trials are independent of scheduling.
+    Trial i uses seed + i, so trials are independent of scheduling.  n may
+    not exceed the (2 POINT_SPAN + 1)^len(menu) distinct points that
+    ``random_point`` can draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    limit = (2 * POINT_SPAN + 1) ** len(menu)
+    if n > limit:
+        raise ValueError(f"n must be at most {limit}, the number of distinct random points")
     failures = []
     for t in range(trials):
         rng = random.Random(seed + t)
         points: list[QsPoint] = []
+        seen: set[QsPoint] = set()
         while len(points) < n:
             candidate = random_point(menu, rng)
-            if candidate not in points:
+            if candidate not in seen:
+                seen.add(candidate)
                 points.append(candidate)
         scrambler = random_automorphism(menu, rng)
         images = [scrambler(p) for p in points]
@@ -473,12 +535,18 @@ def _preserves_sample(auto: QsAutomorphism, sample: Sequence[QsPoint]) -> bool:
     """Whether ``auto`` preserves distance and order on every sample pair."""
     # Lex order is convex on every finite set, so each distance is the
     # largest adjacent step between its two points, in both sorted lists.
-    points = sorted(set(sample), key=_by_lex)
+    # Points drawn over one menu share its scale objects: dropping repeats
+    # by identity leaves a few scales to sort.
+    scales = sorted({id(s): s for p in sample for s, _ in p.coords}.values(), reverse=True)
+    scales = scales[:1] + [t for s, t in zip(scales, scales[1:]) if s != t]
+    ordered = sorted(sample, key=lambda p: _lex_key(p, scales))
+    points = ordered[:1] + [y for x, y in zip(ordered, ordered[1:]) if x != y]
     images = [auto(p) for p in points]
-    return all(
-        qs_lex_compare(a, b) == LESS and qs_distance(x, y) == qs_distance(a, b)
-        for x, y, a, b in zip(points, points[1:], images, images[1:])
-    )
+    for x, y, a, b in zip(points, points[1:], images, images[1:]):
+        step = _largest_difference(a, b)
+        if step is None or step[1] >= step[2] or step[0] != _largest_difference(x, y)[0]:
+            return False
+    return True
 
 
 # --- text formats ------------------------------------------------------------

@@ -429,6 +429,20 @@ def test_qs_check_rejects_no_trials(files, capsys, trials):
     assert (code, out) == (1, "seed=0\nValueError trials must be at least 1\n")
 
 
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        ("37", (0, "seed=0\nqs-check trials=1 n=37 pass=1 fail=0\n")),
+        # one distance leaves 37 drawable points; drawing 38 would never end
+        ("38", (1, "seed=0\nValueError n must be at most 37, the number of distinct random points\n")),
+    ],
+)
+def test_qs_check_rejects_more_points_than_it_can_draw(tmp_path, capsys, n, expected):
+    menu = tmp_path / "one.menu"
+    menu.write_text(umr.format_menu(umr.menu_of(1)))
+    assert run(capsys, "qs-check", "--menu", str(menu), "-n", n, "--trials", "1") == expected
+
+
 def test_identical_invocations_identical_output(files, capsys):
     _, first = run(capsys, "tau", files["c3.uspace"])
     _, second = run(capsys, "tau", files["c3.uspace"])

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import umr
 from umr import urysohn
-from util import naive_preserves_sample
+from util import naive_apply, naive_extension_error, naive_preserves_sample
 
 
 MENU2 = umr.menu_of(1, F(1, 2))
@@ -326,6 +326,107 @@ def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
     assert urysohn._preserves_sample(table.get, sample) == naive_preserves_sample(
         table.get, sample
     )
+
+
+
+PERTURBATIONS = ("duplicate source", "swap targets", "shift target")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    sources=st.lists(qs_points(MENU3), min_size=1, max_size=8, unique=True),
+    seed=st.integers(0, 2**16),
+    perturbation=st.sampled_from([None, *PERTURBATIONS]),
+)
+def test_extension_validation_matches_the_pair_scan(data, sources, seed, perturbation):
+    auto = umr.random_automorphism(MENU3, random.Random(seed))
+    pairs = [(p, auto(p)) for p in sources]
+    if perturbation is not None:
+        i = data.draw(st.integers(0, len(pairs) - 1))
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        (x, y), (u, v) = pairs[i], pairs[j]
+        if perturbation == "duplicate source":
+            pairs[j] = (x, v)
+        elif perturbation == "swap targets":
+            pairs[i], pairs[j] = (x, v), (u, y)
+        else:
+            shift = data.draw(qs_points(MENU3).filter(lambda q: len(q.coords) == 1))
+            pairs[i] = (x, y + shift)
+    expected = naive_extension_error(pairs)
+    if expected is None:
+        extension = umr.extend_isometry(pairs, MENU3)
+        assert all(extension(p) == q for p, q in pairs)
+    else:
+        with pytest.raises(type(expected)) as err:
+            umr.extend_isometry(pairs, MENU3)
+        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+
+
+HALVES = st.integers(-3, 3).map(lambda k: F(k, 2))
+
+
+@st.composite
+def points_and_moves(draw, menu):
+    """A point and a move: a Translate, or a CoordMap whose ball often holds
+    the point and whose threshold, value map and shifts often cancel it."""
+    point = draw(qs_points(menu))
+    if draw(st.booleans()):
+        return point, umr.Translate(draw(qs_points(menu)))
+    scale = draw(st.sampled_from(list(menu)))
+    center = point if draw(st.booleans()) else draw(qs_points(menu))
+    threshold = draw(HALVES)
+    steps = draw(st.lists(st.integers(0, 4), max_size=3, unique=True))
+    breakpoints = tuple(threshold + F(k, 2) for k in sorted(steps))
+    slopes = tuple(draw(st.sampled_from([F(1, 2), F(1), F(2)])) for _ in breakpoints)
+    below = [t for t in menu if t < scale]
+    shifts = draw(st.dictionaries(st.sampled_from(below), HALVES.filter(bool))) if below else {}
+    return point, umr.CoordMap(
+        scale=scale,
+        center=center.restrict_above(scale),
+        threshold=threshold,
+        value_map=umr.PiecewiseLinearMap(breakpoints, slopes),
+        shifts=tuple(sorted(shifts.items(), reverse=True)),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(points_and_moves(MENU3))
+# a shift that cancels a coordinate
+@example((
+    umr.qs_point({F(1): 1, F(1, 2): 1, F(1, 4): F(1, 2)}),
+    umr.CoordMap(F(1, 2), umr.qs_point({F(1): 1}), F(0), umr.PiecewiseLinearMap(),
+                 ((F(1, 4), F(-1, 2)),)),
+))
+# a value map that lands on 0
+@example((
+    umr.qs_point({F(1, 2): F(-1, 2)}),
+    umr.CoordMap(F(1, 2), umr.ZERO_POINT, F(-1), umr.PiecewiseLinearMap((F(-1),), (F(2),))),
+))
+# outside the ball: a coordinate above the scale that the center lacks
+@example((
+    umr.qs_point({F(1): 1, F(1, 2): 1}),
+    umr.CoordMap(F(1, 4), umr.qs_point({F(1): 1}), F(-1), umr.PiecewiseLinearMap()),
+))
+# at the threshold
+@example((
+    umr.qs_point({F(1): 1, F(1, 2): F(1, 2)}),
+    umr.CoordMap(
+        F(1, 2), umr.qs_point({F(1): 1}), F(1, 2), umr.stretch_above(F(1, 2), F(1), F(3))
+    ),
+))
+# a translation that cancels every coordinate
+@example((
+    umr.qs_point({F(1): 1, F(1, 4): 2}),
+    umr.Translate(umr.qs_point({F(1): -1, F(1, 4): -2})),
+))
+def test_moves_match_dict_arithmetic(case):
+    point, move = case
+    expected = naive_apply(move, point)
+    assert move.apply(point) == expected
+    if isinstance(move, umr.Translate):
+        assert point + move.offset == expected
+        assert point - move.offset == naive_apply(umr.Translate(-move.offset), point)
 
 
 def test_homogeneity_detects_perturbed_targets():

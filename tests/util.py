@@ -5,9 +5,9 @@ are counted by scanning all permutations against the raw matrix, convexity
 is re-derived from the interval definition, the validity check and its
 first witness are naive scans ending in a triple loop, arrows are decided
 by trying every coloring (or every restricted-growth coloring, one by one,
-for the engine's counts), and the homogeneity harness's sample check is a
-pair loop over plain coordinate dicts.  Expected values in the tests come
-from these, never from the functions under test.
+for the engine's counts), and the homogeneous model's checks and moves
+are pair loops and arithmetic over plain coordinate dicts.  Expected
+values in the tests come from these, never from the functions under test.
 """
 
 from fractions import Fraction
@@ -254,23 +254,58 @@ def naive_first_error(matrix, labels):
     return None
 
 
+def dict_geometry(p, q):
+    """(distance, order sign) of two homogeneous-model points, read off
+    their coordinate dicts; (0, 0) for equal points."""
+    a, b = dict(p.coords), dict(q.coords)
+    differ = [s for s in a.keys() | b.keys() if a.get(s, 0) != b.get(s, 0)]
+    if not differ:
+        return 0, 0
+    s = max(differ)
+    return s, (a.get(s, 0) > b.get(s, 0)) - (a.get(s, 0) < b.get(s, 0))
+
+
 def naive_preserves_sample(auto, sample):
     """Whether the map ``auto`` keeps distance and lex order on every pair
     of the sample, each read off the points' coordinate dicts."""
-
-    def geometry(p, q):
-        a, b = dict(p.coords), dict(q.coords)
-        differ = [s for s in a.keys() | b.keys() if a.get(s, 0) != b.get(s, 0)]
-        if not differ:
-            return 0, 0
-        s = max(differ)
-        return s, (a.get(s, 0) > b.get(s, 0)) - (a.get(s, 0) < b.get(s, 0))
-
     mapped = [(p, auto(p)) for p in sample]
     return all(
-        geometry(p, q) == geometry(fp, fq)
+        dict_geometry(p, q) == dict_geometry(fp, fq)
         for (p, fp), (q, fq) in combinations(mapped, 2)
     )
+
+
+def naive_extension_error(pairs):
+    """The error ``extend_isometry`` must raise on these (on-menu) pairs,
+    or None: the first pair (i, j) in input order whose sources coincide,
+    or whose distance or order the map changes, read off coordinate dicts."""
+    for (i, (p, fp)), (j, (q, fq)) in combinations(enumerate(pairs), 2):
+        (d, sign), (fd, fsign) = dict_geometry(p, q), dict_geometry(fp, fq)
+        if d == 0:
+            return umr.DuplicatePoint(f"sources {i} and {j} coincide")
+        if d != fd:
+            return umr.NotPartialIsometry(i, j)
+        if sign != fsign:
+            return umr.NotOrderPreserving(i, j)
+    return None
+
+
+def naive_apply(move, point):
+    """Image of ``point`` under a Translate or CoordMap: dict arithmetic on
+    its coordinates, then ``qs_point``."""
+    items = dict(point.coords)
+    if isinstance(move, umr.Translate):
+        shifts = move.offset.coords
+    else:
+        above = {s: v for s, v in items.items() if s > move.scale}
+        value = items.get(move.scale, 0)
+        if above != dict(move.center.coords) or value <= move.threshold:
+            return point
+        items[move.scale] = move.value_map(value)
+        shifts = move.shifts
+    for s, v in shifts:
+        items[s] = items.get(s, 0) + v
+    return umr.qs_point(items)
 
 
 def shape_spaces(max_leaves, max_height=None):
