@@ -14,9 +14,9 @@ storage order of the rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -66,6 +66,8 @@ class DistanceSet:
 class UltrametricSpace:
     labels: tuple[str, ...]
     dist: Matrix
+    # the nearest-unused walk, kept by validate_space; None elsewhere
+    _order: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -117,10 +119,17 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     unordered pairs in index order: EmptySpace, DuplicateLabel,
     NonzeroDiagonal, AsymmetricMatrix, NonpositiveOffDiagonal, then
     UltrametricViolation(x, y, z) where d(x,y) > max(d(x,z), d(z,y)).
+    A float entry raises TypeError, the first one in row order.
+
+    Every check compares integers: each distance is replaced by its rank
+    among the distinct values, 0 included, which orders them as the
+    values do.  The returned space keeps the nearest-unused walk the
+    check took, which is its canonical convex order.
 
     Cost: O(n^2) for a valid space, which is checked along the
-    nearest-unused walk; O(n^3) in the worst case only to name an invalid
-    space's witness.
+    nearest-unused walk, plus O(k log k) to rank k distinct values; an
+    invalid space's witness costs O(n^2) plus O(n) per pair joined by a
+    path of shorter steps, O(n^3) in the worst case.
     """
     names = tuple(labels)
     n = len(names)
@@ -133,16 +142,30 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
         seen.add(name)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the label count")
-    dist = tuple(tuple(as_fraction(v) for v in row) for row in matrix)
+    # each distinct entry object is coerced once, in row order, so the
+    # first float raises; equal values held by distinct objects share a
+    # rank, found by their lowest terms since hashing a Fraction is slow
+    entries = dict(zip(map(id, chain.from_iterable(matrix)), chain.from_iterable(matrix)))
+    exact = [as_fraction(v) for v in entries.values()]
+    terms = [v.as_integer_ratio() for v in exact]
+    values = sorted({(0, 1): _ZERO, **dict(zip(terms, exact))}.values())
+    rank_of = {v.as_integer_ratio(): r for r, v in enumerate(values)}
+    rank_by_id = dict(zip(entries, map(rank_of.__getitem__, terms)))
+    ranks = [list(map(rank_by_id.__getitem__, map(id, row))) for row in matrix]
+    zero = rank_of[0, 1]
     for i in range(n):
-        if dist[i][i] != 0:
+        if ranks[i][i] != zero:
             raise NonzeroDiagonal(names[i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
-                raise AsymmetricMatrix(names[i], names[j])
-            if dist[i][j] <= 0:
-                raise NonpositiveOffDiagonal(names[i], names[j])
+    # the pair scan runs only when some pair is bad: when a value is
+    # negative, an off-diagonal rank is zero's, or the ranks are asymmetric
+    if zero or sum(row.count(zero) for row in ranks) != n or ranks != list(map(list, zip(*ranks))):
+        for i in range(n):
+            row = ranks[i]
+            for j in range(i + 1, n):
+                if row[j] != ranks[j][i]:
+                    raise AsymmetricMatrix(names[i], names[j])
+                if row[j] <= zero:
+                    raise NonpositiveOffDiagonal(names[i], names[j])
     # The matrix is ultrametric iff along the nearest-unused walk w every
     # d(w_i, w_j) is the largest step between positions i and j.  If it is
     # ultrametric, the walk is a convex order (see _nearest_unused), and in
@@ -151,33 +174,58 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     # maximum.  Conversely, for positions a < b < c path maxima give
     # d(a, c) = max(d(a, b), d(b, c)) >= d(a, b), d(b, c), which is the
     # strong triangle inequality for every triple.
-    walk = _walk(dist)
-    steps = [dist[a][b] for a, b in zip(walk, walk[1:])]
+    walk = _walk(ranks)
+    steps = [ranks[a][b] for a, b in zip(walk, walk[1:])]
     if all(
-        list(map(dist[p].__getitem__, walk[i + 1:])) == list(accumulate(steps[i:], max))
+        list(map(ranks[p].__getitem__, walk[i + 1:])) == list(accumulate(steps[i:], max))
         for i, p in enumerate(walk)
     ):
-        return UltrametricSpace(names, dist)
-    raise UltrametricViolation(*(names[k] for k in _first_witness(dist)))
+        dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
+        return UltrametricSpace(names, dist, walk)
+    raise UltrametricViolation(*(names[k] for k in _first_witness(ranks)))
 
 
-def _first_witness(dist: Matrix) -> tuple[int, int, int]:
+def _first_witness(ranks: list[list[int]]) -> tuple[int, int, int]:
     """The first (i, j, z), pairs i < j in index order and then z
-    ascending, with d(i,j) > max(d(i,z), d(z,j)), for a symmetric matrix
-    known to have one.  Distances are replaced by their ranks among the
-    distinct values, which keeps every comparison exact; z = i and z = j
-    give max = d(i,j) and so never witness."""
-    rank = {v: k for k, v in enumerate(sorted({v for row in dist for v in row}))}
-    ranks = [[rank[v] for v in row] for row in dist]
+    ascending, with d(i,j) > max(d(i,z), d(z,j)), for a symmetric
+    positive rank matrix known to have one; z = i and z = j give
+    max = d(i,j) and so never witness.  A witness makes i, z, j a path
+    whose steps all lie below d(i,j), so only the pairs whose minimax
+    distance is below their own are scanned."""
     n = len(ranks)
+    minimax = _minimax(ranks)
     return next(
         (i, j, z)
         for i, row in enumerate(ranks)
         for j in range(i + 1, n)
-        if min(map(max, row, ranks[j])) < row[j]
+        if minimax[i][j] < row[j] and min(map(max, row, ranks[j])) < row[j]
         for z in range(n)
         if max(row[z], ranks[j][z]) < row[j]
     )
+
+
+def _minimax(ranks: list[list[int]]) -> list[list[int]]:
+    """For every pair, the least over the paths between them of the
+    largest step, in O(n^2): it is the largest step on the path through a
+    minimum spanning tree, grown here by Prim's rule, so a point joined by
+    a step w to tree point p lies max(minimax(p, x), w) from each tree
+    point x."""
+    n = len(ranks)
+    minimax = [[0] * n for _ in range(n)]
+    near, link = list(ranks[0]), [0] * n
+    tree, rest = [0], list(range(1, n))
+    while rest:
+        v = min(rest, key=near.__getitem__)
+        rest.remove(v)
+        step, via = near[v], minimax[link[v]]
+        for x in tree:
+            minimax[v][x] = minimax[x][v] = max(via[x], step)
+        tree.append(v)
+        row = ranks[v]
+        for x in rest:
+            if row[x] < near[x]:
+                near[x], link[x] = row[x], v
+    return minimax
 
 
 def space_from_distances(labels: Sequence[str], pairs: dict) -> UltrametricSpace:
@@ -259,13 +307,17 @@ def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
 
 def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
     """The lexicographically least convex order: point 0, then each time
-    the lowest-index point among the unused points nearest to the last."""
+    the lowest-index point among the unused points nearest to the last.
+    A validated space returns the walk its validation took."""
+    if space._order is not None:
+        return space._order
     return _walk(space.dist)
 
 
-def _walk(dist: Matrix) -> tuple[int, ...]:
-    """The nearest-unused walk over a raw matrix: point 0, then each time
-    the lowest-index unused point nearest to the last one."""
+def _walk(dist: Sequence[Sequence]) -> tuple[int, ...]:
+    """The nearest-unused walk over a raw matrix of comparable entries:
+    point 0, then each time the lowest-index unused point nearest to the
+    last one."""
     unused = list(range(1, len(dist)))
     order = [0]
     while unused:

@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import NoReturn, Sequence
 
 from .errors import (
@@ -582,18 +583,21 @@ def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "qpoint v1":
         raise FormatError("expected 'qpoint v1' header")
-    items = {}
+    # coordinates by menu position, so they come out in menu order
+    position = {s: k for k, s in enumerate(menu)}
+    coords: list[tuple[Fraction, Fraction] | None] = [None] * len(position)
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"bad coordinate line {line!r}")
         s = parse_rational(parts[0])
-        if s not in menu:
+        k = position.get(s)
+        if k is None:
             raise FormatError(f"coordinate {parts[0]} not in menu")
-        if s in items:
+        if coords[k] is not None:
             raise FormatError(f"repeated coordinate {parts[0]}")
-        items[s] = parse_rational(parts[1])
-    return qs_point(items)
+        coords[k] = (s, parse_rational(parts[1]))
+    return QsPoint(tuple(c for c in coords if c is not None and c[1]))
 
 
 def _inline_point(point: QsPoint) -> str:
@@ -616,7 +620,8 @@ def _parse_inline_point(token: str) -> QsPoint:
         if scale in items:
             raise FormatError(f"repeated coordinate {s}")
         items[scale] = parse_rational(v)
-    return qs_point(items)
+    coords = sorted(((s, v) for s, v in items.items() if v), key=itemgetter(0), reverse=True)
+    return QsPoint(tuple(coords))
 
 
 def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...]) -> str:

@@ -257,3 +257,104 @@ def test_space_equality_ignores_row_order():
     assert hash(one) == hash(other)
     third = umr.space_from_distances(["a", "b"], {("a", "b"): 2})
     assert one != third
+
+
+def fresh(value):
+    """An equal Fraction that is a new object, not the one passed in."""
+    value = F(value)
+    return F(2 * value.numerator, 2 * value.denominator)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(leveled_trees(max_leaves=10), st.data())
+def test_validate_ranks_equal_distances_held_by_distinct_objects(tree, data):
+    space, _ = umr.tree_to_space(tree)
+    n = space.size
+    rows = [[fresh(v) for v in row] for row in space.dist]
+    if n >= 2 and data.draw(st.booleans()):
+        # a fresh copy of another value (or 0) in one or both halves of a pair
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        value = data.draw(st.sampled_from([F(0), *tree.levels]))
+        rows[i][j] = fresh(value)
+        if data.draw(st.booleans()):
+            rows[j][i] = fresh(value)
+    expected = naive_first_error(rows, space.labels)
+    assert validation_outcome(rows, space.labels) == expected
+    if expected is None:
+        validated = umr.validate_space(rows, space.labels)
+        assert validated == space
+        assert validated.dist == space.dist
+
+
+def representations(value):
+    """Equal values of value as distinct objects: an int where it is one,
+    and Fractions built in and out of lowest terms."""
+    out = [F(value), F(3 * value.numerator, 3 * value.denominator)]
+    if value.denominator == 1:
+        out.append(int(value))
+    return out
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 5), st.data())
+def test_validate_mixes_ints_and_fractions(n, data):
+    # each entry, both halves of a pair apart, in its own representation
+    alphabet = st.sampled_from([F(0), F(1, 2), F(1), F(2), F(3)])
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            value = F(0) if i == j else data.draw(alphabet)
+            rows[i][j] = data.draw(st.sampled_from(representations(value)))
+            other = data.draw(alphabet) if i != j and data.draw(st.integers(0, 9)) == 0 else value
+            rows[j][i] = data.draw(st.sampled_from(representations(other)))
+    labels = [f"x{k}" for k in range(n)]
+    assert validation_outcome(rows, labels) == naive_first_error(rows, labels)
+
+
+def test_validate_equates_ints_and_fractions():
+    mixed = [[0, 1, F(2)], [F(1), F(0), 2], [F(4, 2), 2, 0]]
+    assert umr.validate_space(mixed, ["a", "b", "c"]) == c3()
+    halves = [[0, F(2, 4), 1], [F(1, 2), 0, F(3, 3)], [1, 1, F(0)]]
+    space = umr.validate_space(halves, ["a", "b", "c"])
+    assert space.dist == ((0, F(1, 2), 1), (F(1, 2), 0, 1), (1, 1, 0))
+    assert all(type(v) is F for row in space.dist for v in row)
+
+
+def test_validate_raises_type_error_at_the_first_float():
+    with pytest.raises(TypeError, match="got 0.0"):
+        umr.validate_space([[0.0, 1], [1, 0]], ["a", "b"])
+    # the float is coerced before any check runs, even one that fails
+    # earlier in the matrix
+    rows = [[5, 1, 2], [1, 0, 2], [2, 2.0, 0]]
+    with pytest.raises(TypeError, match="got 2.0"):
+        umr.validate_space(rows, ["a", "b", "c"])
+    rows = [[0, 1, 2], [1, 0, 0.5], [1.5, 2, 0]]
+    with pytest.raises(TypeError, match="got 0.5"):
+        umr.validate_space(rows, ["a", "b", "c"])
+    # a float or bool equal to an int before it is still refused
+    for bad in (1.0, True):
+        with pytest.raises(TypeError, match=f"got {bad}"):
+            umr.validate_space([[0, 1], [bad, 0]], ["a", "b"])
+
+
+def test_validated_spaces_keep_the_walk(monkeypatch):
+    validated, expected = [], []
+    for space in shape_spaces(6):
+        n = space.size
+        for variant in (space, space.restrict(range(n - 1, -1, -1))):
+            parsed = umr.parse_uspace(umr.format_uspace(variant))
+            plain = variant.restrict(range(n))
+            walk = umr.canonical_convex_order(plain)
+            if variant is space:
+                assert umr.canonical_convex_order(space) == walk
+            assert parsed == plain and parsed == variant
+            assert hash(parsed) == hash(plain) == hash(variant)
+            assert repr(parsed) == repr(plain)
+            validated.append(parsed)
+            expected.append(walk)
+
+    def no_walk(dist):
+        raise AssertionError("validated space walked again")
+
+    monkeypatch.setattr(umr.spaces, "_walk", no_walk)
+    assert [umr.canonical_convex_order(space) for space in validated] == expected

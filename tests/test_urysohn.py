@@ -505,6 +505,24 @@ def test_qpoint_parse_errors():
         umr.parse_menu("menu v1\n")
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(MENU3.values), st.fractions(-3, 3, max_denominator=4)),
+        unique_by=lambda pair: pair[0],
+    )
+)
+def test_parsed_points_match_qs_point_in_any_line_order(coords):
+    # zero values included, scales in drawn order: both parsers sort and
+    # drop as qs_point does
+    expected = umr.qs_point(dict(coords))
+    text = "".join(f"{s} {v}\n" for s, v in coords)
+    assert umr.parse_qpoint("qpoint v1\n" + text, MENU3) == expected
+    inline = ",".join(f"{s}:{v}" for s, v in coords) or "0"
+    (move,) = umr.parse_automorphism(f"translate {inline}\n", MENU3).moves
+    assert move.offset == expected
+
+
 def test_automorphism_serialization_round_trip():
     rng = random.Random(22)
     for _ in range(10):
