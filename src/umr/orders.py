@@ -2,10 +2,10 @@
 order-invariant hull.
 
 Two convex orders on a space have the same *order type* when the unique
-order-preserving bijection between the two ordered copies is an isometry,
-i.e. when the two sequences induce the same distance profile.  The number
-of order types is the Ramsey degree of the space and equals the quotient
-of the convex-order count by the isometry count.
+order-preserving bijection between them is an isometry, that is when their
+adjacent steps are equal: along a convex order each distance is the largest
+step between its two points.  The number of order types is the Ramsey
+degree of the space, the convex-order count over the isometry count.
 
 Enumeration costs time linear in its output, O(n^2) per convex order, with
 no scan of the n! permutations: a sequence is convex iff each point is
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import combinations, count
 
 from .errors import InternalNonIntegerTau
-from .spaces import UltrametricSpace, _nearest_unused
+from .spaces import UltrametricSpace, _nearest_unused, _steps
 from .trees import (
     LeveledTree,
     TreeNode,
@@ -89,19 +89,16 @@ def count_convex_orders(space: UltrametricSpace) -> int:
 def order_profile(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[Fraction, ...]:
     """Distance sequence read along an order; equal profiles mean the unique
     order-preserving bijection is an isometry."""
-    n = len(order)
-    return tuple(
-        space.dist[order[p]][order[q]] for p in range(n) for q in range(p + 1, n)
-    )
+    return tuple(space.dist[p][q] for p, q in combinations(order, 2))
 
 
 def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
-    """Partition of the convex orders into order types, classes listed by
-    first appearance; each representative is its class's lexicographic
-    minimum."""
+    """Partition of the convex orders into order types by their steps,
+    classes listed by first appearance; each representative is its class's
+    lexicographic minimum."""
     classes: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
     for order in enumerate_convex_orders(space):
-        classes.setdefault(order_profile(space, order), []).append(order)
+        classes.setdefault(_steps(space.dist, order), []).append(order)
     return [OrderTypeClass(tuple(members)) for members in classes.values()]
 
 

@@ -3,8 +3,9 @@ chaining, and the order-type lower-bound coloring.
 
 ``Z -> (Y)^X_{k,l}`` means: however the copies of X inside Z are colored
 with k colors, some copy of Y inside Z sees at most l colors on its own
-copies of X.  Copies are subsets (each subset counted once); the ordered
-variant additionally requires the induced order to match.
+copies of X.  Copies are subsets (each counted once), decided by their
+adjacent steps along a convex order of Z; the ordered variant also
+requires the induced order to match.
 
 The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
@@ -19,14 +20,17 @@ by a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from math import inf
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, OracleFailure
-from .orders import order_profile, order_type_partition
+from .orders import order_type_partition
 from .shapes import branching_vectors, uniform_tree
-from .spaces import UltrametricSpace, canonical_convex_order
-from .trees import space_to_tree, tree_to_space
+from .spaces import UltrametricSpace, _steps, canonical_convex_order
+from .trees import _require_convex, space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -36,7 +40,9 @@ OrderedSpace = tuple[UltrametricSpace, tuple[int, ...]]
 @dataclass(frozen=True)
 class Copy:
     """Distance-preserving identification of a pattern inside an ambient
-    space; ``mapping[i]`` is the ambient index of pattern point i."""
+    space; ``mapping[i]`` is the ambient index of pattern point i.  For an
+    unordered copy it is the isometry that lines up the canonical forms,
+    not always the lexicographically least one."""
 
     mapping: tuple[int, ...]
 
@@ -65,45 +71,29 @@ class ArrowVerdict:
     colorings: int
 
 
-def _match_subset(
-    pattern: UltrametricSpace, ambient: UltrametricSpace, subset: tuple[int, ...]
-) -> tuple[int, ...] | None:
-    """Lexicographically least distance-preserving bijection of the pattern
-    onto the subset, or None."""
-    m = len(subset)
-    pattern_multiset = sorted(
-        pattern.dist[i][j] for i in range(m) for j in range(i + 1, m)
-    )
-    subset_multiset = sorted(
-        ambient.dist[p][q] for p, q in combinations(subset, 2)
-    )
-    if pattern_multiset != subset_multiset:
-        return None
-    assign: list[int | None] = [None] * m
-    used = [False] * m
+def _canonical(steps: Sequence[Fraction]) -> tuple[tuple, list[int]]:
+    """Canonical form of the space a convex sequence spans, and the
+    sequence's positions arranged along it, read off its adjacent steps.
 
-    def backtrack(i: int) -> bool:
-        if i == m:
-            return True
-        for pos in range(m):
-            if used[pos]:
-                continue
-            q = subset[pos]
-            if all(
-                ambient.dist[q][subset[assign[j]]] == pattern.dist[i][j]  # type: ignore[index]
-                for j in range(i)
-            ):
-                assign[i] = pos
-                used[pos] = True
-                if backtrack(i + 1):
-                    return True
-                used[pos] = False
-                assign[i] = None
-        return False
-
-    if not backtrack(0):
-        return None
-    return tuple(subset[assign[i]] for i in range(m))  # type: ignore[index]
+    A point's form is ``()``; a ball cut at its largest steps into top balls
+    has the form ``(step, their forms sorted)``, built on a stack of the
+    open balls that a last, infinite step closes.  Equal forms mean
+    isometric spaces, and lining up their arrangements gives an isometry."""
+    stack: list[tuple[Fraction | float, list]] = []
+    last: tuple = ((), [0])
+    for position, step in enumerate([*steps, inf], 1):
+        while stack and stack[-1][0] < step:
+            top, balls = stack.pop()
+            balls.append(last)
+            balls.sort(key=itemgetter(0))
+            arranged = [p for _, part in balls for p in part]
+            last = (top, tuple([form for form, _ in balls])), arranged
+        if stack and stack[-1][0] == step:
+            stack[-1][1].append(last)
+        else:
+            stack.append((step, [last]))
+        last = ((), [position])
+    return stack[0][1][0]
 
 
 def enumerate_copies(
@@ -113,34 +103,35 @@ def enumerate_copies(
     pattern_order: tuple[int, ...] | None = None,
 ) -> list[Copy]:
     """All subsets of the ambient space isometric to the pattern, one Copy
-    per subset, in lexicographic subset order.  Passing both orders switches
-    to the ordered variant, where the unique monotone identification must
-    preserve distances."""
+    per subset, in lexicographic subset order.  Passing both orders, both
+    convex (NonConvexOrder otherwise), switches to the ordered variant,
+    where the unique monotone identification must preserve distances.
+
+    A subset read along a convex ambient order (the one given, else the
+    canonical one) stays convex, so its adjacent steps decide it: an
+    ordered copy has the pattern's steps along ``pattern_order``, an
+    unordered one the pattern's canonical form."""
     if (ambient_order is None) != (pattern_order is None):
         raise ValueError("pass both orders or neither")
+    ordered = pattern_order is not None
+    if ordered:
+        _require_convex(ambient, ambient_order)
+        _require_convex(pattern, pattern_order)
+    else:
+        ambient_order = canonical_convex_order(ambient)
+        pattern_order = canonical_convex_order(pattern)
     m, n = pattern.size, ambient.size
+    key = (lambda s: (s, range(m))) if ordered else _canonical
+    target, pattern_arranged = key(_steps(pattern.dist, pattern_order))
+    place = {point: p for p, point in enumerate(ambient_order)}
     out: list[Copy] = []
-    if m > n:
-        return out
-    if ambient_order is None:
-        for subset in combinations(range(n), m):
-            mapping = _match_subset(pattern, ambient, subset)
-            if mapping is not None:
-                out.append(Copy(mapping))
-        return out
-    apos = [0] * n
-    for p, point in enumerate(ambient_order):
-        apos[point] = p
     for subset in combinations(range(n), m):
-        arranged = sorted(subset, key=apos.__getitem__)
-        mapping = [0] * m
-        for rank, point in enumerate(arranged):
-            mapping[pattern_order[rank]] = point
-        if all(
-            ambient.dist[mapping[i]][mapping[j]] == pattern.dist[i][j]
-            for i in range(m)
-            for j in range(i + 1, m)
-        ):
+        points = sorted(subset, key=place.__getitem__)
+        form, arranged = key(_steps(ambient.dist, points))
+        if form == target:
+            mapping = [0] * m
+            for i, j in zip(pattern_arranged, arranged):
+                mapping[pattern_order[i]] = points[j]
             out.append(Copy(tuple(mapping)))
     return out
 
@@ -183,8 +174,8 @@ def verify_arrow(
     budget: int = DEFAULT_BUDGET,
 ) -> ArrowVerdict:
     """Decide the arrow by a depth-first search over colorings; the ordered
-    arrow takes all three orders, the unordered one none (ValueError
-    otherwise).
+    arrow takes all three orders, each convex, the unordered one none
+    (ValueError otherwise, NonConvexOrder for an order that is not convex).
 
     Colorings are restricted-growth strings (copy 0 has color 0, each copy
     at most one above the largest color before it), searched in
@@ -285,17 +276,15 @@ def order_type_coloring(
     ambient: UltrametricSpace, ambient_order: tuple[int, ...], pattern: UltrametricSpace
 ) -> Coloring:
     """Color each unordered copy of the pattern by the order type it induces
-    under the ambient convex order; uses exactly one color per order type."""
+    under the ambient convex order (NonConvexOrder otherwise), looked up by
+    its steps; uses exactly one color per order type."""
+    _require_convex(ambient, ambient_order)
     classes = order_type_partition(pattern)
-    profiles = [
-        order_profile(pattern, cls.representative) for cls in classes
-    ]
-    pos = [0] * ambient.size
-    for p, point in enumerate(ambient_order):
-        pos[point] = p
+    color_of = {_steps(pattern.dist, c.representative): i for i, c in enumerate(classes)}
+    place = {point: p for p, point in enumerate(ambient_order)}
     copies = enumerate_copies(ambient, pattern)
     colors = [
-        profiles.index(order_profile(ambient, sorted(copy.mapping, key=pos.__getitem__)))
+        color_of[_steps(ambient.dist, sorted(copy.mapping, key=place.__getitem__))]
         for copy in copies
     ]
     return Coloring(

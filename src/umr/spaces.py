@@ -175,7 +175,7 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     # d(a, c) = max(d(a, b), d(b, c)) >= d(a, b), d(b, c), which is the
     # strong triangle inequality for every triple.
     walk = _walk(ranks)
-    steps = [ranks[a][b] for a, b in zip(walk, walk[1:])]
+    steps = _steps(ranks, walk)
     if all(
         list(map(ranks[p].__getitem__, walk[i + 1:])) == list(accumulate(steps[i:], max))
         for i, p in enumerate(walk)
@@ -242,13 +242,9 @@ def space_from_distances(labels: Sequence[str], pairs: dict) -> UltrametricSpace
 
 
 def distance_set(space: UltrametricSpace) -> DistanceSet:
-    """Distinct off-diagonal distances, largest first."""
-    values = {
-        space.dist[i][j]
-        for i in range(space.size)
-        for j in range(i + 1, space.size)
-    }
-    return DistanceSet(tuple(sorted(values, reverse=True)))
+    """Distinct off-diagonal distances, largest first: the steps of a convex order."""
+    steps = _steps(space.dist, canonical_convex_order(space))
+    return DistanceSet(tuple(sorted(set(steps), reverse=True)))
 
 
 def ball_partition(space: UltrametricSpace, radius: Fraction) -> tuple[tuple[int, ...], ...]:
@@ -327,6 +323,12 @@ def _walk(dist: Sequence[Sequence]) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _steps(dist: Sequence[Sequence], order: Sequence[int]) -> tuple:
+    """The distances between neighbours along an order; along a convex order
+    each distance is the largest step between its two points."""
+    return tuple([dist[a][b] for a, b in zip(order, order[1:])])
+
+
 def order_labels(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(space.labels[p] for p in order)
 
@@ -344,11 +346,13 @@ def format_uspace(space: UltrametricSpace) -> str:
         f"points {space.size}",
         "labels " + " ".join(space.labels),
     ]
+    # each distinct value object is formatted once
+    text = {id(v): v for row in space.dist for v in row}
+    text = {key: format_rational(v) for key, v in text.items()}
     for i in range(space.size):
         for j in range(i + 1, space.size):
             lines.append(
-                f"d {space.labels[i]} {space.labels[j]} "
-                f"{format_rational(space.dist[i][j])}"
+                f"d {space.labels[i]} {space.labels[j]} {text[id(space.dist[i][j])]}"
             )
     return "\n".join(lines) + "\n"
 

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import FormatError, NonConvexOrder
 from .rational import format_rational, parse_rational
-from .spaces import DistanceSet, UltrametricSpace, canonical_convex_order, is_convex_order
+from .spaces import DistanceSet, UltrametricSpace, _steps, canonical_convex_order, is_convex_order
 
 _ZERO = Fraction(0)
 
@@ -110,12 +110,16 @@ def child_counts(root: TreeNode, height: int) -> list[set[int]]:
     return counts
 
 
+def _require_convex(space: UltrametricSpace, order: tuple[int, ...]) -> None:
+    if not is_convex_order(space, order):
+        raise NonConvexOrder(f"order {order} is not convex for this space")
+
+
 def space_to_tree(space: UltrametricSpace, order: tuple[int, ...]) -> LeveledTree:
     """Tree of the ordered space: depth-m nodes are the balls of the m-th
     realized distance, siblings sorted so the leaf sequence equals the
     given convex order."""
-    if not is_convex_order(space, order):
-        raise NonConvexOrder(f"order {order} is not convex for this space")
+    _require_convex(space, order)
     return _build_tree(space, order)
 
 
@@ -126,10 +130,8 @@ def canonical_tree(space: UltrametricSpace) -> LeveledTree:
 
 
 def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
-    # seq is convex, so each distance is the largest adjacent one between
-    # its two points: the adjacent distances are all the distances, found
-    # in O(n) rather than by another O(n^2) distance_set scan
-    steps = [space.dist[a][b] for a, b in zip(seq, seq[1:])]
+    # seq is convex, so its steps are all the distances
+    steps = _steps(space.dist, seq)
     radii = DistanceSet(tuple(sorted(set(steps), reverse=True)))
     height = len(radii)
     depth_of = {radius: depth for depth, radius in enumerate(radii)}

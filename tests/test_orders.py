@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -7,6 +6,7 @@ from hypothesis import strategies as st
 import umr
 from util import (
     brute_convex_orders,
+    brute_isometry_count,
     c3,
     cb4,
     comb4,
@@ -16,6 +16,7 @@ from util import (
     leveled_trees,
     profile_classes,
     shape_spaces,
+    shuffled_shape_spaces,
 )
 
 
@@ -33,22 +34,8 @@ def test_one_point_space_has_one_order():
     assert [tuple(o) for o in umr.enumerate_convex_orders(space)] == [(0,)]
 
 
-def _shuffled_shape_spaces(max_leaves):
-    """Each shape space twice, its point storage order shuffled from a fixed
-    seed: once with the power-of-two levels, once with fractional ones."""
-    rng = random.Random(20261018)
-    for n in range(1, max_leaves + 1):
-        for tree in umr.all_tree_shapes(n):
-            fractional = umr.DistanceSet(tuple(F(7, 3 * k + 2) for k in range(tree.height)))
-            for levels in (tree.levels, fractional):
-                space, _ = umr.tree_to_space(umr.LeveledTree(tree.root, levels))
-                points = list(range(space.size))
-                rng.shuffle(points)
-                yield space.restrict(points)
-
-
 def test_enumeration_is_the_ordered_filter_oracle():
-    for space in _shuffled_shape_spaces(6):
+    for space in shuffled_shape_spaces(6):
         brute = brute_convex_orders(space)
         assert umr.enumerate_convex_orders(space) == brute
         assert umr.canonical_convex_order(space) == brute[0]
@@ -58,6 +45,8 @@ def test_enumeration_is_the_ordered_filter_oracle():
             for cls in umr.order_type_partition(space)
         ]
         assert got == [(members[0], members) for members in profile_classes(space, brute)]
+        # the isometries act freely on the convex orders
+        assert {len(members) for _, members in got} == {brute_isometry_count(space)}
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -11,6 +11,9 @@ from umr.ramsey import _completions
 from util import (
     _colorings,
     brute_arrow_holds,
+    brute_convex_orders,
+    brute_copies,
+    brute_ordered_copies,
     c3,
     cb4,
     comb4,
@@ -18,6 +21,7 @@ from util import (
     equilateral,
     exhaustive_arrow,
     leveled_trees,
+    shuffled_shape_spaces,
 )
 
 
@@ -63,6 +67,65 @@ def test_copy_mappings_preserve_distance():
         for i in range(3):
             for j in range(i + 1, 3):
                 assert comb4().dist[copy.mapping[i]][copy.mapping[j]] == c3().dist[i][j]
+
+
+def assert_copies_are_the_oracles(ambient, ambient_order, pattern, pattern_orders):
+    """Unordered copies: the permutation oracle's subsets in its order, each
+    mapping an isometry.  Ordered copies, for each given pattern order: the
+    all-pairs monotone oracle's mappings in its order."""
+    copies = umr.enumerate_copies(ambient, pattern)
+    assert [c.points() for c in copies] == brute_copies(ambient, pattern)
+    for copy in copies:
+        assert sorted(copy.mapping) == list(copy.points())
+        assert all(
+            ambient.dist[copy.mapping[i]][copy.mapping[j]] == pattern.dist[i][j]
+            for i in range(pattern.size)
+            for j in range(i + 1, pattern.size)
+        )
+    for pattern_order in pattern_orders:
+        got = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
+        expected = brute_ordered_copies(ambient, ambient_order, pattern, pattern_order)
+        assert [c.mapping for c in got] == expected
+
+
+def test_copies_match_the_oracles_on_shape_spaces():
+    # each shape comes twice, power-of-two levels first; patterns take
+    # their levels from the ambient's family, so that copies occur
+    patterns = list(shuffled_shape_spaces(4))
+    checked = 0
+    for index, ambient in enumerate(shuffled_shape_spaces(6)):
+        for pattern in patterns[index % 2::2]:
+            if pattern.size <= ambient.size:
+                assert_copies_are_the_oracles(
+                    ambient, ordered(ambient), pattern, brute_convex_orders(pattern)
+                )
+                checked += 1
+    assert checked > 2000
+
+
+@settings(max_examples=150, deadline=None)
+@given(leveled_trees(6), st.data())
+def test_copies_match_the_oracles_on_random_trees(z_tree, data):
+    ambient, _ = umr.tree_to_space(z_tree)
+    ambient = ambient.restrict(data.draw(st.permutations(range(ambient.size))))
+    pattern = data.draw(spaces_on_levels(z_tree.levels, 4))
+    pattern = pattern.restrict(data.draw(st.permutations(range(pattern.size))))
+    assume(pattern.size <= ambient.size)
+    ambient_order = data.draw(st.sampled_from(brute_convex_orders(ambient)))
+    pattern_order = data.draw(st.sampled_from(brute_convex_orders(pattern)))
+    assert_copies_are_the_oracles(ambient, ambient_order, pattern, [pattern_order])
+
+
+def test_copies_refuse_non_convex_orders():
+    with pytest.raises(umr.NonConvexOrder):
+        umr.enumerate_copies(cb4(), c3(), ordered(cb4()), (0, 2, 1))
+    with pytest.raises(umr.NonConvexOrder):
+        umr.verify_arrow(
+            cb4(), c3(), equilateral(2), 2, 1,
+            ambient_order=(0, 2, 1, 3), target_order=ordered(c3()), pattern_order=(0, 1),
+        )
+    with pytest.raises(umr.NonConvexOrder):
+        umr.order_type_coloring(cb4(), (0, 2, 1, 3), c3())
 
 
 def test_pigeonhole_arrow():
@@ -290,22 +353,27 @@ def test_search_at_a_palette_larger_than_the_copies():
 
 
 @st.composite
+def spaces_on_levels(draw, levels, max_leaves):
+    """A space from a random leveled tree of at most max_leaves leaves, its
+    levels drawn from the given ones so that it can embed."""
+    tree = draw(leveled_trees(max_leaves))
+    height = len(tree.levels)
+    assume(height <= len(levels))
+    chosen = draw(st.lists(
+        st.sampled_from(levels.values), min_size=height, max_size=height, unique=True,
+    )) if height else []
+    tree = umr.LeveledTree(tree.root, umr.DistanceSet(tuple(sorted(chosen, reverse=True))))
+    return umr.tree_to_space(tree)[0]
+
+
+@st.composite
 def arrow_instances(draw):
     """Z, Y and X from random leveled trees, Y and X on levels drawn from
     Z's so that copies can exist."""
     z_tree = draw(leveled_trees(6))
     ambient, _ = umr.tree_to_space(z_tree)
-    spaces = []
-    for max_leaves in (4, 3):
-        tree = draw(leveled_trees(max_leaves))
-        height = len(tree.levels)
-        assume(height <= len(z_tree.levels))
-        levels = draw(st.lists(
-            st.sampled_from(z_tree.levels.values), min_size=height, max_size=height, unique=True,
-        )) if height else []
-        tree = umr.LeveledTree(tree.root, umr.DistanceSet(tuple(sorted(levels, reverse=True))))
-        spaces.append(umr.tree_to_space(tree)[0])
-    target, pattern = spaces
+    target = draw(spaces_on_levels(z_tree.levels, 4))
+    pattern = draw(spaces_on_levels(z_tree.levels, 3))
     k = draw(st.integers(1, 3))
     l = draw(st.integers(1, k))
     orders = arrow_orders(ambient, target, pattern, draw(st.booleans()))

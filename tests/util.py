@@ -10,6 +10,7 @@ are pair loops and arithmetic over plain coordinate dicts.  Expected
 values in the tests come from these, never from the functions under test.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -120,29 +121,50 @@ def profile_classes(space, orders):
     return list(classes.values())
 
 
+def _preserves(ambient, pattern, mapping):
+    """Whether pattern point i -> mapping[i] keeps every distance of the
+    raw matrices."""
+    m = pattern.size
+    return all(
+        ambient.dist[mapping[i]][mapping[j]] == pattern.dist[i][j]
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+
+
+def brute_copies(ambient, pattern):
+    """The subsets of the ambient space, in lexicographic order, that some
+    bijection makes isometric to the pattern: every permutation of every
+    subset is tried against the raw matrices."""
+    return [
+        subset
+        for subset in combinations(range(ambient.size), pattern.size)
+        if any(_preserves(ambient, pattern, perm) for perm in permutations(subset))
+    ]
+
+
+def brute_ordered_copies(ambient, ambient_order, pattern, pattern_order):
+    """The ordered copies as mappings, in lexicographic subset order: each
+    subset, read along the ambient order, is identified position by
+    position with the pattern order and kept when every pair of the raw
+    matrices agrees."""
+    place = {p: i for i, p in enumerate(ambient_order)}
+    out = []
+    for subset in combinations(range(ambient.size), pattern.size):
+        mapping = dict(zip(pattern_order, sorted(subset, key=place.get)))
+        mapping = tuple(mapping[i] for i in range(pattern.size))
+        if _preserves(ambient, pattern, mapping):
+            out.append(mapping)
+    return out
+
+
 def brute_arrow_holds(ambient, target, pattern, k, l):
-    """Unordered arrow ambient -> (target)^pattern_{k,l}: copies are the
-    subsets of the raw matrix that some bijection makes isometric to the
-    smaller space, and all k ** copies colorings are tried."""
-
-    def copies(small):
-        m = small.size
-        return [
-            frozenset(subset)
-            for subset in combinations(range(ambient.size), m)
-            if any(
-                all(
-                    ambient.dist[perm[i]][perm[j]] == small.dist[i][j]
-                    for i in range(m)
-                    for j in range(i + 1, m)
-                )
-                for perm in permutations(subset)
-            )
-        ]
-
-    x_sets = copies(pattern)
+    """Unordered arrow ambient -> (target)^pattern_{k,l}: copies come from
+    ``brute_copies`` and all k ** copies colorings are tried."""
+    x_sets = [frozenset(x) for x in brute_copies(ambient, pattern)]
     y_members = [
-        [i for i, x in enumerate(x_sets) if x <= y] for y in copies(target)
+        [i for i, x in enumerate(x_sets) if x <= frozenset(y)]
+        for y in brute_copies(ambient, target)
     ]
     return all(
         any(len({colors[i] for i in members}) <= l for members in y_members)
@@ -306,6 +328,20 @@ def naive_apply(move, point):
     for s, v in shifts:
         items[s] = items.get(s, 0) + v
     return umr.qs_point(items)
+
+
+def shuffled_shape_spaces(max_leaves):
+    """Each shape space twice, its point storage order shuffled from a fixed
+    seed: once with the power-of-two levels, once with fractional ones."""
+    rng = random.Random(20261018)
+    for n in range(1, max_leaves + 1):
+        for tree in umr.all_tree_shapes(n):
+            fractional = umr.DistanceSet(tuple(Fraction(7, 3 * k + 2) for k in range(tree.height)))
+            for levels in (tree.levels, fractional):
+                space, _ = umr.tree_to_space(umr.LeveledTree(tree.root, levels))
+                points = list(range(space.size))
+                rng.shuffle(points)
+                yield space.restrict(points)
 
 
 def shape_spaces(max_leaves, max_height=None):
