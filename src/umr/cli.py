@@ -280,7 +280,7 @@ def _extremal(args) -> int:
 def _qs_dist(args) -> int:
     menu = parse_menu(_read(args.menu))
     x, y = (parse_qpoint(_read(path), menu) for path in args.files)
-    print(f"d={format_rational(qs_distance(x, y, menu))}")
+    print(f"d={format_rational(qs_distance(x, y))}")
     return 0
 
 
@@ -288,7 +288,7 @@ def _qs_dist(args) -> int:
 def _qs_cmp(args) -> int:
     menu = parse_menu(_read(args.menu))
     x, y = (parse_qpoint(_read(path), menu) for path in args.files)
-    print(f"cmp={_CMP_WORDS[qs_lex_compare(x, y, menu)]}")
+    print(f"cmp={_CMP_WORDS[qs_lex_compare(x, y)]}")
     return 0
 
 

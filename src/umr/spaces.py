@@ -374,26 +374,26 @@ def parse_uspace(text: str) -> UltrametricSpace:
     index = {lab: i for i, lab in enumerate(names)}
     if len(index) != n:
         raise DuplicateLabel(next(l for l in names if names.count(l) > 1))
-    rows = [[_ZERO] * n for _ in range(n)]
-    filled = set()
+    # off-diagonal cells stay None until their line fills them
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = _ZERO
     # equal tokens share one parsed Fraction
     values: dict[str, Fraction] = {}
     for line in lines[3:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "d":
             raise FormatError(f"bad distance line {line!r}")
-        a, b = parts[1], parts[2]
-        if a not in index or b not in index:
+        i, j = index.get(parts[1]), index.get(parts[2])
+        if i is None or j is None:
             raise FormatError(f"unknown label in {line!r}")
-        key = frozenset((a, b))
-        if a == b or key in filled:
+        if rows[i][j] is not None:
             raise FormatError(f"repeated or diagonal pair in {line!r}")
-        filled.add(key)
         value = values.get(parts[3])
         if value is None:
             value = values[parts[3]] = parse_rational(parts[3])
-        rows[index[a]][index[b]] = value
-        rows[index[b]][index[a]] = value
-    if len(filled) != n * (n - 1) // 2:
+        rows[i][j] = rows[j][i] = value
+    # every line filled a new pair
+    if len(lines) - 3 != n * (n - 1) // 2:
         raise FormatError("missing distance lines")
     return validate_space(rows, names)

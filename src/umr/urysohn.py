@@ -35,6 +35,7 @@ from .errors import (
     FormatError,
     NotOrderPreserving,
     NotPartialIsometry,
+    UmrError,
 )
 from .rational import as_fraction, format_rational, parse_rational
 from .spaces import DistanceSet
@@ -53,6 +54,16 @@ def menu_of(*values) -> DistanceSet:
     return DistanceSet(tuple(as_fraction(v) for v in values))
 
 
+def _check_scales(coords) -> None:
+    """The scale rule for (scale, value) pairs: scales strictly decreasing
+    and the last one positive, so every one is."""
+    for (a, _), (b, _) in zip(coords, coords[1:]):
+        if a <= b:
+            raise ValueError("scales must be strictly decreasing")
+    if coords and coords[-1][0] <= 0:
+        raise ValueError("scales must be positive")
+
+
 @dataclass(frozen=True)
 class QsPoint:
     """Finitely supported function: (scale, value) pairs, scales strictly
@@ -61,14 +72,10 @@ class QsPoint:
     coords: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
-        for s, v in self.coords:
-            if s <= 0:
-                raise ValueError("scales must be positive")
-            if v == 0:
+        _check_scales(self.coords)
+        for _, v in self.coords:
+            if not v:
                 raise ValueError("zero values must be dropped")
-        for (a, _), (b, _) in zip(self.coords, self.coords[1:]):
-            if a <= b:
-                raise ValueError("scales must be strictly decreasing")
 
     def value_at(self, scale: Fraction) -> Fraction:
         for s, v in self.coords:
@@ -123,10 +130,10 @@ def _add_coords(a, b) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def qs_point(mapping) -> QsPoint:
     """Normalize a {scale: value} mapping or pair iterable into a QsPoint."""
-    items = dict(mapping) if not hasattr(mapping, "items") else mapping.items()
+    pairs = mapping.items() if hasattr(mapping, "items") else mapping
     cleaned = sorted(
-        ((as_fraction(s), as_fraction(v)) for s, v in items if v != 0),
-        key=lambda pair: pair[0],
+        ((as_fraction(s), as_fraction(v)) for s, v in pairs if v != 0),
+        key=itemgetter(0),
         reverse=True,
     )
     return QsPoint(tuple(cleaned))
@@ -274,13 +281,14 @@ class CoordMap:
     shifts: tuple[tuple[Fraction, Fraction], ...] = ()
 
     def __post_init__(self):
-        for s, _ in self.center.coords:
-            if s <= self.scale:
-                raise ValueError("center must live strictly above the scale")
-        for t, delta in self.shifts:
-            if t >= self.scale:
-                raise ValueError("shifts must live strictly below the scale")
-            if delta == 0:
+        center, shifts = self.center.coords, self.shifts
+        if center and center[-1][0] <= self.scale:
+            raise ValueError("center must live strictly above the scale")
+        _check_scales(shifts)
+        if shifts and shifts[0][0] >= self.scale:
+            raise ValueError("shifts must live strictly below the scale")
+        for _, delta in shifts:
+            if not delta:
                 raise ValueError("zero shifts must be dropped")
         if self.value_map.breakpoints and self.value_map.breakpoints[0] < self.threshold:
             raise ValueError("value map must be the identity up to the threshold")
@@ -520,27 +528,24 @@ def check_homogeneity(
         images = [scrambler(p) for p in points]
         try:
             extension = extend_isometry(list(zip(points, images)), menu)
-        except Exception:
+        except UmrError:
             failures.append(t)
             continue
         ok = all(extension(p) == q for p, q in zip(points, images))
         if ok:
             sample = [random_point(menu, rng) for _ in range(samples)]
-            ok = _preserves_sample(extension, sample)
+            ok = _preserves_sample(extension, sample, menu)
         if not ok:
             failures.append(t)
     return HomogeneityReport(trials, trials - len(failures), tuple(failures))
 
 
-def _preserves_sample(auto: QsAutomorphism, sample: Sequence[QsPoint]) -> bool:
-    """Whether ``auto`` preserves distance and order on every sample pair."""
+def _preserves_sample(auto, sample: Sequence[QsPoint], menu: DistanceSet) -> bool:
+    """Whether ``auto`` preserves distance and order on every pair of a
+    sample of points on ``menu``."""
     # Lex order is convex on every finite set, so each distance is the
     # largest adjacent step between its two points, in both sorted lists.
-    # Points drawn over one menu share its scale objects: dropping repeats
-    # by identity leaves a few scales to sort.
-    scales = sorted({id(s): s for p in sample for s, _ in p.coords}.values(), reverse=True)
-    scales = scales[:1] + [t for s, t in zip(scales, scales[1:]) if s != t]
-    ordered = sorted(sample, key=lambda p: _lex_key(p, scales))
+    ordered = sorted(sample, key=lambda p: _lex_key(p, menu.values))
     points = ordered[:1] + [y for x, y in zip(ordered, ordered[1:]) if x != y]
     images = [auto(p) for p in points]
     for x, y, a, b in zip(points, points[1:], images, images[1:]):
@@ -579,83 +584,82 @@ def format_qpoint(point: QsPoint) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_coords(pairs, menu: DistanceSet) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Coordinates from (scale, value) token pairs in any order, each scale
+    once and on the menu; zero values are dropped, the rest come out in
+    menu order."""
+    position = {s: k for k, s in enumerate(menu)}
+    coords: list[tuple[Fraction, Fraction] | None] = [None] * len(menu)
+    for scale, value in pairs:
+        s = parse_rational(scale)
+        k = position.get(s)
+        if k is None:
+            _check_scales(((s, None),))  # the scale rule speaks before the menu
+            raise FormatError(f"coordinate {scale} not in menu")
+        if coords[k] is not None:
+            raise FormatError(f"repeated coordinate {scale}")
+        coords[k] = (s, parse_rational(value))
+    return tuple(c for c in coords if c is not None and c[1])
+
+
+def _line_pair(line: str) -> list[str]:
+    parts = line.split()
+    if len(parts) != 2:
+        raise FormatError(f"bad coordinate line {line!r}")
+    return parts
+
+
 def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "qpoint v1":
         raise FormatError("expected 'qpoint v1' header")
-    # coordinates by menu position, so they come out in menu order
-    position = {s: k for k, s in enumerate(menu)}
-    coords: list[tuple[Fraction, Fraction] | None] = [None] * len(position)
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad coordinate line {line!r}")
-        s = parse_rational(parts[0])
-        k = position.get(s)
-        if k is None:
-            raise FormatError(f"coordinate {parts[0]} not in menu")
-        if coords[k] is not None:
-            raise FormatError(f"repeated coordinate {parts[0]}")
-        coords[k] = (s, parse_rational(parts[1]))
-    return QsPoint(tuple(c for c in coords if c is not None and c[1]))
+    try:
+        return QsPoint(_read_coords(map(_line_pair, lines[1:]), menu))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
-def _inline_point(point: QsPoint) -> str:
-    if not point.coords:
-        return "0"
-    return ",".join(
-        f"{format_rational(s)}:{format_rational(v)}" for s, v in point.coords
-    )
-
-
-def _parse_inline_point(token: str) -> QsPoint:
-    if token == "0":
-        return ZERO_POINT
-    items = {}
+def _chunk_pairs(token: str, none: str, kind: str):
+    """The ``a:b`` chunks of a comma-separated token, each split in two;
+    the token ``none`` has no chunks."""
+    if token == none:
+        return
     for chunk in token.split(","):
         if ":" not in chunk:
-            raise FormatError(f"bad point chunk {chunk!r}")
-        s, v = chunk.split(":", 1)
-        scale = parse_rational(s)
-        if scale in items:
-            raise FormatError(f"repeated coordinate {s}")
-        items[scale] = parse_rational(v)
-    coords = sorted(((s, v) for s, v in items.items() if v), key=itemgetter(0), reverse=True)
-    return QsPoint(tuple(coords))
+            raise FormatError(f"bad {kind} chunk {chunk!r}")
+        yield chunk.split(":", 1)
 
 
-def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...]) -> str:
+def _parse_inline_point(token: str, menu: DistanceSet) -> QsPoint:
+    return QsPoint(_read_coords(_chunk_pairs(token, "0", "point"), menu))
+
+
+def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...], none: str = "-") -> str:
     if not pairs:
-        return "-"
+        return none
     return ",".join(
         f"{format_rational(a)}:{format_rational(b)}" for a, b in pairs
     )
 
 
 def _parse_inline_pairs(token: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    if token == "-":
-        return ()
-    out = []
-    for chunk in token.split(","):
-        if ":" not in chunk:
-            raise FormatError(f"bad pair chunk {chunk!r}")
-        a, b = chunk.split(":", 1)
-        out.append((parse_rational(a), parse_rational(b)))
-    return tuple(out)
+    return tuple(
+        (parse_rational(a), parse_rational(b)) for a, b in _chunk_pairs(token, "-", "pair")
+    )
 
 
 def format_automorphism(auto: QsAutomorphism) -> str:
     lines = []
     for move in auto.moves:
         if isinstance(move, Translate):
-            lines.append(f"translate {_inline_point(move.offset)}")
+            lines.append(f"translate {_inline_pairs(move.offset.coords, '0')}")
         else:
             phi = _inline_pairs(
                 tuple(zip(move.value_map.breakpoints, move.value_map.slopes))
             )
             lines.append(
                 f"coordmap s={format_rational(move.scale)}"
-                f" center={_inline_point(move.center)}"
+                f" center={_inline_pairs(move.center.coords, '0')}"
                 f" alpha={format_rational(move.threshold)}"
                 f" phi={phi}"
                 f" shifts={_inline_pairs(move.shifts)}"
@@ -671,7 +675,7 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
         parts = line.split()
         try:
             if parts[0] == "translate" and len(parts) == 2:
-                moves.append(Translate(_parse_inline_point(parts[1])))
+                moves.append(Translate(_parse_inline_point(parts[1], menu)))
                 continue
             if parts[0] != "coordmap":
                 raise FormatError(f"unknown move {line!r}")
@@ -682,32 +686,23 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
                 key, value = part.split("=", 1)
                 fields[key] = value
             pl_pairs = _parse_inline_pairs(fields["phi"])
+            scale = parse_rational(fields["s"])
+            if scale not in menu:
+                raise FormatError(f"coordinate {format_rational(scale)} not in menu")
             moves.append(
                 CoordMap(
-                    scale=parse_rational(fields["s"]),
-                    center=_parse_inline_point(fields["center"]),
+                    scale=scale,
+                    center=_parse_inline_point(fields["center"], menu),
                     threshold=parse_rational(fields["alpha"]),
                     value_map=PiecewiseLinearMap(
                         tuple(a for a, _ in pl_pairs),
                         tuple(b for _, b in pl_pairs),
                     ),
-                    shifts=_parse_inline_pairs(fields["shifts"]),
+                    shifts=_read_coords(_chunk_pairs(fields["shifts"], "-", "pair"), menu),
                 )
             )
         except KeyError as exc:
             raise FormatError(f"missing coordmap field {exc}") from exc
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
-    for move in moves:
-        if isinstance(move, Translate):
-            scales = move.offset.support()
-        else:
-            scales = (move.scale, *move.center.support(), *(t for t, _ in move.shifts))
-        seen = set()
-        for s in scales:
-            if s not in menu:
-                raise FormatError(f"coordinate {format_rational(s)} not in menu")
-            if s in seen:
-                raise FormatError(f"repeated coordinate {format_rational(s)}")
-            seen.add(s)
     return QsAutomorphism(tuple(moves))

@@ -142,6 +142,10 @@ def test_coordmap_validation():
             value_map=umr.PiecewiseLinearMap(),
             shifts=((F(1), F(1)),),  # shift at/above the scale
         )
+    # shifts obey the scale rule when the move is built, not when applied
+    for shifts in [((F(1, 4), F(1)), (F(1, 2), F(1))), ((F(1, 2), F(1)), (F(1, 2), F(2)))]:
+        with pytest.raises(ValueError, match="scales must be strictly decreasing"):
+            umr.CoordMap(F(1), umr.ZERO_POINT, F(0), umr.PiecewiseLinearMap(), shifts)
 
 
 def test_random_moves_preserve_structure():
@@ -257,6 +261,21 @@ def test_homogeneity_small_run_passes():
     assert report.all_passed
 
 
+def test_homogeneity_counts_rejections_and_raises_crashes(monkeypatch):
+    def extend(error):
+        def failing(pairs, menu):
+            raise error
+        return failing
+
+    monkeypatch.setattr(urysohn, "extend_isometry", extend(umr.NotPartialIsometry(0, 1)))
+    report = umr.check_homogeneity(MENU2, 2, trials=3, seed=0)
+    assert report.failures == (0, 1, 2)
+    # a crash is a bug to show, not a failed trial
+    monkeypatch.setattr(urysohn, "extend_isometry", extend(TypeError("boom")))
+    with pytest.raises(TypeError, match="boom"):
+        umr.check_homogeneity(MENU2, 2, trials=3, seed=0)
+
+
 @pytest.mark.parametrize("n, trials", [(0, 5), (2, 0), (2, -3)])
 def test_homogeneity_rejects_empty_runs(n, trials):
     # a run of no trials would report "all passed" on nothing
@@ -286,8 +305,8 @@ def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, break
         auto, targets = extend(pairs, menu), dict(pairs)
         return lambda p: targets[p] if p in targets else breaker(auto(p))
 
-    def recorded_check(auto, sample):
-        verdict = check(auto, sample)
+    def recorded_check(auto, sample, menu):
+        verdict = check(auto, sample, menu)
         verdicts.append((verdict, naive_preserves_sample(auto, sample)))
         return verdict
 
@@ -313,7 +332,7 @@ def qs_points(menu):
 def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
     auto = umr.random_automorphism(MENU3, random.Random(seed))
     mapped = auto if breaker is None else lambda p: breaker(auto(p))
-    verdict = urysohn._preserves_sample(mapped, sample)
+    verdict = urysohn._preserves_sample(mapped, sample, MENU3)
     assert verdict == naive_preserves_sample(mapped, sample)
     if breaker is None:
         assert verdict
@@ -323,7 +342,7 @@ def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
 @given(st.data(), st.lists(qs_points(MENU2), max_size=8))
 def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
     table = {p: data.draw(qs_points(MENU2)) for p in sample}
-    assert urysohn._preserves_sample(table.get, sample) == naive_preserves_sample(
+    assert urysohn._preserves_sample(table.get, sample, MENU2) == naive_preserves_sample(
         table.get, sample
     )
 
@@ -514,8 +533,9 @@ def test_qpoint_parse_errors():
 )
 def test_parsed_points_match_qs_point_in_any_line_order(coords):
     # zero values included, scales in drawn order: both parsers sort and
-    # drop as qs_point does
+    # drop as qs_point does, from a mapping or from the pairs themselves
     expected = umr.qs_point(dict(coords))
+    assert umr.qs_point(coords) == expected
     text = "".join(f"{s} {v}\n" for s, v in coords)
     assert umr.parse_qpoint("qpoint v1\n" + text, MENU3) == expected
     inline = ",".join(f"{s}:{v}" for s, v in coords) or "0"
@@ -541,6 +561,17 @@ def test_extension_serialization_matches():
     text = umr.format_automorphism(auto)
     assert text == "coordmap s=1/2 center=0 alpha=1/2 phi=1/2:3,1:1 shifts=-\n"
     assert umr.parse_automorphism(text, MENU2)(x2) == y2
+
+
+def test_shifts_parse_in_any_order():
+    in_order, any_order = (
+        umr.parse_automorphism(f"coordmap s=1 center=0 alpha=-1 phi=- shifts={shifts}\n", MENU3)
+        for shifts in ("1/2:1,1/4:1", "1/4:1,1/2:1")
+    )
+    rng = random.Random(23)
+    for _ in range(50):
+        p = umr.random_point(MENU3, rng)
+        assert any_order(p) == in_order(p)
 
 
 def test_automorphism_parse_rejects_off_menu_scales():
