@@ -25,6 +25,7 @@ from .spaces import DistanceSet
 from .trees import (
     LeveledTree,
     TreeNode,
+    _from_joins,
     canonical_code,
     count_automorphisms,
     count_sibling_orderings,
@@ -117,11 +118,9 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
     deduplicated, in deterministic (height, code) order."""
     if leaves < 1:
         raise ValueError("leaf count must be positive")
-    if leaves == 1:
-        return [shape_to_tree(_LEAF)]
     return [
         shape_to_tree(shape)
-        for height in range(1, leaves)
+        for height in range(leaves)
         for _, _, shape in _shapes(height, leaves, (1 << height) - 1)
     ]
 
@@ -145,13 +144,8 @@ def comb_tree(leaves: int) -> LeveledTree:
     the leftmost branch."""
     if leaves < 2:
         raise ValueError("a comb needs at least two leaves")
-    # the unary chains share their lower parts; shape_to_tree copies them out
-    shape = TreeNode(children=(_LEAF, _LEAF))
-    chain = _LEAF
-    for _ in range(leaves - 2):
-        chain = TreeNode(children=(chain,))
-        shape = TreeNode(children=(shape, chain))
-    return shape_to_tree(shape)
+    labels = [f"{SHAPE_PREFIX}{i}" for i in range(1, leaves + 1)]
+    return _from_joins(labels, range(leaves - 2, -1, -1), default_levels(leaves - 1))
 
 
 def tree_degree(tree: LeveledTree) -> int:
@@ -235,11 +229,12 @@ def uniform_tree(vector: tuple[int, ...], levels: DistanceSet) -> LeveledTree:
     labeled ``z1..zn``."""
     if len(vector) != len(levels):
         raise ValueError("branching vector length must match the level count")
-    counter = count(1)
-
-    def build(depth: int) -> TreeNode:
-        if depth == len(vector):
-            return TreeNode(label=f"{UNIFORM_PREFIX}{next(counter)}")
-        return TreeNode(children=tuple(build(depth + 1) for _ in range(vector[depth])))
-
-    return LeveledTree(build(0), levels)
+    for depth, branching in enumerate(vector):
+        if branching < 1:  # its nodes would be leaves above the leaf level
+            raise ValueError(f"leaf at depth {depth}, expected {len(vector)}")
+    # a depth-d node's joins: vector[d] copies of its children's, d between
+    joins: list[int] = []
+    for depth in reversed(range(len(vector))):
+        joins = ([*joins, depth] * vector[depth])[:-1]
+    labels = [f"{UNIFORM_PREFIX}{i}" for i in range(1, len(joins) + 2)]
+    return _from_joins(labels, joins, levels)

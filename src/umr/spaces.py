@@ -66,7 +66,7 @@ class DistanceSet:
 class UltrametricSpace:
     labels: tuple[str, ...]
     dist: Matrix
-    # the nearest-unused walk, kept by validate_space; None elsewhere
+    # the nearest-unused walk, kept by validate_space and tree_to_space
     _order: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property

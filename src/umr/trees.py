@@ -10,6 +10,9 @@ tree whose nodes at depth m are the balls of the m-th distance.
 Every level above the leaves must contain at least one node with two or
 more children; this keeps the level distances exactly the realized
 distances of the dual space and makes the correspondence a bijection.
+
+A tree is built and read as its leaf labels, its levels and its joins:
+joins[i] is the depth of the deepest common ancestor of leaves i and i + 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import FormatError, NonConvexOrder
 from .rational import format_rational, parse_rational
@@ -83,11 +86,8 @@ class LeveledTree:
     def height(self) -> int:
         return len(self.levels)
 
-    def leaves(self) -> list[TreeNode]:
-        return [node for node, _ in self.iter_nodes() if node.is_leaf]
-
     def leaf_labels(self) -> tuple[str, ...]:
-        return tuple(leaf.label for leaf in self.leaves())  # type: ignore[misc]
+        return tuple(_leaf_joins(self)[0])
 
     def iter_nodes(self) -> Iterator[tuple[TreeNode, int]]:
         """Depth-first (node, depth) pairs, root first."""
@@ -133,35 +133,47 @@ def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
     # seq is convex, so its steps are all the distances
     steps = _steps(space.dist, seq)
     radii = DistanceSet(tuple(sorted(set(steps), reverse=True)))
-    height = len(radii)
     depth_of = {radius: depth for depth, radius in enumerate(radii)}
+    return _from_joins([space.labels[p] for p in seq], [depth_of[d] for d in steps], radii)
+
+
+def _from_joins(labels: Sequence[str], joins: Sequence[int], levels: DistanceSet) -> LeveledTree:
+    """The tree with these leaf labels from left to right, in which leaves
+    i and i + 1 join at depth joins[i]."""
+    height = len(levels)
     # nodes[m] holds the finished children of the open node at depth m - 1.
-    # Neighbours a step of radii[m] apart share their ancestors down to
-    # depth m, so the open nodes below it close between them; after the
-    # last leaf every node closes and nodes[0] holds the root.
+    # Neighbours that join at depth m share their ancestors down to depth m,
+    # so the open nodes below it close between them; after the last leaf
+    # every node closes and nodes[0] holds the root.
     nodes: list[list[TreeNode]] = [[] for _ in range(height + 1)]
-    joins = [depth_of[step] for step in steps] + [-1]
-    for point, join in zip(seq, joins):
-        nodes[height].append(TreeNode(label=space.labels[point]))
+    for label, join in zip(labels, [*joins, -1]):
+        nodes[height].append(TreeNode(label=label))
         for depth in range(height - 1, join, -1):
             nodes[depth].append(TreeNode(children=tuple(nodes[depth + 1])))
             nodes[depth + 1] = []
-    return LeveledTree(nodes[0][0], radii)
+    return LeveledTree(nodes[0][0], levels)
 
 
-def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
-    """Dual space of a tree: points are the leaves in left-to-right order,
-    the distance of two leaves is the level distance of their deepest
-    common ancestor, and the returned order is the identity."""
+def _leaf_joins(tree: LeveledTree) -> tuple[list[str], list[int]]:
+    """The leaf labels from left to right and the joins between them."""
     labels: list[str] = []
-    # joins[i]: depth of the deepest common ancestor of leaves i and i + 1,
-    # whose child is the first node visited after leaf i
+    # the child of the deepest common ancestor of leaves i and i + 1 is the
+    # first node visited after leaf i
     joins: list[int] = []
     for node, depth in tree.iter_nodes():
         if len(joins) < len(labels):
             joins.append(depth - 1)
         if node.is_leaf:
             labels.append(node.label)  # type: ignore[arg-type]
+    return labels, joins
+
+
+def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
+    """Dual space of a tree: points are the leaves in left-to-right order,
+    the distance of two leaves is the level distance of their deepest
+    common ancestor, and the returned order is the identity, which is the
+    space's nearest-unused walk."""
+    labels, joins = _leaf_joins(tree)
     n = len(labels)
     levels = tree.levels.values
     dist = [[_ZERO] * n for _ in range(n)]
@@ -172,8 +184,8 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
             if joins[t - 1] < top:
                 top = joins[t - 1]
             row[t] = dist[t][s] = levels[top]
-    space = UltrametricSpace(tuple(labels), tuple(tuple(row) for row in dist))
-    return space, tuple(range(n))
+    order = tuple(range(n))
+    return UltrametricSpace(tuple(labels), tuple(tuple(row) for row in dist), order), order
 
 
 def post_order(root: TreeNode) -> list[TreeNode]:
@@ -246,23 +258,15 @@ def count_sibling_orderings(tree: LeveledTree) -> int:
 #   ((a b) (c))                     nested parentheses, leaves are labels
 
 def format_utree(tree: LeveledTree) -> str:
-    # pending holds what is still to be written, next item last: nodes,
-    # and the separators and closing brackets between them
-    parts: list[str] = []
-    pending: list[TreeNode | str] = [tree.root]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif item.is_leaf:
-            parts.append(item.label)  # type: ignore[arg-type]
-        else:
-            parts.append("(")
-            pending.append(")")
-            for k, child in enumerate(reversed(item.children)):
-                if k:
-                    pending.append(" ")
-                pending.append(child)
+    labels, joins = _leaf_joins(tree)
+    height = tree.height
+    # between leaves that join at depth j, the nodes below depth j close
+    # and open again
+    parts = ["(" * height, labels[0]]
+    for label, join in zip(labels[1:], joins):
+        below = height - 1 - join
+        parts += [")" * below, " ", "(" * below, label]
+    parts.append(")" * height)
 
     levels = " ".join(format_rational(v) for v in tree.levels)
     header = f"levels {levels}" if levels else "levels"

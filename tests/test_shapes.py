@@ -36,6 +36,7 @@ def test_comb_tree_shape():
         assert len(comb.leaf_labels()) == n
         assert umr.is_comb(comb)
         assert umr.tree_degree(comb) == 2 ** (n - 2)
+    assert umr.format_utree(umr.comb_tree(4)).splitlines()[2] == "(((p1 p2) (p3)) ((p4)))"
 
 
 def test_deep_comb_compares_hashes_and_is_a_comb():
@@ -100,7 +101,12 @@ def test_branching_vector_order():
 def test_uniform_tree_structure():
     levels = umr.DistanceSet((F(2), F(1)))
     tree = umr.uniform_tree((2, 3), levels)
+    assert umr.format_utree(tree).splitlines()[2] == "((z1 z2 z3) (z4 z5 z6))"
     assert len(tree.leaf_labels()) == 6
     space, _ = umr.tree_to_space(tree)
     assert umr.is_order_invariant(space)
     assert list(umr.distance_set(space)) == [F(2), F(1)]
+    single = umr.uniform_tree((), umr.DistanceSet(()))
+    assert single.root == umr.TreeNode(label="z1")
+    with pytest.raises(ValueError, match="leaf at depth 1, expected 2"):
+        umr.uniform_tree((2, 0), levels)

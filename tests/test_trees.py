@@ -145,9 +145,15 @@ def test_sibling_ordering_count():
 @given(leveled_trees(max_leaves=7))
 def test_random_tree_round_trip(tree):
     space, order = umr.tree_to_space(tree)
+    assert tree.leaf_labels() == space.labels
+    # restrict drops the stored walk, so the right-hand side walks afresh
+    assert umr.canonical_convex_order(space) == umr.canonical_convex_order(
+        space.restrict(range(space.size))
+    )
     rebuilt = umr.space_to_tree(space, order)
     assert rebuilt == tree
     assert hash(rebuilt) == hash(tree)
+    assert umr.parse_utree(umr.format_utree(tree)) == tree
     canonical = umr.canonical_tree(space)
     assert umr.canonical_code(canonical) == umr.canonical_code(tree)
     assert umr.count_automorphisms(canonical) == umr.count_automorphisms(tree)
