@@ -41,7 +41,7 @@ print()
 print("=== the tree dual ===")
 tree = umr.space_to_tree(c3, (0, 1, 2))
 print(umr.format_utree(tree), end="")
-print("leaves left to right:", tree.leaf_labels())
+print("leaves left to right:", tree.labels)
 print("self-maps preserving levels and parents:", umr.count_automorphisms(tree))
 
 back, order = umr.tree_to_space(tree)

@@ -105,7 +105,10 @@ def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
 def tau(space: UltrametricSpace) -> RamseyDegreeReport:
     """Ramsey degree report: convex-order count, isometry count, and their
     exact quotient."""
-    tree = canonical_tree(space)
+    return _tree_report(canonical_tree(space))
+
+
+def _tree_report(tree: LeveledTree) -> RamseyDegreeReport:
     clo = count_sibling_orderings(tree)
     iso = count_automorphisms(tree)
     if clo % iso != 0:
@@ -116,8 +119,7 @@ def tau(space: UltrametricSpace) -> RamseyDegreeReport:
 def is_order_invariant(space: UltrametricSpace) -> bool:
     """True iff all convex orderings of the space are isomorphic, which
     happens exactly when its tree branches uniformly on each level."""
-    tree = canonical_tree(space)
-    return all(len(counts) == 1 for counts in child_counts(tree.root, tree.height))
+    return all(len(counts) == 1 for counts in child_counts(canonical_tree(space)))
 
 
 def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
@@ -130,7 +132,7 @@ def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
     """
     tree = canonical_tree(space)
     height = tree.height
-    branch = [max(counts) for counts in child_counts(tree.root, height)]
+    branch = [max(counts) for counts in child_counts(tree)]
 
     taken = set(space.labels)
     counter = count(1)
@@ -158,6 +160,6 @@ def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
             kids.append(fresh_subtree(depth + 1))
         return TreeNode(children=tuple(kids))
 
-    hull_tree = LeveledTree(pad(tree.root, 0), tree.levels)
+    hull_tree = LeveledTree.from_root(pad(tree.root, 0), tree.levels)
     hull, _ = tree_to_space(hull_tree)
     return hull

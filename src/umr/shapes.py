@@ -20,17 +20,9 @@ from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
-from .errors import InternalNonIntegerTau
+from .orders import _tree_report
 from .spaces import DistanceSet
-from .trees import (
-    LeveledTree,
-    TreeNode,
-    _from_joins,
-    canonical_code,
-    count_automorphisms,
-    count_sibling_orderings,
-    post_order,
-)
+from .trees import LeveledTree, TreeNode, canonical_code, post_order
 
 SHAPE_PREFIX = "p"
 UNIFORM_PREFIX = "z"
@@ -110,7 +102,7 @@ def shape_to_tree(shape: TreeNode) -> LeveledTree:
         else:
             k = len(node.children)
             done[-k:] = [TreeNode(children=tuple(done[-k:]))]
-    return LeveledTree(done[0], default_levels(height))
+    return LeveledTree.from_root(done[0], default_levels(height))
 
 
 def all_tree_shapes(leaves: int) -> list[LeveledTree]:
@@ -126,16 +118,17 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
 
 
 def is_comb(tree: LeveledTree) -> bool:
-    """True when all branching nodes lie on a single root-to-leaf branch,
-    that is when no node has two children whose subtrees branch."""
-    branched: list[bool] = []  # per finished subtree: has a branching node
-    for node in post_order(tree.root):
-        k = len(node.children)
-        kids = branched[len(branched) - k:]
-        del branched[len(branched) - k:]
-        if sum(kids) > 1:
+    """True when all branching nodes lie on a single root-to-leaf branch.
+
+    Each join is a branching node, and two of them lie apart iff some pair
+    of neighbours between them joins above both; so the tree is a comb iff
+    its joins never fall and then rise."""
+    fallen = False
+    for left, right in zip(tree.joins, tree.joins[1:]):
+        if right < left:
+            fallen = True
+        elif right > left and fallen:
             return False
-        branched.append(k >= 2 or any(kids))
     return True
 
 
@@ -144,18 +137,14 @@ def comb_tree(leaves: int) -> LeveledTree:
     the leftmost branch."""
     if leaves < 2:
         raise ValueError("a comb needs at least two leaves")
-    labels = [f"{SHAPE_PREFIX}{i}" for i in range(1, leaves + 1)]
-    return _from_joins(labels, range(leaves - 2, -1, -1), default_levels(leaves - 1))
+    labels = tuple(f"{SHAPE_PREFIX}{i}" for i in range(1, leaves + 1))
+    return LeveledTree(labels, tuple(range(leaves - 2, -1, -1)), default_levels(leaves - 1))
 
 
 def tree_degree(tree: LeveledTree) -> int:
     """Ramsey degree straight from the tree: sibling orderings divided by
     automorphisms."""
-    orders = count_sibling_orderings(tree)
-    autos = count_automorphisms(tree)
-    if orders % autos != 0:
-        raise InternalNonIntegerTau(f"{orders} not divisible by {autos}")
-    return orders // autos
+    return _tree_report(tree).tau
 
 
 @dataclass(frozen=True)
@@ -236,5 +225,5 @@ def uniform_tree(vector: tuple[int, ...], levels: DistanceSet) -> LeveledTree:
     joins: list[int] = []
     for depth in reversed(range(len(vector))):
         joins = ([*joins, depth] * vector[depth])[:-1]
-    labels = [f"{UNIFORM_PREFIX}{i}" for i in range(1, len(joins) + 2)]
-    return _from_joins(labels, joins, levels)
+    labels = tuple(f"{UNIFORM_PREFIX}{i}" for i in range(1, len(joins) + 2))
+    return LeveledTree(labels, tuple(joins), levels)

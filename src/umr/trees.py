@@ -11,22 +11,25 @@ Every level above the leaves must contain at least one node with two or
 more children; this keeps the level distances exactly the realized
 distances of the dual space and makes the correspondence a bijection.
 
-A tree is built and read as its leaf labels, its levels and its joins:
+A ``LeveledTree`` is stored as its leaf labels, its levels and its joins:
 joins[i] is the depth of the deepest common ancestor of leaves i and i + 1.
+Nested ``TreeNode``s are read in by ``LeveledTree.from_root`` and built
+only when ``root`` is asked for; every statistic is read off the joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
-from typing import Iterator, Sequence
+from math import factorial, prod
+from typing import Callable, Sequence, TypeVar
 
 from .errors import FormatError, NonConvexOrder
 from .rational import format_rational, parse_rational
 from .spaces import DistanceSet, UltrametricSpace, _steps, canonical_convex_order, is_convex_order
 
 _ZERO = Fraction(0)
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,15 +58,46 @@ class TreeNode:
         return hash(tuple(self._signature()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LeveledTree:
-    root: TreeNode
+    """A leveled tree as its leaf labels from left to right, its joins and
+    its levels: joins[i] is the depth of the deepest common ancestor of
+    leaves i and i + 1.  Equality and hashing compare these three fields."""
+
+    labels: tuple[str, ...]
+    joins: tuple[int, ...]
     levels: DistanceSet
 
     def __post_init__(self):
         height = len(self.levels)
-        labels = []
-        for node, depth in self.iter_nodes():
+        if len(self.joins) != len(self.labels) - 1:
+            raise ValueError(f"{len(self.labels)} leaves need {len(self.labels) - 1} joins")
+        if self.joins and not 0 <= min(self.joins) <= max(self.joins) < height:
+            raise ValueError(f"joins must lie in 0..{height - 1}")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate leaf labels")
+        # a node at depth d has two children iff two neighbours join at d
+        joined = set(self.joins)
+        for depth in range(height):
+            if depth not in joined:
+                raise ValueError(
+                    f"level {depth} has no branching node; its distance is unrealized"
+                )
+
+    @classmethod
+    def from_root(cls, root: TreeNode, levels: DistanceSet) -> LeveledTree:
+        """The tree under this root, whose leaves must all lie at depth
+        len(levels)."""
+        height = len(levels)
+        labels: list[str] = []
+        # the child of the deepest common ancestor of leaves i and i + 1 is
+        # the first node visited after leaf i
+        joins: list[int] = []
+        stack = [(root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if len(joins) < len(labels):
+                joins.append(depth - 1)
             if node.is_leaf:
                 if depth != height:
                     raise ValueError(f"leaf at depth {depth}, expected {height}")
@@ -74,39 +108,43 @@ class LeveledTree:
                 raise ValueError("internal node carries a label")
             elif depth >= height:
                 raise ValueError("internal node below the leaf level")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate leaf labels")
-        for depth, counts in enumerate(child_counts(self.root, height)):
-            if max(counts) < 2:
-                raise ValueError(
-                    f"level {depth} has no branching node; its distance is unrealized"
-                )
+            stack.extend((child, depth + 1) for child in reversed(node.children))
+        return cls(tuple(labels), tuple(joins), levels)
 
     @property
     def height(self) -> int:
         return len(self.levels)
 
-    def leaf_labels(self) -> tuple[str, ...]:
-        return tuple(_leaf_joins(self)[0])
+    @property
+    def root(self) -> TreeNode:
+        """The tree's nodes, built afresh on each access."""
+        return self._fold(
+            [TreeNode(label=label) for label in self.labels],
+            lambda depth, kids: TreeNode(children=tuple(kids)),
+        )
 
-    def iter_nodes(self) -> Iterator[tuple[TreeNode, int]]:
-        """Depth-first (node, depth) pairs, root first."""
-        stack = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            yield node, depth
-            for child in reversed(node.children):
-                stack.append((child, depth + 1))
+    def _fold(self, leaf_values: Sequence[_T], node: Callable[[int, list[_T]], _T]) -> _T:
+        """The root's value, where a leaf's value is given from left to
+        right and an internal node's is node(depth, its children's values)."""
+        height = self.height
+        # values[m] holds the values of the finished children of the open
+        # node at depth m - 1.  Neighbours that join at depth m share their
+        # ancestors down to depth m, so the open nodes below it close between
+        # them; after the last leaf every node closes and values[0] holds the
+        # root's.
+        values: list[list[_T]] = [[] for _ in range(height + 1)]
+        for value, join in zip(leaf_values, [*self.joins, -1]):
+            values[height].append(value)
+            for depth in range(height - 1, join, -1):
+                values[depth].append(node(depth, values[depth + 1]))
+                values[depth + 1] = []
+        return values[0][0]
 
 
-def child_counts(root: TreeNode, height: int) -> list[set[int]]:
-    """Child counts of the internal nodes on each level 0..height-1, found
-    breadth first."""
-    counts: list[set[int]] = []
-    level = [root]
-    for _ in range(height):
-        counts.append({len(node.children) for node in level if node.children})
-        level = [child for node in level for child in node.children]
+def child_counts(tree: LeveledTree) -> list[set[int]]:
+    """Child counts of the internal nodes on each level 0..height-1."""
+    counts: list[set[int]] = [set() for _ in range(tree.height)]
+    tree._fold(tree.labels, lambda depth, kids: counts[depth].add(len(kids)))
     return counts
 
 
@@ -134,38 +172,9 @@ def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
     steps = _steps(space.dist, seq)
     radii = DistanceSet(tuple(sorted(set(steps), reverse=True)))
     depth_of = {radius: depth for depth, radius in enumerate(radii)}
-    return _from_joins([space.labels[p] for p in seq], [depth_of[d] for d in steps], radii)
-
-
-def _from_joins(labels: Sequence[str], joins: Sequence[int], levels: DistanceSet) -> LeveledTree:
-    """The tree with these leaf labels from left to right, in which leaves
-    i and i + 1 join at depth joins[i]."""
-    height = len(levels)
-    # nodes[m] holds the finished children of the open node at depth m - 1.
-    # Neighbours that join at depth m share their ancestors down to depth m,
-    # so the open nodes below it close between them; after the last leaf
-    # every node closes and nodes[0] holds the root.
-    nodes: list[list[TreeNode]] = [[] for _ in range(height + 1)]
-    for label, join in zip(labels, [*joins, -1]):
-        nodes[height].append(TreeNode(label=label))
-        for depth in range(height - 1, join, -1):
-            nodes[depth].append(TreeNode(children=tuple(nodes[depth + 1])))
-            nodes[depth + 1] = []
-    return LeveledTree(nodes[0][0], levels)
-
-
-def _leaf_joins(tree: LeveledTree) -> tuple[list[str], list[int]]:
-    """The leaf labels from left to right and the joins between them."""
-    labels: list[str] = []
-    # the child of the deepest common ancestor of leaves i and i + 1 is the
-    # first node visited after leaf i
-    joins: list[int] = []
-    for node, depth in tree.iter_nodes():
-        if len(joins) < len(labels):
-            joins.append(depth - 1)
-        if node.is_leaf:
-            labels.append(node.label)  # type: ignore[arg-type]
-    return labels, joins
+    return LeveledTree(
+        tuple(space.labels[p] for p in seq), tuple(depth_of[d] for d in steps), radii
+    )
 
 
 def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
@@ -173,7 +182,7 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
     the distance of two leaves is the level distance of their deepest
     common ancestor, and the returned order is the identity, which is the
     space's nearest-unused walk."""
-    labels, joins = _leaf_joins(tree)
+    labels, joins = tree.labels, tree.joins
     n = len(labels)
     levels = tree.levels.values
     dist = [[_ZERO] * n for _ in range(n)]
@@ -185,7 +194,7 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
                 top = joins[t - 1]
             row[t] = dist[t][s] = levels[top]
     order = tuple(range(n))
-    return UltrametricSpace(tuple(labels), tuple(tuple(row) for row in dist), order), order
+    return UltrametricSpace(labels, tuple(tuple(row) for row in dist), order), order
 
 
 def post_order(root: TreeNode) -> list[TreeNode]:
@@ -204,19 +213,13 @@ def post_order(root: TreeNode) -> list[TreeNode]:
     return visited
 
 
-def _code_and_aut(root: TreeNode) -> tuple[str, int]:
+def _code_and_aut(tree: LeveledTree) -> tuple[str, int]:
     # aut(node) = prod of child auts * prod over equal-code groups of mult!
-    done: list[tuple[str, int]] = []
-    for node in post_order(root):
-        k = len(node.children)
-        if not k:
-            done.append(("()", 1))
-            continue
-        coded = sorted(done[-k:])
-        del done[-k:]
+    def node(depth: int, kids: list[tuple[str, int]]) -> tuple[str, int]:
+        kids.sort()
         aut = 1
         run_code, run_length = None, 0
-        for code, child_aut in coded:
+        for code, child_aut in kids:
             aut *= child_aut
             if code == run_code:
                 run_length += 1
@@ -224,31 +227,30 @@ def _code_and_aut(root: TreeNode) -> tuple[str, int]:
                 aut *= factorial(run_length)
                 run_code, run_length = code, 1
         aut *= factorial(run_length)
-        done.append(("(" + "".join(code for code, _ in coded) + ")", aut))
-    return done[0]
+        return "(" + "".join(code for code, _ in kids) + ")", aut
+
+    return tree._fold([("()", 1)] * len(tree.labels), node)
 
 
 def count_automorphisms(tree: LeveledTree) -> int:
     """Number of level-preserving, parent-respecting self-bijections; equals
     the isometry count of the dual space."""
-    return _code_and_aut(tree.root)[1]
+    return _code_and_aut(tree)[1]
 
 
 def canonical_code(tree: LeveledTree) -> str:
     """Order-comparable token string identifying a tree up to a
     level-preserving, parent-respecting bijection (sibling order and leaf
     labels ignored)."""
-    return _code_and_aut(tree.root)[0]
+    return _code_and_aut(tree)[0]
 
 
 def count_sibling_orderings(tree: LeveledTree) -> int:
     """Product of (child count)! over internal nodes: the number of sibling
     rearrangements, i.e. of convex orders of the dual space."""
-    total = 1
-    for node, _ in tree.iter_nodes():
-        if not node.is_leaf:
-            total *= factorial(len(node.children))
-    return total
+    return tree._fold(
+        [1] * len(tree.labels), lambda depth, kids: factorial(len(kids)) * prod(kids)
+    )
 
 
 # --- UTREE text format -----------------------------------------------------
@@ -258,7 +260,7 @@ def count_sibling_orderings(tree: LeveledTree) -> int:
 #   ((a b) (c))                     nested parentheses, leaves are labels
 
 def format_utree(tree: LeveledTree) -> str:
-    labels, joins = _leaf_joins(tree)
+    labels, joins = tree.labels, tree.joins
     height = tree.height
     # between leaves that join at depth j, the nodes below depth j close
     # and open again
@@ -320,6 +322,6 @@ def parse_utree(text: str) -> LeveledTree:
     if open_kids:
         raise FormatError("missing ')'")
     try:
-        return LeveledTree(root, DistanceSet(values))
+        return LeveledTree.from_root(root, DistanceSet(values))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

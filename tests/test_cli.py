@@ -186,7 +186,7 @@ def test_orders_and_types_match_the_permutation_filter(tmp_path, capsys):
         umr.TreeNode(children=tuple(pairs[:2])), umr.TreeNode(children=tuple(pairs[2:]))
     ))
     levels = umr.DistanceSet((F(9, 2), F(5, 3), F(2, 7)))
-    space, _ = umr.tree_to_space(umr.LeveledTree(root, levels))
+    space, _ = umr.tree_to_space(umr.LeveledTree.from_root(root, levels))
     points = list(range(8))
     rng.shuffle(points)
     space = space.restrict(points)

@@ -362,7 +362,9 @@ def spaces_on_levels(draw, levels, max_leaves):
     chosen = draw(st.lists(
         st.sampled_from(levels.values), min_size=height, max_size=height, unique=True,
     )) if height else []
-    tree = umr.LeveledTree(tree.root, umr.DistanceSet(tuple(sorted(chosen, reverse=True))))
+    tree = umr.LeveledTree(
+        tree.labels, tree.joins, umr.DistanceSet(tuple(sorted(chosen, reverse=True)))
+    )
     return umr.tree_to_space(tree)[0]
 
 

@@ -1,11 +1,21 @@
 import sys
 from fractions import Fraction as F
 from itertools import islice
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
 
 import umr
-from util import cb4, comb4, e3, profile_classes
+from util import (
+    cb4,
+    comb4,
+    e3,
+    leveled_trees,
+    naive_child_counts,
+    naive_is_comb,
+    profile_classes,
+)
 
 
 def test_shape_counts_match_hand_enumeration():
@@ -20,7 +30,7 @@ def test_shapes_are_valid_and_distinct():
         codes = [umr.canonical_code(t) for t in shapes]
         assert len(set(codes)) == len(codes)
         for tree in shapes:
-            assert len(tree.leaf_labels()) == n
+            assert len(tree.labels) == n
 
 
 def test_is_comb_examples():
@@ -29,11 +39,35 @@ def test_is_comb_examples():
     assert not umr.is_comb(umr.space_to_tree(cb4(), umr.canonical_convex_order(cb4())))
 
 
+def check_join_statistics(tree):
+    root = tree.root
+    counts = naive_child_counts(root)
+    assert umr.is_comb(tree) == naive_is_comb(root)
+    assert umr.trees.child_counts(tree) == [set(level) for level in counts]
+    space, _ = umr.tree_to_space(tree)
+    assert umr.is_order_invariant(space) == all(len(set(level)) == 1 for level in counts)
+    assert umr.count_sibling_orderings(tree) == prod(
+        factorial(c) for level in counts for c in level
+    )
+
+
+def test_join_statistics_match_node_walks_on_all_shapes():
+    for n in range(1, 8):
+        for tree in umr.all_tree_shapes(n):
+            check_join_statistics(tree)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(leveled_trees(max_leaves=7))
+def test_join_statistics_match_node_walks_on_random_trees(tree):
+    check_join_statistics(tree)
+
+
 def test_comb_tree_shape():
     for n in range(2, 8):
         comb = umr.comb_tree(n)
         assert comb.height == n - 1
-        assert len(comb.leaf_labels()) == n
+        assert len(comb.labels) == n
         assert umr.is_comb(comb)
         assert umr.tree_degree(comb) == 2 ** (n - 2)
     assert umr.format_utree(umr.comb_tree(4)).splitlines()[2] == "(((p1 p2) (p3)) ((p4)))"
@@ -102,7 +136,7 @@ def test_uniform_tree_structure():
     levels = umr.DistanceSet((F(2), F(1)))
     tree = umr.uniform_tree((2, 3), levels)
     assert umr.format_utree(tree).splitlines()[2] == "((z1 z2 z3) (z4 z5 z6))"
-    assert len(tree.leaf_labels()) == 6
+    assert len(tree.labels) == 6
     space, _ = umr.tree_to_space(tree)
     assert umr.is_order_invariant(space)
     assert list(umr.distance_set(space)) == [F(2), F(1)]

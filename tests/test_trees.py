@@ -30,7 +30,7 @@ def test_one_point_tree_is_a_single_leaf():
 
 def test_sibling_order_follows_the_given_order():
     tree = umr.space_to_tree(c3(), (2, 0, 1))
-    assert tree.leaf_labels() == ("c", "a", "b")
+    assert tree.labels == ("c", "a", "b")
 
 
 def test_non_convex_order_is_rejected():
@@ -67,7 +67,7 @@ def test_reverse_round_trip_preserves_code_and_leaves():
         back_space, back_order = umr.tree_to_space(tree)
         again = umr.space_to_tree(back_space, back_order)
         assert umr.canonical_code(again) == umr.canonical_code(tree)
-        assert again.leaf_labels() == tree.leaf_labels()
+        assert again.labels == tree.labels
 
 
 def test_automorphism_count_examples():
@@ -136,6 +136,20 @@ def test_utree_validation_errors():
         umr.parse_utree("utree v1\nlevels 1 2\n(a b)\n")  # increasing levels
 
 
+def test_record_checks_its_joins_and_labels():
+    levels = umr.DistanceSet((F(2), F(1)))
+    umr.LeveledTree(("a", "b", "c"), (1, 0), levels)
+    malformed = [
+        (("a", "b", "c"), (1,), "3 leaves need 2 joins"),
+        (("a", "b", "c"), (1, 2), "joins must lie in 0..1"),
+        (("a", "b", "c"), (0, 0), "level 1 has no branching node"),
+        (("a", "b", "a"), (1, 0), "duplicate leaf labels"),
+    ]
+    for labels, joins, message in malformed:
+        with pytest.raises(ValueError, match=message):
+            umr.LeveledTree(labels, joins, levels)
+
+
 def test_sibling_ordering_count():
     tree = umr.space_to_tree(cb4(), umr.canonical_convex_order(cb4()))
     assert umr.count_sibling_orderings(tree) == 8
@@ -145,7 +159,7 @@ def test_sibling_ordering_count():
 @given(leveled_trees(max_leaves=7))
 def test_random_tree_round_trip(tree):
     space, order = umr.tree_to_space(tree)
-    assert tree.leaf_labels() == space.labels
+    assert tree.labels == space.labels
     # restrict drops the stored walk, so the right-hand side walks afresh
     assert umr.canonical_convex_order(space) == umr.canonical_convex_order(
         space.restrict(range(space.size))
@@ -153,6 +167,9 @@ def test_random_tree_round_trip(tree):
     rebuilt = umr.space_to_tree(space, order)
     assert rebuilt == tree
     assert hash(rebuilt) == hash(tree)
+    from_nodes = umr.LeveledTree.from_root(tree.root, tree.levels)
+    assert from_nodes == tree
+    assert hash(from_nodes) == hash(tree)
     assert umr.parse_utree(umr.format_utree(tree)) == tree
     canonical = umr.canonical_tree(space)
     assert umr.canonical_code(canonical) == umr.canonical_code(tree)

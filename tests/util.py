@@ -330,6 +330,31 @@ def naive_apply(move, point):
     return umr.qs_point(items)
 
 
+def naive_child_counts(root):
+    """Child counts of the internal nodes on each level from the root down,
+    found breadth first over the nodes."""
+    counts = []
+    level = [root]
+    while any(node.children for node in level):
+        counts.append([len(node.children) for node in level if node.children])
+        level = [child for node in level for child in node.children]
+    return counts
+
+
+def naive_is_comb(root):
+    """True when no node has two children whose subtrees branch, found by a
+    post-order walk over the nodes."""
+    branched = []  # per finished subtree: has a branching node
+    for node in umr.trees.post_order(root):
+        k = len(node.children)
+        kids = branched[len(branched) - k:]
+        del branched[len(branched) - k:]
+        if sum(kids) > 1:
+            return False
+        branched.append(k >= 2 or any(kids))
+    return True
+
+
 def shuffled_shape_spaces(max_leaves):
     """Each shape space twice, its point storage order shuffled from a fixed
     seed: once with the power-of-two levels, once with fractional ones."""
@@ -338,7 +363,7 @@ def shuffled_shape_spaces(max_leaves):
         for tree in umr.all_tree_shapes(n):
             fractional = umr.DistanceSet(tuple(Fraction(7, 3 * k + 2) for k in range(tree.height)))
             for levels in (tree.levels, fractional):
-                space, _ = umr.tree_to_space(umr.LeveledTree(tree.root, levels))
+                space, _ = umr.tree_to_space(umr.LeveledTree(tree.labels, tree.joins, levels))
                 points = list(range(space.size))
                 rng.shuffle(points)
                 yield space.restrict(points)
@@ -382,7 +407,7 @@ def leveled_trees(draw, max_leaves):
             unique=True,
         )
     )
-    return umr.LeveledTree(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
+    return umr.LeveledTree.from_root(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
 
 
 def frac(text):
