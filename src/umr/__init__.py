@@ -59,7 +59,6 @@ from .shapes import (
     comb_tree,
     extremal_scan,
     is_comb,
-    shape_to_tree,
     tree_degree,
     uniform_tree,
 )
@@ -78,7 +77,6 @@ from .spaces import (
 )
 from .trees import (
     LeveledTree,
-    TreeNode,
     canonical_code,
     canonical_tree,
     count_automorphisms,

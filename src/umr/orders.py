@@ -15,15 +15,17 @@ depth-first search along that rule never reaches a dead end.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
+from math import prod
 
 from .errors import InternalNonIntegerTau
 from .spaces import UltrametricSpace, _nearest_unused, _steps
 from .trees import (
     LeveledTree,
-    TreeNode,
+    _uniform_joins,
     canonical_tree,
     child_counts,
     count_automorphisms,
@@ -131,35 +133,27 @@ def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
     contains the input isometrically and is order-invariant.
     """
     tree = canonical_tree(space)
-    height = tree.height
     branch = [max(counts) for counts in child_counts(tree)]
-
+    size = prod(branch)
+    if size > sys.maxsize:
+        raise ValueError(f"hull has {size} points, more than a list can hold")
+    # the padded tree is the uniform tree of the branchings, and each node
+    # keeps its own children first; a leaf's position reads its child
+    # indices in mixed radix, where radix[d] is the number of leaves under
+    # a depth-(d + 1) node, and the next leaf after a join at depth j is
+    # the first leaf of the next depth-(j + 1) node
+    radix = [prod(branch[depth + 1:]) for depth in range(tree.height)]
+    labels: list[str | None] = [None] * size
+    labels[0] = tree.labels[0]
+    position = 0
+    for label, join in zip(tree.labels[1:], tree.joins):
+        position = (position // radix[join] + 1) * radix[join]
+        labels[position] = label
+    # fresh labels fill the other positions from left to right, skipping
+    # any input label
     taken = set(space.labels)
-    counter = count(1)
-
-    def fresh_label() -> str:
-        for k in counter:
-            name = f"_h{k}"
-            if name not in taken:
-                taken.add(name)
-                return name
-        raise AssertionError("unreachable")
-
-    def fresh_subtree(depth: int) -> TreeNode:
-        if depth == height:
-            return TreeNode(label=fresh_label())
-        return TreeNode(
-            children=tuple(fresh_subtree(depth + 1) for _ in range(branch[depth]))
-        )
-
-    def pad(node: TreeNode, depth: int) -> TreeNode:
-        if node.is_leaf:
-            return node
-        kids = [pad(child, depth + 1) for child in node.children]
-        while len(kids) < branch[depth]:
-            kids.append(fresh_subtree(depth + 1))
-        return TreeNode(children=tuple(kids))
-
-    hull_tree = LeveledTree.from_root(pad(tree.root, 0), tree.levels)
+    fresh = (name for name in map("_h{}".format, count(1)) if name not in taken)
+    labels = [label if label is not None else next(fresh) for label in labels]
+    hull_tree = LeveledTree(tuple(labels), _uniform_joins(branch), tree.levels)
     hull, _ = tree_to_space(hull_tree)
     return hull

@@ -1,10 +1,10 @@
 """Exhaustive generation of leveled-tree shapes and the extremal scan.
 
-Shapes are unlabeled ``TreeNode`` trees with all leaves at the same depth
-and at least one branching node on every level (so each level distance is
-realized in the dual space).  They are generated bottom-up as canonically
-sorted child multisets, which yields each shape exactly once, then
-materialized into ``LeveledTree`` values with placeholder labels and
+Shapes are unlabeled trees with all leaves at the same depth and at least
+one branching node on every level (so each level distance is realized in
+the dual space), kept as their joins.  They are generated bottom-up as
+canonically sorted child multisets, which yields each shape exactly once,
+then materialized into ``LeveledTree`` values with placeholder labels and
 power-of-two levels.
 
 The extremal scan walks every shape with a given leaf count, computes the
@@ -17,23 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import Iterator
 
 from .orders import _tree_report
 from .spaces import DistanceSet
-from .trees import LeveledTree, TreeNode, canonical_code, post_order
+from .trees import LeveledTree, _uniform_joins, canonical_code
 
 SHAPE_PREFIX = "p"
 UNIFORM_PREFIX = "z"
 MAX_SCAN_LEAVES = 7
 
-_LEAF = TreeNode()
-
 
 # A memo entry: (canonical code, bitmask of the levels on which the shape
-# has a node with two or more children, the shape itself).
-_Coded = tuple[str, int, TreeNode]
+# has a node with two or more children, the shape's joins).
+_Coded = tuple[str, int, tuple[int, ...]]
 
 
 @lru_cache(maxsize=None)
@@ -49,13 +46,13 @@ def _shapes(height: int, leaves: int, need: int = 0) -> tuple[_Coded, ...]:
     missing: a shape with m leaves branches on at most m - 1 levels.
     """
     if height == 0:
-        return (("()", 0, _LEAF),) if leaves == 1 else ()
+        return (("()", 0, ()),) if leaves == 1 else ()
     options = [
         (size, *entry) for size in range(1, leaves + 1) for entry in _shapes(height - 1, size)
     ]
     child_need = need >> 1
     result: list[_Coded] = []
-    chosen: list[tuple[str, TreeNode]] = []
+    chosen: list[tuple[str, tuple[int, ...]]] = []
 
     def extend(start: int, remaining: int, branching: int) -> None:
         for idx in range(start, len(options)):
@@ -70,10 +67,14 @@ def _shapes(height: int, leaves: int, need: int = 0) -> tuple[_Coded, ...]:
                 if missing or (need & 1 and not root_branches):
                     continue
                 children = sorted([*chosen, (code, sub)], key=lambda child: child[0])
+                # the children's joins one level down, 0 between neighbours
+                joins: list[int] = []
+                for _, child_joins in children:
+                    joins += [0, *(j + 1 for j in child_joins)]
                 result.append((
                     "(" + "".join(c for c, _ in children) + ")",
                     root_branches | covered << 1,
-                    TreeNode(children=tuple(node for _, node in children)),
+                    tuple(joins[1:]),
                 ))
             elif missing < left:
                 chosen.append((code, sub))
@@ -88,32 +89,16 @@ def default_levels(height: int) -> DistanceSet:
     return DistanceSet(tuple(Fraction(2 ** (height - 1 - i)) for i in range(height)))
 
 
-def shape_to_tree(shape: TreeNode) -> LeveledTree:
-    """Materialize an unlabeled shape with labels ``p1..pn`` in leaf order
-    and power-of-two level distances."""
-    first, height = shape, 0
-    while first.children:
-        first, height = first.children[0], height + 1
-    counter = count(1)
-    done: list[TreeNode] = []
-    for node in post_order(shape):
-        if node.is_leaf:
-            done.append(TreeNode(label=f"{SHAPE_PREFIX}{next(counter)}"))
-        else:
-            k = len(node.children)
-            done[-k:] = [TreeNode(children=tuple(done[-k:]))]
-    return LeveledTree.from_root(done[0], default_levels(height))
-
-
 def all_tree_shapes(leaves: int) -> list[LeveledTree]:
     """Every leveled-tree shape with the given leaf count, all heights,
     deduplicated, in deterministic (height, code) order."""
     if leaves < 1:
         raise ValueError("leaf count must be positive")
+    labels = tuple(f"{SHAPE_PREFIX}{i}" for i in range(1, leaves + 1))
     return [
-        shape_to_tree(shape)
+        LeveledTree(labels, joins, default_levels(height))
         for height in range(leaves)
-        for _, _, shape in _shapes(height, leaves, (1 << height) - 1)
+        for _, _, joins in _shapes(height, leaves, (1 << height) - 1)
     ]
 
 
@@ -221,9 +206,6 @@ def uniform_tree(vector: tuple[int, ...], levels: DistanceSet) -> LeveledTree:
     for depth, branching in enumerate(vector):
         if branching < 1:  # its nodes would be leaves above the leaf level
             raise ValueError(f"leaf at depth {depth}, expected {len(vector)}")
-    # a depth-d node's joins: vector[d] copies of its children's, d between
-    joins: list[int] = []
-    for depth in reversed(range(len(vector))):
-        joins = ([*joins, depth] * vector[depth])[:-1]
+    joins = _uniform_joins(vector)
     labels = tuple(f"{UNIFORM_PREFIX}{i}" for i in range(1, len(joins) + 2))
-    return LeveledTree(labels, tuple(joins), levels)
+    return LeveledTree(labels, joins, levels)

@@ -13,12 +13,13 @@ distances of the dual space and makes the correspondence a bijection.
 
 A ``LeveledTree`` is stored as its leaf labels, its levels and its joins:
 joins[i] is the depth of the deepest common ancestor of leaves i and i + 1.
-Nested ``TreeNode``s are read in by ``LeveledTree.from_root`` and built
-only when ``root`` is asked for; every statistic is read off the joins.
+It is the only tree type: UTREE text is read straight into joins, and
+every statistic is read off them.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -30,32 +31,6 @@ from .spaces import DistanceSet, UltrametricSpace, _steps, canonical_convex_orde
 
 _ZERO = Fraction(0)
 _T = TypeVar("_T")
-
-
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    """Rooted tree node.  Two nodes are equal when their trees are, labels
-    and child order included; equality and hashing walk the tree without
-    recursion, so they work at any depth."""
-
-    children: tuple["TreeNode", ...] = ()
-    label: str | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def _signature(self) -> list[tuple[str | None, int]]:
-        # labels and child counts in post order determine the tree
-        return [(node.label, len(node.children)) for node in post_order(self)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TreeNode):
-            return NotImplemented
-        return self is other or self._signature() == other._signature()
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._signature()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,44 +59,9 @@ class LeveledTree:
                     f"level {depth} has no branching node; its distance is unrealized"
                 )
 
-    @classmethod
-    def from_root(cls, root: TreeNode, levels: DistanceSet) -> LeveledTree:
-        """The tree under this root, whose leaves must all lie at depth
-        len(levels)."""
-        height = len(levels)
-        labels: list[str] = []
-        # the child of the deepest common ancestor of leaves i and i + 1 is
-        # the first node visited after leaf i
-        joins: list[int] = []
-        stack = [(root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if len(joins) < len(labels):
-                joins.append(depth - 1)
-            if node.is_leaf:
-                if depth != height:
-                    raise ValueError(f"leaf at depth {depth}, expected {height}")
-                if node.label is None:
-                    raise ValueError("leaf without a label")
-                labels.append(node.label)
-            elif node.label is not None:
-                raise ValueError("internal node carries a label")
-            elif depth >= height:
-                raise ValueError("internal node below the leaf level")
-            stack.extend((child, depth + 1) for child in reversed(node.children))
-        return cls(tuple(labels), tuple(joins), levels)
-
     @property
     def height(self) -> int:
         return len(self.levels)
-
-    @property
-    def root(self) -> TreeNode:
-        """The tree's nodes, built afresh on each access."""
-        return self._fold(
-            [TreeNode(label=label) for label in self.labels],
-            lambda depth, kids: TreeNode(children=tuple(kids)),
-        )
 
     def _fold(self, leaf_values: Sequence[_T], node: Callable[[int, list[_T]], _T]) -> _T:
         """The root's value, where a leaf's value is given from left to
@@ -146,6 +86,15 @@ def child_counts(tree: LeveledTree) -> list[set[int]]:
     counts: list[set[int]] = [set() for _ in range(tree.height)]
     tree._fold(tree.labels, lambda depth, kids: counts[depth].add(len(kids)))
     return counts
+
+
+def _uniform_joins(vector: Sequence[int]) -> tuple[int, ...]:
+    """Joins of the complete tree whose depth-d nodes have vector[d] children."""
+    # a depth-d node's joins: vector[d] copies of its children's, d between
+    joins: list[int] = []
+    for depth in reversed(range(len(vector))):
+        joins = ([*joins, depth] * vector[depth])[:-1]
+    return tuple(joins)
 
 
 def _require_convex(space: UltrametricSpace, order: tuple[int, ...]) -> None:
@@ -195,22 +144,6 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
             row[t] = dist[t][s] = levels[top]
     order = tuple(range(n))
     return UltrametricSpace(labels, tuple(tuple(row) for row in dist), order), order
-
-
-def post_order(root: TreeNode) -> list[TreeNode]:
-    """Every node after its subtrees, children left to right, so leaves
-    come in leaf order and a fold over the list finds a node's children's
-    results on top of its stack."""
-    # popping children pushed in order visits each node before its
-    # subtrees, last child first; the reverse of that visit is this order
-    visited = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        visited.append(node)
-        stack.extend(node.children)
-    visited.reverse()
-    return visited
 
 
 def _code_and_aut(tree: LeveledTree) -> tuple[str, int]:
@@ -285,43 +218,56 @@ def parse_utree(text: str) -> LeveledTree:
     values = tuple(parse_rational(tok) for tok in level_tokens)
     body = " ".join(lines[2:])
 
-    tokens = body.replace("(", " ( ").replace(")", " ) ").split()
-    # a valid tree nests no deeper than its level count; that is reported
-    # ahead of any other fault in the tree text
-    depth = deepest = 0
-    for token in tokens:
-        if token == "(":
-            depth += 1
+    height = len(values)
+    labels: list[str] = []
+    joins: list[int] = []
+    # one pass over runs of brackets and labels: depth counts the open
+    # brackets, a label lies at that depth, and it joins the last leaf at
+    # (fewest open brackets since that leaf) - 1.  A valid tree nests no
+    # deeper than its level count, which is reported ahead of the first
+    # syntax fault in the text, and that ahead of the first misplaced leaf.
+    depth = deepest = fewest = 0
+    fault = misplaced = None
+    closed = False  # the root is finished
+    previous = ""
+    for run in re.findall(r"\(+|\)+|[^\s()]+", body):
+        kind = run[0]
+        if fault is None:
+            if closed:
+                fault = "trailing tokens after tree"
+            elif kind == ")":
+                if not depth:
+                    fault = "unexpected ')'"
+                elif previous == "(":
+                    fault = "internal node with no children"
+                elif len(run) > depth:
+                    fault = "trailing tokens after tree"
+        if kind == "(":
+            depth += len(run)
             deepest = max(deepest, depth)
-        elif token == ")":
-            depth -= 1
-    if deepest > len(values):
-        raise FormatError(f"tree nests {deepest} deep but has {len(values)} levels")
-    # open_kids[-1] collects the children of the innermost unclosed bracket
-    open_kids: list[list[TreeNode]] = []
-    root = None
-    for token in tokens:
-        if root is not None:
-            raise FormatError("trailing tokens after tree")
-        if token == "(":
-            open_kids.append([])
-            continue
-        if token != ")":
-            node = TreeNode(label=token)
-        elif not open_kids:
-            raise FormatError("unexpected ')'")
+        elif kind == ")":
+            depth -= len(run)
+            fewest = min(fewest, depth)
+            closed = not depth
         else:
-            kids = open_kids.pop()
-            if not kids:
-                raise FormatError("internal node with no children")
-            node = TreeNode(children=tuple(kids))
-        if open_kids:
-            open_kids[-1].append(node)
-        else:
-            root = node
-    if open_kids:
-        raise FormatError("missing ')'")
+            if labels:
+                joins.append(fewest - 1)
+            if depth != height and misplaced is None:
+                misplaced = f"leaf at depth {depth}, expected {height}"
+            labels.append(run)
+            fewest = depth
+            closed = not depth
+        previous = kind
+    if deepest > height:
+        raise FormatError(f"tree nests {deepest} deep but has {height} levels")
+    if fault is None and depth:
+        fault = "missing ')'"
+    if fault is not None:
+        raise FormatError(fault)
     try:
-        return LeveledTree.from_root(root, DistanceSet(values))
+        levels = DistanceSet(values)
+        if misplaced is not None:
+            raise ValueError(misplaced)
+        return LeveledTree(tuple(labels), tuple(joins), levels)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

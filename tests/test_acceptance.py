@@ -22,6 +22,7 @@ from util import (
     c3,
     e3,
     equilateral,
+    nested_tree,
 )
 
 MENU3 = umr.menu_of(1, F(1, 2), F(1, 4))
@@ -129,12 +130,12 @@ def test_criterion_06_ordering_property():
 def test_criterion_07_ramsey_object_characterization():
     for tree in shapes_upto(7):
         per_level = {}
-        stack = [(tree.root, 0)]
+        stack = [(nested_tree(tree), 0)]
         while stack:
             node, depth = stack.pop()
-            if node.children:
-                per_level.setdefault(depth, set()).add(len(node.children))
-                stack.extend((child, depth + 1) for child in node.children)
+            if not isinstance(node, str):
+                per_level.setdefault(depth, set()).add(len(node))
+                stack.extend((child, depth + 1) for child in node)
         uniform = all(len(counts) == 1 for counts in per_level.values())
         assert (umr.tree_degree(tree) == 1) == uniform
     report(7, "ramsey objects are the uniformly branching trees")

@@ -3,6 +3,7 @@ import io
 import random
 import re
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 
 import umr
 from umr.cli import VERBS, main
-from util import brute_convex_orders, c3, comb4, e3, equilateral, profile_classes
+from util import (
+    brute_convex_orders,
+    c3,
+    comb4,
+    e3,
+    equilateral,
+    from_nested,
+    profile_classes,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -180,13 +189,10 @@ def test_orders_and_types_match_the_permutation_filter(tmp_path, capsys):
     rng = random.Random(222)
     labels = [f"q{i}" for i in range(8)]
     rng.shuffle(labels)
-    leaves = [umr.TreeNode(label=label) for label in labels]
-    pairs = [umr.TreeNode(children=tuple(leaves[i:i + 2])) for i in range(0, 8, 2)]
-    root = umr.TreeNode(children=(
-        umr.TreeNode(children=tuple(pairs[:2])), umr.TreeNode(children=tuple(pairs[2:]))
-    ))
+    pairs = [tuple(labels[i:i + 2]) for i in range(0, 8, 2)]
+    root = (tuple(pairs[:2]), tuple(pairs[2:]))
     levels = umr.DistanceSet((F(9, 2), F(5, 3), F(2, 7)))
-    space, _ = umr.tree_to_space(umr.LeveledTree.from_root(root, levels))
+    space, _ = umr.tree_to_space(from_nested(root, levels))
     points = list(range(8))
     rng.shuffle(points)
     space = space.restrict(points)
@@ -212,6 +218,21 @@ def test_hull(files, capsys):
     code, out = run(capsys, "hull", files["c3.uspace"])
     assert code == 0
     assert umr.parse_uspace(out) == umr.order_invariant_hull(c3())
+
+
+def test_hull_refuses_more_points_than_a_list_holds(tmp_path, capsys):
+    # d(p_i, p_j) = max(i, j) is a 70-point comb, whose hull has 2^69 points
+    n = 70
+    labels = " ".join(f"p{k}" for k in range(1, n + 1))
+    path = tmp_path / "comb70.uspace"
+    path.write_text(f"uspace v1\npoints {n}\nlabels {labels}\n" + "".join(
+        f"d p{i} p{j} {j}\n" for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ))
+    start = time.perf_counter()
+    code, out = run(capsys, "hull", str(path))
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (1, f"ValueError hull has {2 ** 69} points, more than a list can hold\n")
+    assert elapsed < 1
 
 
 def test_arrow_holds(files, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from util import (
     e3,
     equilateral,
     leveled_trees,
+    naive_hull,
     profile_classes,
     shape_spaces,
     shuffled_shape_spaces,
@@ -144,6 +146,20 @@ def test_hull_is_order_invariant_for_all_small_spaces():
         assert umr.is_order_invariant(hull)
         original = [hull.index(l) for l in space.labels]
         assert hull.restrict(original) == space
+
+
+def test_hull_matches_the_padding_oracle():
+    # the shape spaces with at most 7 leaves, shuffled; every other one has
+    # some of the labels _h1.._h4 that the fresh-label counter must skip
+    rng = random.Random(15)
+    for k, space in enumerate(shuffled_shape_spaces(7)):
+        if k % 2:
+            names = [f"_h{i}" for i in range(1, 5)]
+            rng.shuffle(names)
+            taken = rng.randint(1, min(4, space.size))
+            space = umr.validate_space(space.dist, names[:taken] + list(space.labels[taken:]))
+        expected = umr.format_uspace(naive_hull(space))
+        assert umr.format_uspace(umr.order_invariant_hull(space)) == expected
 
 
 def test_hull_realizes_every_order_type_of_c3():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umr
+from util import leveled_trees, naive_parse_utree
 
 MENU = umr.menu_of(1, F(1, 2), F(1, 4))
 
@@ -102,3 +103,63 @@ def test_parse_qpoint_raises_only_umr_errors(text):
 )
 def test_parse_automorphism_raises_only_umr_errors(text):
     parse_or_umr_error(lambda t: umr.parse_automorphism(t, MENU), text)
+
+
+@st.composite
+def spliced(draw, texts):
+    """A text with up to three random splices after its ``levels`` keyword
+    (or its first line), each cutting a few characters and putting a few
+    brackets, labels, spaces or newlines in their place."""
+    text = draw(texts)
+    keyword = text.find("\nlevels")
+    start = keyword + len("\nlevels") if keyword >= 0 else text.index("\n") + 1
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(start, len(text)))
+        cut = draw(st.integers(0, 3))
+        pieces = st.sampled_from(["(", ")", " ", "\n", "a", "x1", "2"])
+        text = text[:at] + "".join(draw(st.lists(pieces, max_size=3))) + text[at + cut:]
+    return text
+
+
+def outcome(parse, text):
+    """The record's fields, or the type and message of what was raised."""
+    try:
+        tree = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tree.labels, tree.joins, tree.levels
+
+
+# bracketed labels nested to random depths, so that leaves may be
+# misplaced, labels repeated and levels left without a branching node
+NESTED = st.recursive(
+    LABEL, lambda kids: st.lists(kids, min_size=1, max_size=3).map(lambda ks: f"({' '.join(ks)})")
+)
+UTREE_TEXT = st.one_of(
+    header_first("utree v1\nlevels 2 1", "utree v1\nlevels 1", "utree v1"),
+    st.builds(
+        "utree v1\nlevels {}\n{}\n".format, st.sampled_from(["", "1", "2 1", "3 2 1", "1 2"]), NESTED
+    ),
+    leveled_trees(max_leaves=6).map(umr.format_utree),
+)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(spliced(UTREE_TEXT))
+def test_parse_utree_matches_the_token_oracle(text):
+    assert outcome(umr.parse_utree, text) == outcome(naive_parse_utree, text)
+
+
+def test_parse_utree_matches_the_token_oracle_on_chosen_texts():
+    deep = "(" * 3000 + "a" + ")" * 3000
+    levels = " ".join(str(k) for k in range(3000, 0, -1))
+    bodies = {
+        "3 2 1": ["(a (b) ((c)))", "(((a b) (c)) ((d)))"],  # misplaced leaves; a valid tree
+        "2 1": ["((a) (a))", "((a b) (c)) )", ") ((a))", "((a b)", "((a) ())", "(a b) c"],
+        "1 2": ["(a b c)", "(a b c) d"],
+        "1": ["((a b)", deep],
+        levels: [deep],
+    }
+    texts = [f"utree v1\nlevels {line}\n{body}\n" for line, group in bodies.items() for body in group]
+    for text in [*texts, umr.format_utree(umr.comb_tree(1200))]:
+        assert outcome(umr.parse_utree, text) == outcome(naive_parse_utree, text)

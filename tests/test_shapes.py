@@ -14,6 +14,7 @@ from util import (
     leveled_trees,
     naive_child_counts,
     naive_is_comb,
+    nested_tree,
     profile_classes,
 )
 
@@ -40,7 +41,7 @@ def test_is_comb_examples():
 
 
 def check_join_statistics(tree):
-    root = tree.root
+    root = nested_tree(tree)
     counts = naive_child_counts(root)
     assert umr.is_comb(tree) == naive_is_comb(root)
     assert umr.trees.child_counts(tree) == [set(level) for level in counts]
@@ -141,6 +142,6 @@ def test_uniform_tree_structure():
     assert umr.is_order_invariant(space)
     assert list(umr.distance_set(space)) == [F(2), F(1)]
     single = umr.uniform_tree((), umr.DistanceSet(()))
-    assert single.root == umr.TreeNode(label="z1")
+    assert (single.labels, single.joins) == (("z1",), ())
     with pytest.raises(ValueError, match="leaf at depth 1, expected 2"):
         umr.uniform_tree((2, 0), levels)

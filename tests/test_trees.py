@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 
 import umr
-from util import brute_isometry_count, c3, cb4, e3, leveled_trees, shape_spaces
+from util import (
+    brute_isometry_count,
+    c3,
+    cb4,
+    e3,
+    from_nested,
+    leveled_trees,
+    nested_tree,
+    shape_spaces,
+)
 
 
 def test_c3_tree_structure():
@@ -24,7 +33,7 @@ def test_one_point_tree_is_a_single_leaf():
     space = umr.validate_space([[0]], ["a"])
     tree = umr.space_to_tree(space, (0,))
     assert tree.height == 0
-    assert tree.root.is_leaf
+    assert (tree.labels, tree.joins) == (("a",), ())
     assert umr.format_utree(tree) == "utree v1\nlevels\na\n"
 
 
@@ -106,18 +115,6 @@ def test_canonical_code_stable_under_reserialization():
     assert umr.canonical_code(reparsed) == umr.canonical_code(tree)
 
 
-def test_node_equality_counts_labels_and_child_order():
-    a, b = umr.TreeNode(label="a"), umr.TreeNode(label="b")
-    pair = umr.TreeNode(children=(a, b))
-    assert pair == umr.TreeNode(children=(umr.TreeNode(label="a"), b))
-    assert hash(pair) == hash(umr.TreeNode(children=(umr.TreeNode(label="a"), b)))
-    assert pair != umr.TreeNode(children=(b, a))
-    assert pair != umr.TreeNode(children=(a, b, umr.TreeNode(label="c")))
-    assert umr.TreeNode(children=(pair,)) != umr.TreeNode(children=(pair, pair))
-    assert a != umr.TreeNode(children=(a,))
-    assert a != "a"
-
-
 def test_utree_round_trip_normalizes_whitespace():
     text = "utree v1\nlevels 2 1\n( ( a   b )   (c) )\n"
     tree = umr.parse_utree(text)
@@ -167,7 +164,7 @@ def test_random_tree_round_trip(tree):
     rebuilt = umr.space_to_tree(space, order)
     assert rebuilt == tree
     assert hash(rebuilt) == hash(tree)
-    from_nodes = umr.LeveledTree.from_root(tree.root, tree.levels)
+    from_nodes = from_nested(nested_tree(tree), tree.levels)
     assert from_nodes == tree
     assert hash(from_nodes) == hash(tree)
     assert umr.parse_utree(umr.format_utree(tree)) == tree

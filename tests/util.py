@@ -5,14 +5,16 @@ are counted by scanning all permutations against the raw matrix, convexity
 is re-derived from the interval definition, the validity check and its
 first witness are naive scans ending in a triple loop, arrows are decided
 by trying every coloring (or every restricted-growth coloring, one by one,
-for the engine's counts), and the homogeneous model's checks and moves
-are pair loops and arithmetic over plain coordinate dicts.  Expected
-values in the tests come from these, never from the functions under test.
+for the engine's counts), the homogeneous model's checks and moves are
+pair loops and arithmetic over plain coordinate dicts, and trees are
+read, padded and walked as nested tuples (a leaf is its label, a node the
+tuple of its children).  Expected values in the tests come from these,
+never from the functions under test.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 from hypothesis import strategies as st
 
@@ -330,29 +332,154 @@ def naive_apply(move, point):
     return umr.qs_point(items)
 
 
+def _children(node):
+    """A nested-tuple node's children: a leaf is its label, a node the
+    tuple of its children."""
+    return () if isinstance(node, str) else node
+
+
+def nested_tree(tree):
+    """The record as nested tuples, split top down: a depth-d node's
+    children are the runs of its leaves that no join at depth d separates."""
+    def node(lo, hi, depth):
+        if depth == tree.height:
+            return tree.labels[lo]
+        bounds = [lo, *(i + 1 for i in range(lo, hi - 1) if tree.joins[i] == depth), hi]
+        return tuple(node(a, b, depth + 1) for a, b in zip(bounds, bounds[1:]))
+
+    return node(0, len(tree.labels), 0)
+
+
+def from_nested(root, levels):
+    """The record of a nested-tuple tree whose leaves must all lie at depth
+    len(levels), read by a pre-order walk: the child of the deepest common
+    ancestor of leaves i and i + 1 is the first node visited after leaf i."""
+    height = len(levels)
+    labels, joins = [], []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if len(joins) < len(labels):
+            joins.append(depth - 1)
+        if isinstance(node, str):
+            if depth != height:
+                raise ValueError(f"leaf at depth {depth}, expected {height}")
+            labels.append(node)
+        elif depth >= height:
+            raise ValueError("internal node below the leaf level")
+        stack.extend((child, depth + 1) for child in reversed(_children(node)))
+    return umr.LeveledTree(tuple(labels), tuple(joins), levels)
+
+
+def _post_order(root):
+    """Every node after its subtrees, children left to right."""
+    visited, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        visited.append(node)
+        stack.extend(_children(node))
+    return visited[::-1]
+
+
 def naive_child_counts(root):
     """Child counts of the internal nodes on each level from the root down,
-    found breadth first over the nodes."""
+    found breadth first over the nested-tuple nodes."""
     counts = []
     level = [root]
-    while any(node.children for node in level):
-        counts.append([len(node.children) for node in level if node.children])
-        level = [child for node in level for child in node.children]
+    while any(_children(node) for node in level):
+        counts.append([len(node) for node in level if _children(node)])
+        level = [child for node in level for child in _children(node)]
     return counts
 
 
 def naive_is_comb(root):
     """True when no node has two children whose subtrees branch, found by a
-    post-order walk over the nodes."""
+    post-order walk over the nested-tuple nodes."""
     branched = []  # per finished subtree: has a branching node
-    for node in umr.trees.post_order(root):
-        k = len(node.children)
+    for node in _post_order(root):
+        k = len(_children(node))
         kids = branched[len(branched) - k:]
         del branched[len(branched) - k:]
         if sum(kids) > 1:
             return False
         branched.append(k >= 2 or any(kids))
     return True
+
+
+def naive_parse_utree(text):
+    """UTREE text read token by token into nested tuples, then into a
+    record by ``from_nested``, with ``parse_utree``'s errors in its order:
+    rationals, nesting depth, syntax in text order, levels, the first
+    misplaced leaf, the record's own checks."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "utree v1":
+        raise umr.FormatError("expected 'utree v1' header")
+    if len(lines) < 3 or not lines[1].startswith("levels"):
+        raise umr.FormatError("expected 'levels' line and a tree line")
+    values = tuple(umr.parse_rational(tok) for tok in lines[1].split()[1:])
+    tokens = " ".join(lines[2:]).replace("(", " ( ").replace(")", " ) ").split()
+    depth = deepest = 0
+    for token in tokens:
+        if token == "(":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif token == ")":
+            depth -= 1
+    if deepest > len(values):
+        raise umr.FormatError(f"tree nests {deepest} deep but has {len(values)} levels")
+    open_kids = []  # the children of each unclosed bracket, innermost last
+    root = None
+    for token in tokens:
+        if root is not None:
+            raise umr.FormatError("trailing tokens after tree")
+        if token == "(":
+            open_kids.append([])
+            continue
+        if token != ")":
+            node = token
+        elif not open_kids:
+            raise umr.FormatError("unexpected ')'")
+        else:
+            node = tuple(open_kids.pop())
+            if not node:
+                raise umr.FormatError("internal node with no children")
+        if open_kids:
+            open_kids[-1].append(node)
+        else:
+            root = node
+    if open_kids:
+        raise umr.FormatError("missing ')'")
+    try:
+        return from_nested(root, umr.DistanceSet(values))
+    except ValueError as exc:
+        raise umr.FormatError(str(exc)) from exc
+
+
+def naive_hull(space):
+    """The order-invariant hull by padding the nested-tuple tree: every
+    node's children first, padded in turn, then fresh complete subtrees up
+    to its level's maximum branching, their leaves labeled ``_h<k>`` in
+    the order they are made, skipping input labels."""
+    tree = umr.canonical_tree(space)
+    height = tree.height
+    branch = [max(level) for level in naive_child_counts(nested_tree(tree))]
+    taken = set(space.labels)
+    names = (f"_h{k}" for k in count(1))
+
+    def fresh_subtree(depth):
+        if depth == height:
+            return next(name for name in names if name not in taken)
+        return tuple(fresh_subtree(depth + 1) for _ in range(branch[depth]))
+
+    def pad(node, depth):
+        if isinstance(node, str):
+            return node
+        kids = [pad(child, depth + 1) for child in node]
+        kids += [fresh_subtree(depth + 1) for _ in range(branch[depth] - len(kids))]
+        return tuple(kids)
+
+    hull, _ = umr.tree_to_space(from_nested(pad(nested_tree(tree), 0), tree.levels))
+    return hull
 
 
 def shuffled_shape_spaces(max_leaves):
@@ -389,15 +516,12 @@ def leveled_trees(draw, max_leaves):
     decreasing rational levels."""
     n = draw(st.integers(1, max_leaves))
     labels = draw(st.permutations([f"x{i}" for i in range(n)]))
-    nodes = [umr.TreeNode(label=label) for label in labels]
+    nodes = list(labels)
     height = 0
     while len(nodes) > 1:
         cuts = sorted(draw(st.sets(st.integers(1, len(nodes) - 1), max_size=len(nodes) - 2)))
         bounds = [0, *cuts, len(nodes)]
-        nodes = [
-            umr.TreeNode(children=tuple(nodes[lo:hi]))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        nodes = [tuple(nodes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
         height += 1
     levels = draw(
         st.lists(
@@ -407,7 +531,7 @@ def leveled_trees(draw, max_leaves):
             unique=True,
         )
     )
-    return umr.LeveledTree.from_root(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
+    return from_nested(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
 
 
 def frac(text):
