@@ -26,8 +26,8 @@ from .spaces import UltrametricSpace, _nearest_unused, _steps
 from .trees import (
     LeveledTree,
     _uniform_joins,
+    branchings,
     canonical_tree,
-    child_counts,
     count_automorphisms,
     count_sibling_orderings,
     tree_to_space,
@@ -119,9 +119,12 @@ def _tree_report(tree: LeveledTree) -> RamseyDegreeReport:
 
 
 def is_order_invariant(space: UltrametricSpace) -> bool:
-    """True iff all convex orderings of the space are isomorphic, which
-    happens exactly when its tree branches uniformly on each level."""
-    return all(len(counts) == 1 for counts in child_counts(canonical_tree(space)))
+    """True iff all convex orderings of the space are isomorphic, that is
+    iff its tree branches uniformly on each level: the leaves reach the
+    product of the per-level maximum child counts exactly when every node
+    has its level's maximum."""
+    tree = canonical_tree(space)
+    return prod(branchings(tree)) == len(tree.labels)
 
 
 def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
@@ -133,7 +136,7 @@ def order_invariant_hull(space: UltrametricSpace) -> UltrametricSpace:
     contains the input isometrically and is order-invariant.
     """
     tree = canonical_tree(space)
-    branch = [max(counts) for counts in child_counts(tree)]
+    branch = branchings(tree)
     size = prod(branch)
     if size > sys.maxsize:
         raise ValueError(f"hull has {size} points, more than a list can hold")

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -30,7 +29,7 @@ from .errors import BudgetExceeded, OracleFailure
 from .orders import order_type_partition
 from .shapes import branching_vectors, uniform_tree
 from .spaces import UltrametricSpace, _steps, canonical_convex_order
-from .trees import _require_convex, space_to_tree, tree_to_space
+from .trees import _fold, _require_convex, space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -71,29 +70,20 @@ class ArrowVerdict:
     colorings: int
 
 
+def _ball(step: Fraction, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
+    balls.sort(key=itemgetter(0))
+    return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
+
+
 def _canonical(steps: Sequence[Fraction]) -> tuple[tuple, list[int]]:
     """Canonical form of the space a convex sequence spans, and the
     sequence's positions arranged along it, read off its adjacent steps.
 
     A point's form is ``()``; a ball cut at its largest steps into top balls
-    has the form ``(step, their forms sorted)``, built on a stack of the
-    open balls that a last, infinite step closes.  Equal forms mean
-    isometric spaces, and lining up their arrangements gives an isometry."""
-    stack: list[tuple[Fraction | float, list]] = []
-    last: tuple = ((), [0])
-    for position, step in enumerate([*steps, inf], 1):
-        while stack and stack[-1][0] < step:
-            top, balls = stack.pop()
-            balls.append(last)
-            balls.sort(key=itemgetter(0))
-            arranged = [p for _, part in balls for p in part]
-            last = (top, tuple([form for form, _ in balls])), arranged
-        if stack and stack[-1][0] == step:
-            stack[-1][1].append(last)
-        else:
-            stack.append((step, [last]))
-        last = ((), [position])
-    return stack[0][1][0]
+    has the form ``(step, their forms sorted)``, and its arrangement is
+    theirs in that order.  Equal forms mean isometric spaces, and lining up
+    their arrangements gives an isometry."""
+    return _fold(steps, [((), [p]) for p in range(len(steps) + 1)], _ball)
 
 
 def enumerate_copies(

@@ -103,18 +103,10 @@ def all_tree_shapes(leaves: int) -> list[LeveledTree]:
 
 
 def is_comb(tree: LeveledTree) -> bool:
-    """True when all branching nodes lie on a single root-to-leaf branch.
-
-    Each join is a branching node, and two of them lie apart iff some pair
-    of neighbours between them joins above both; so the tree is a comb iff
-    its joins never fall and then rise."""
-    fallen = False
-    for left, right in zip(tree.joins, tree.joins[1:]):
-        if right < left:
-            fallen = True
-        elif right > left and fallen:
-            return False
-    return True
+    """True when all branching nodes lie on a single root-to-leaf branch,
+    that is when no node has two children with branching nodes below.  A
+    subtree reads 0 for a leaf, 1 for a comb that branches, 2 otherwise."""
+    return tree._fold(0, lambda key, kids: 1 + (sum(kids) > 1)) < 2
 
 
 def comb_tree(leaves: int) -> LeveledTree:

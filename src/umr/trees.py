@@ -20,10 +20,11 @@ every statistic is read off them.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
-from typing import Callable, Sequence, TypeVar
+from math import factorial, inf, prod
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .errors import FormatError, NonConvexOrder
 from .rational import format_rational, parse_rational
@@ -63,29 +64,39 @@ class LeveledTree:
     def height(self) -> int:
         return len(self.levels)
 
-    def _fold(self, leaf_values: Sequence[_T], node: Callable[[int, list[_T]], _T]) -> _T:
-        """The root's value, where a leaf's value is given from left to
-        right and an internal node's is node(depth, its children's values)."""
-        height = self.height
-        # values[m] holds the values of the finished children of the open
-        # node at depth m - 1.  Neighbours that join at depth m share their
-        # ancestors down to depth m, so the open nodes below it close between
-        # them; after the last leaf every node closes and values[0] holds the
-        # root's.
-        values: list[list[_T]] = [[] for _ in range(height + 1)]
-        for value, join in zip(leaf_values, [*self.joins, -1]):
-            values[height].append(value)
-            for depth in range(height - 1, join, -1):
-                values[depth].append(node(depth, values[depth + 1]))
-                values[depth + 1] = []
-        return values[0][0]
+    def _fold(self, leaf: _T, node: Callable[[int, list[_T]], _T]) -> _T:
+        """``_fold`` with minus the joins as steps: ``node`` gets -depth."""
+        return _fold([-j for j in self.joins], [leaf] * len(self.labels), node)
 
 
-def child_counts(tree: LeveledTree) -> list[set[int]]:
-    """Child counts of the internal nodes on each level 0..height-1."""
-    counts: list[set[int]] = [set() for _ in range(tree.height)]
-    tree._fold(tree.labels, lambda depth, kids: counts[depth].add(len(kids)))
-    return counts
+def _fold(steps: Sequence[Any], leaves: Iterable[_T], node: Callable[[Any, list[_T]], _T]) -> _T:
+    """Value of the ball a sequence spans, from its adjacent steps and its
+    points' values: a ball cut at its largest step ``key`` into top balls is
+    node(key, their values).  One stack pass closes a ball where a neighbour's
+    step is larger, so it visits only branching balls, in O(n) plus the calls."""
+    stack: list[tuple[Any, list[_T]]] = []
+    for step, value in zip([*steps, inf], leaves):
+        while stack and stack[-1][0] < step:
+            key, kids = stack.pop()
+            kids.append(value)
+            value = node(key, kids)
+        if stack and stack[-1][0] == step:
+            stack[-1][1].append(value)
+        else:
+            stack.append((step, [value]))
+    return stack[0][1][0]
+
+
+def branchings(tree: LeveledTree) -> list[int]:
+    """The largest child count on each level 0..height-1.  Every level has
+    a branching node, so the unary nodes the fold skips never set it."""
+    most = [1] * tree.height
+
+    def node(key: int, kids: list[None]) -> None:
+        most[-key] = max(most[-key], len(kids))
+
+    tree._fold(None, node)
+    return most
 
 
 def _uniform_joins(vector: Sequence[int]) -> tuple[int, ...]:
@@ -146,44 +157,47 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
     return UltrametricSpace(labels, tuple(tuple(row) for row in dist), order), order
 
 
-def _code_and_aut(tree: LeveledTree) -> tuple[str, int]:
-    # aut(node) = prod of child auts * prod over equal-code groups of mult!
-    def node(depth: int, kids: list[tuple[str, int]]) -> tuple[str, int]:
-        kids.sort()
-        aut = 1
-        run_code, run_length = None, 0
-        for code, child_aut in kids:
-            aut *= child_aut
-            if code == run_code:
-                run_length += 1
-            else:
-                aut *= factorial(run_length)
-                run_code, run_length = code, 1
-        aut *= factorial(run_length)
-        return "(" + "".join(code for code, _ in kids) + ")", aut
-
-    return tree._fold([("()", 1)] * len(tree.labels), node)
-
-
 def count_automorphisms(tree: LeveledTree) -> int:
     """Number of level-preserving, parent-respecting self-bijections; equals
     the isometry count of the dual space."""
-    return _code_and_aut(tree)[1]
+    # a subtree's class id interns its first branching depth and its
+    # children's sorted ids; aut = prod of child auts * prod of mult!
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    auts = [1]  # the leaf class is 0
+
+    def node(key: int, kids: list[int]) -> int:
+        form = (key, tuple(sorted(kids)))
+        if form not in ids:
+            ids[form] = len(auts)
+            auts.append(prod(auts[k] ** m * factorial(m) for k, m in Counter(kids).items()))
+        return ids[form]
+
+    return auts[tree._fold(0, node)]
 
 
 def canonical_code(tree: LeveledTree) -> str:
     """Order-comparable token string identifying a tree up to a
     level-preserving, parent-respecting bijection (sibling order and leaf
-    labels ignored)."""
-    return _code_and_aut(tree)[0]
+    labels ignored): a leaf is ``()``, a node its children's codes sorted
+    and wrapped in one more pair of brackets."""
+    # a value is (depth of the subtree's first branching, its code); a
+    # child first branching at depth d of a node at depth t sits below
+    # d - t - 1 unary nodes, each wrapping its code once more
+    def node(key: int, kids: list[tuple[int, str]]) -> tuple[int, str]:
+        codes = []
+        for d, code in kids:
+            wraps = d + key - 1
+            codes.append("".join(["(" * wraps, code, ")" * wraps]) if wraps else code)
+        codes.sort()
+        return -key, "".join(["(", *codes, ")"])
+
+    return tree._fold((tree.height, "()"), node)[1]  # the root branches
 
 
 def count_sibling_orderings(tree: LeveledTree) -> int:
     """Product of (child count)! over internal nodes: the number of sibling
     rearrangements, i.e. of convex orders of the dual space."""
-    return tree._fold(
-        [1] * len(tree.labels), lambda depth, kids: factorial(len(kids)) * prod(kids)
-    )
+    return tree._fold(1, lambda key, kids: factorial(len(kids)) * prod(kids))
 
 
 # --- UTREE text format -----------------------------------------------------

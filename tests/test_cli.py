@@ -108,6 +108,12 @@ def test_iso_rejects_deep_nesting(tmp_path, capsys):
     assert out.startswith("FormatError ")
 
 
+def test_iso_reads_a_deep_comb_per_branching_node(tmp_path, capsys):
+    path = tmp_path / "comb.utree"
+    path.write_text(umr.format_utree(umr.comb_tree(1200)))
+    assert run(capsys, "iso", str(path)) == (0, "iso=2\n")
+
+
 def comb_uspace(n):
     """USPACE text of the n-point comb p1..pn: d(pi, pj) = 2^(j - 2)."""
     labels = " ".join(f"p{k}" for k in range(1, n + 1))

@@ -12,6 +12,8 @@ from util import (
     comb4,
     e3,
     leveled_trees,
+    naive_automorphisms,
+    naive_canonical_code,
     naive_child_counts,
     naive_is_comb,
     nested_tree,
@@ -44,16 +46,18 @@ def check_join_statistics(tree):
     root = nested_tree(tree)
     counts = naive_child_counts(root)
     assert umr.is_comb(tree) == naive_is_comb(root)
-    assert umr.trees.child_counts(tree) == [set(level) for level in counts]
+    assert umr.trees.branchings(tree) == [max(level) for level in counts]
     space, _ = umr.tree_to_space(tree)
     assert umr.is_order_invariant(space) == all(len(set(level)) == 1 for level in counts)
     assert umr.count_sibling_orderings(tree) == prod(
         factorial(c) for level in counts for c in level
     )
+    assert umr.canonical_code(tree) == naive_canonical_code(root)
+    assert umr.count_automorphisms(tree) == naive_automorphisms(root)
 
 
 def test_join_statistics_match_node_walks_on_all_shapes():
-    for n in range(1, 8):
+    for n in range(1, 9):
         for tree in umr.all_tree_shapes(n):
             check_join_statistics(tree)
 
@@ -82,6 +86,15 @@ def test_deep_comb_compares_hashes_and_is_a_comb():
     again = umr.parse_utree(umr.format_utree(comb))
     assert again == comb
     assert hash(again) == hash(comb)
+
+
+def test_deep_comb_statistics_read_only_branching_nodes():
+    comb = umr.comb_tree(1200)
+    assert umr.count_automorphisms(comb) == 2
+    assert umr.count_sibling_orderings(comb) == 2 ** 1199
+    assert umr.trees.branchings(comb) == [2] * 1199
+    shallower = umr.comb_tree(300)
+    assert umr.canonical_code(shallower) == naive_canonical_code(nested_tree(shallower))
 
 
 def test_comb4_space_matches_comb_tree():

@@ -13,8 +13,10 @@ never from the functions under test.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, count, permutations, product
+from math import factorial, prod
 
 from hypothesis import strategies as st
 
@@ -390,6 +392,33 @@ def naive_child_counts(root):
         counts.append([len(node) for node in level if _children(node)])
         level = [child for node in level for child in _children(node)]
     return counts
+
+
+def naive_canonical_code(root):
+    """The code of a nested-tuple tree by a post-order walk: a leaf is
+    ``()``, a node its children's codes sorted and wrapped in brackets."""
+    codes = []  # per finished subtree, left to right
+    for node in _post_order(root):
+        k = len(_children(node))
+        kids = sorted(codes[len(codes) - k:])
+        del codes[len(codes) - k:]
+        codes.append("(" + "".join(kids) + ")")
+    return codes[0]
+
+
+def naive_automorphisms(root):
+    """Automorphisms of a nested-tuple tree by a post-order walk: a node's
+    count is its children's product times m! for each group of m children
+    with equal codes."""
+    done = []  # per finished subtree: (code, automorphisms)
+    for node in _post_order(root):
+        k = len(_children(node))
+        kids = sorted(done[len(done) - k:])
+        del done[len(done) - k:]
+        groups = Counter(code for code, _ in kids)
+        total = prod(aut for _, aut in kids) * prod(factorial(m) for m in groups.values())
+        done.append(("(" + "".join(code for code, _ in kids) + ")", total))
+    return done[0][1]
 
 
 def naive_is_comb(root):
