@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -75,15 +76,19 @@ def _ball(step: Fraction, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, 
     return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
 
 
-def _canonical(steps: Sequence[Fraction]) -> tuple[tuple, list[int]]:
+def _canonical(
+    leaves: list[tuple[tuple, list[int]]], steps: Sequence[Fraction]
+) -> tuple[tuple, list[int]]:
     """Canonical form of the space a convex sequence spans, and the
-    sequence's positions arranged along it, read off its adjacent steps.
+    sequence's positions arranged along it, read off its adjacent steps;
+    ``leaves`` is ``[((), [p]) for p in range(len(steps) + 1)]``, which
+    the fold reads and never changes.
 
     A point's form is ``()``; a ball cut at its largest steps into top balls
     has the form ``(step, their forms sorted)``, and its arrangement is
     theirs in that order.  Equal forms mean isometric spaces, and lining up
     their arrangements gives an isometry."""
-    return _fold(steps, [((), [p]) for p in range(len(steps) + 1)], _ball)
+    return _fold(steps, leaves, _ball)
 
 
 def enumerate_copies(
@@ -111,7 +116,8 @@ def enumerate_copies(
         ambient_order = canonical_convex_order(ambient)
         pattern_order = canonical_convex_order(pattern)
     m, n = pattern.size, ambient.size
-    key = (lambda s: (s, range(m))) if ordered else _canonical
+    leaves = [((), [p]) for p in range(m)]
+    key = (lambda s: (s, range(m))) if ordered else partial(_canonical, leaves)
     target, pattern_arranged = key(_steps(pattern.dist, pattern_order))
     place = {point: p for p, point in enumerate(ambient_order)}
     out: list[Copy] = []

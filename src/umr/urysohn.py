@@ -19,16 +19,23 @@ fixing previously matched points sitting lower in the order.
 ``extend_isometry`` grows any finite order-preserving isometry one point
 at a time into a genuine automorphism: a translation matches the first
 pair, and each further point is captured by one CoordMap.
+
+``QsPoint`` and the move records are the public view.  Inside the model
+(the extension, the homogeneity harness and its sample check) a point is
+the tuple of its values at the menu's positions, largest scale first, so
+the lex order is tuple order and a distance is the first position where
+two tuples differ; ``_Frame`` converts at the boundary.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
-from typing import NoReturn, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     DuplicatePoint,
@@ -139,10 +146,10 @@ def qs_point(mapping) -> QsPoint:
     return QsPoint(tuple(cleaned))
 
 
-def _check_support(point: QsPoint, menu: DistanceSet) -> None:
-    for s in point.support():
-        if s not in menu:
-            raise ValueError(f"coordinate {format_rational(s)} not in menu")
+def _check_support(menu: DistanceSet, *points: QsPoint) -> None:
+    frame = _Frame(menu)
+    for point in points:
+        frame.values(point)
 
 
 def _largest_difference(x: QsPoint, y: QsPoint):
@@ -166,8 +173,7 @@ def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> Frac
     """0 for equal points, otherwise the largest coordinate where they
     differ."""
     if menu is not None:
-        _check_support(x, menu)
-        _check_support(y, menu)
+        _check_support(menu, x, y)
     diff = _largest_difference(x, y)
     return _ZERO if diff is None else diff[0]
 
@@ -176,26 +182,11 @@ def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> i
     """LESS/EQUAL/GREATER by the values at the largest differing
     coordinate."""
     if menu is not None:
-        _check_support(x, menu)
-        _check_support(y, menu)
+        _check_support(menu, x, y)
     diff = _largest_difference(x, y)
     if diff is None:
         return EQUAL
     return LESS if diff[1] < diff[2] else GREATER
-
-
-def _lex_key(point: QsPoint, scales: Sequence[Fraction]) -> list[Fraction]:
-    """The point's values at ``scales`` (decreasing, covering its support).
-    Such lists compare as their points do in lex order."""
-    key = []
-    coords, i = point.coords, 0
-    for s in scales:
-        if i < len(coords) and coords[i][0] == s:
-            key.append(coords[i][1])
-            i += 1
-        else:
-            key.append(_ZERO)
-    return key
 
 
 @dataclass(frozen=True)
@@ -206,6 +197,8 @@ class PiecewiseLinearMap:
 
     breakpoints: tuple[Fraction, ...] = ()
     slopes: tuple[Fraction, ...] = ()
+    # the image of each breakpoint, computed once when the map is built
+    _anchors: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.slopes):
@@ -216,32 +209,23 @@ class PiecewiseLinearMap:
         for m in self.slopes:
             if m <= 0:
                 raise ValueError("slopes must be positive")
-
-    def _anchor_values(self) -> list[Fraction]:
-        values = []
-        if self.breakpoints:
-            values.append(self.breakpoints[0])
-            for i in range(1, len(self.breakpoints)):
-                values.append(
-                    values[-1]
-                    + self.slopes[i - 1] * (self.breakpoints[i] - self.breakpoints[i - 1])
-                )
-        return values
+        anchors = list(self.breakpoints[:1])
+        for i in range(1, len(self.breakpoints)):
+            anchors.append(
+                anchors[-1] + self.slopes[i - 1] * (self.breakpoints[i] - self.breakpoints[i - 1])
+            )
+        object.__setattr__(self, "_anchors", tuple(anchors))
 
     def __call__(self, x: Fraction) -> Fraction:
         if not self.breakpoints or x <= self.breakpoints[0]:
             return x
-        values = self._anchor_values()
         for i in range(len(self.breakpoints) - 1, -1, -1):
             if x >= self.breakpoints[i]:
-                return values[i] + self.slopes[i] * (x - self.breakpoints[i])
+                return self._anchors[i] + self.slopes[i] * (x - self.breakpoints[i])
         raise AssertionError("unreachable")
 
     def inverse(self) -> "PiecewiseLinearMap":
-        values = self._anchor_values()
-        return PiecewiseLinearMap(
-            tuple(values), tuple(1 / m for m in self.slopes)
-        )
+        return PiecewiseLinearMap(self._anchors, tuple(1 / m for m in self.slopes))
 
 
 def stretch_above(alpha: Fraction, source: Fraction, image: Fraction) -> PiecewiseLinearMap:
@@ -339,6 +323,108 @@ def invert_automorphism(auto: QsAutomorphism) -> QsAutomorphism:
     return QsAutomorphism(tuple(move.invert() for move in reversed(auto.moves)))
 
 
+# --- the model on menu positions ---------------------------------------------
+
+
+class _Offset(NamedTuple):
+    """A Translate on value tuples: adds ``offset`` position by position."""
+
+    offset: tuple[Fraction, ...]
+
+    def __call__(self, x: tuple) -> tuple:
+        return tuple([a + d if d else a for a, d in zip(x, self.offset)])
+
+
+class _Ball(NamedTuple):
+    """A CoordMap on value tuples: its scale is position ``k``, its center
+    the values above it and its shifts the values below it."""
+
+    k: int
+    center: tuple[Fraction, ...]
+    threshold: Fraction
+    value_map: PiecewiseLinearMap
+    shifts: tuple[Fraction, ...]
+
+    def __call__(self, x: tuple) -> tuple:
+        k = self.k
+        if x[:k] != self.center or x[k] <= self.threshold:
+            return x
+        below = [a + d if d else a for a, d in zip(x[k + 1:], self.shifts)]
+        return (*self.center, self.value_map(x[k]), *below)
+
+
+def _run(moves: Sequence[Callable[[tuple], tuple]], x: tuple) -> tuple:
+    for move in moves:
+        x = move(x)
+    return x
+
+
+def _first_difference(x: tuple, y: tuple) -> int:
+    """The first position where two value tuples differ (the position of
+    their distance), or len(x) when they are equal."""
+    for k, (a, b) in enumerate(zip(x, y)):
+        if a is not b and a != b:
+            return k
+    return len(x)
+
+
+class _Frame:
+    """A menu's positions, largest scale first, and every conversion
+    between value tuples there and the public QsPoint and move records.
+    A value tuple holds ``_ZERO`` where the point has no coordinate."""
+
+    def __init__(self, menu: DistanceSet):
+        self.scales = menu.values
+        self.position = {s: k for k, s in enumerate(self.scales)}
+        self.zero = (_ZERO,) * len(self.scales)
+
+    def _position(self, scale: Fraction) -> int:
+        k = self.position.get(scale)
+        if k is None:
+            raise ValueError(f"coordinate {format_rational(scale)} not in menu")
+        return k
+
+    def values(self, point: QsPoint) -> tuple[Fraction, ...]:
+        """The point's value tuple; ValueError if its support leaves the menu."""
+        values = list(self.zero)
+        for s, v in point.coords:
+            values[self._position(s)] = v
+        return tuple(values)
+
+    def point(self, values: Sequence[Fraction]) -> QsPoint:
+        """The point with these values at the first len(values) positions."""
+        return QsPoint(tuple((s, v) for s, v in zip(self.scales, values) if v))
+
+    def draw(self, rng: random.Random) -> tuple[int, ...]:
+        """``random_point``'s draw as the numerators n of its values
+        n/POINT_GRID (0 where it has no coordinate): one rng.random() per
+        position and one rng.randint() per position it fills."""
+        return tuple([
+            rng.randint(-POINT_SPAN, POINT_SPAN) if rng.random() < POINT_DENSITY else 0
+            for _ in self.scales
+        ])
+
+    def compile(self, move: Move) -> _Offset | _Ball:
+        if isinstance(move, Translate):
+            return _Offset(self.values(move.offset))
+        k = self._position(move.scale)
+        return _Ball(
+            k, self.values(move.center)[:k], move.threshold, move.value_map,
+            self.values(QsPoint(move.shifts))[k + 1:],
+        )
+
+    def record(self, move: _Offset | _Ball) -> Move:
+        if isinstance(move, _Offset):
+            return Translate(self.point(move.offset))
+        return CoordMap(
+            scale=self.scales[move.k],
+            center=self.point(move.center),
+            threshold=move.threshold,
+            value_map=move.value_map,
+            shifts=self.point(self.zero[:move.k + 1] + move.shifts).coords,
+        )
+
+
 def extend_isometry(
     pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet
 ) -> QsAutomorphism:
@@ -358,63 +444,64 @@ def extend_isometry(
     agree above s and both sit above all earlier targets at s, so a
     threshold strictly between leaves the earlier targets fixed while a
     stretch at s plus shifts below s move h(x) exactly onto the target.
+    The work runs on value tuples; only the moves it returns are records.
     """
-    sources = [p for p, _ in pairs]
-    targets = [q for _, q in pairs]
-    for p in sources + targets:
-        _check_support(p, menu)
-    n = len(pairs)
+    frame = _Frame(menu)
+    sources = [frame.values(p) for p, _ in pairs]
+    targets = [frame.values(q) for _, q in pairs]
+    return QsAutomorphism(tuple(map(frame.record, _extend(sources, targets))))
+
+
+def _extend(sources: list[tuple], targets: list[tuple]) -> list[_Offset | _Ball]:
+    """``extend_isometry`` on value tuples of one frame: the moves, in
+    order, or the same UmrError for the same pair."""
+    n = len(sources)
     if n == 0:
-        return IDENTITY
-    ordered = sorted(pairs, key=lambda pair: _lex_key(pair[0], menu.values))
-    xs = [p for p, _ in ordered]
-    ys = [q for _, q in ordered]
+        return []
+    ordered = sorted(zip(sources, targets), key=itemgetter(0))
+    xs = [x for x, _ in ordered]
+    ys = [y for _, y in ordered]
     steps = []
     for m in range(1, n):
-        dx = _largest_difference(xs[m - 1], xs[m])
-        dy = _largest_difference(ys[m - 1], ys[m])
-        if dx is None or dy is None or dy[1] >= dy[2] or dx[0] != dy[0]:
+        k = _first_difference(xs[m - 1], xs[m])
+        apart = k < len(xs[m]) and _first_difference(ys[m - 1], ys[m]) == k
+        if not apart or ys[m - 1][k] >= ys[m][k]:
             _raise_first_bad_pair(sources, targets)
-        steps.append(dx[0])
+        steps.append(k)
 
-    moves: list[Move] = []
+    moves: list[_Offset | _Ball] = []
     if xs[0] != ys[0]:
-        moves.append(Translate(ys[0] - xs[0]))
+        moves.append(_Offset(tuple([b - a for a, b in zip(xs[0], ys[0])])))
 
     for m in range(1, n):
-        carried = QsAutomorphism(tuple(moves))(xs[m])
+        carried = _run(moves, xs[m])
         wanted = ys[m]
         if carried == wanted:
             continue
-        s = steps[m - 1]
+        k = steps[m - 1]
         # geometry of the sorted configuration, guaranteed by validation
-        assert qs_distance(carried, wanted) <= s
-        low = ys[m - 1].value_at(s)
-        high = min(wanted.value_at(s), carried.value_at(s))
+        assert _first_difference(carried, wanted) >= k
+        low = ys[m - 1][k]
+        high = min(wanted[k], carried[k])
         assert low < high
         alpha = (low + high) / 2
-        shifts = tuple((t, delta) for t, delta in (wanted - carried).coords if t < s)
-        moves.append(
-            CoordMap(
-                scale=s,
-                center=wanted.restrict_above(s),
-                threshold=alpha,
-                value_map=stretch_above(alpha, carried.value_at(s), wanted.value_at(s)),
-                shifts=shifts,
-            )
-        )
-    return QsAutomorphism(tuple(moves))
+        moves.append(_Ball(
+            k, wanted[:k], alpha, stretch_above(alpha, carried[k], wanted[k]),
+            tuple([b - a for a, b in zip(carried[k + 1:], wanted[k + 1:])]),
+        ))
+    return moves
 
 
-def _raise_first_bad_pair(sources: list[QsPoint], targets: list[QsPoint]) -> NoReturn:
+def _raise_first_bad_pair(sources: list[tuple], targets: list[tuple]) -> NoReturn:
     """Raise for the first pair (i, j), in the given order, that the map
     does not keep apart, at the same distance and in the same order."""
     for i, j in combinations(range(len(sources)), 2):
-        if sources[i] == sources[j]:
+        k = _first_difference(sources[i], sources[j])
+        if k == len(sources[i]):
             raise DuplicatePoint(f"sources {i} and {j} coincide")
-        if qs_distance(sources[i], sources[j]) != qs_distance(targets[i], targets[j]):
+        if _first_difference(targets[i], targets[j]) != k:
             raise NotPartialIsometry(i, j)
-        if qs_lex_compare(sources[i], sources[j]) != qs_lex_compare(targets[i], targets[j]):
+        if (sources[i] < sources[j]) != (targets[i] < targets[j]):
             raise NotOrderPreserving(i, j)
     raise AssertionError("the sorted check failed on a valid map")
 
@@ -424,19 +511,22 @@ def _raise_first_bad_pair(sources: list[QsPoint], targets: list[QsPoint]) -> NoR
 POINT_DENSITY = 0.75
 POINT_SPAN = 18
 POINT_GRID = 6
+# n -> n/POINT_GRID for |n| <= POINT_SPAN, one object per value, so that
+# equal drawn values compare by identity
+_GRID = {n: Fraction(n, POINT_GRID) if n else _ZERO for n in range(-POINT_SPAN, POINT_SPAN + 1)}
+
+
+def _on_grid(numerators: Sequence[int]) -> tuple[Fraction, ...]:
+    """The value tuple of a draw."""
+    return tuple([_GRID[n] for n in numerators])
 
 
 def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
     """Random finitely supported point: each coordinate present with
     probability POINT_DENSITY, values n/POINT_GRID for integers n with
     |n| <= POINT_SPAN."""
-    coords = []
-    for s in menu:
-        if rng.random() < POINT_DENSITY:
-            value = rng.randint(-POINT_SPAN, POINT_SPAN)
-            if value:
-                coords.append((s, Fraction(value, POINT_GRID)))
-    return QsPoint(tuple(coords))
+    frame = _Frame(menu)
+    return frame.point(_on_grid(frame.draw(rng)))
 
 
 def random_automorphism(
@@ -447,31 +537,31 @@ def random_automorphism(
         Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
         Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
     )
+    frame = _Frame(menu)
     moves: list[Move] = []
     for _ in range(rng.randint(1, max_moves)):
         if rng.random() < 0.5:
-            moves.append(Translate(random_point(menu, rng)))
+            moves.append(Translate(frame.point(_on_grid(frame.draw(rng)))))
             continue
-        scale = menu[rng.randrange(len(menu))]
+        k = rng.randrange(len(menu))
         alpha = Fraction(rng.randint(-18, 18), 6)
         breakpoints = [alpha]
         for _ in range(rng.randint(0, 2)):
             breakpoints.append(breakpoints[-1] + Fraction(rng.randint(1, 12), 6))
         chosen = tuple(rng.choice(slopes) for _ in breakpoints)
         shift_items = []
-        for t in menu:
-            if t < scale and rng.random() < 0.5:
+        for t in menu[k + 1:]:
+            if rng.random() < 0.5:
                 delta = Fraction(rng.randint(-12, 12), 6)
                 if delta != 0:
                     shift_items.append((t, delta))
-        shifts = tuple(shift_items)
         moves.append(
             CoordMap(
-                scale=scale,
-                center=random_point(menu, rng).restrict_above(scale),
+                scale=menu[k],
+                center=frame.point(_on_grid(frame.draw(rng)[:k])),
                 threshold=alpha,
                 value_map=PiecewiseLinearMap(tuple(breakpoints), chosen),
-                shifts=shifts,
+                shifts=tuple(shift_items),
             )
         )
     return QsAutomorphism(tuple(moves))
@@ -479,9 +569,14 @@ def random_automorphism(
 
 @dataclass(frozen=True)
 class HomogeneityReport:
+    """``reasons[i]`` says why trial ``failures[i]`` failed: the name of the
+    UmrError the extension raised, "image mismatch" (a target missed) or
+    "sample mismatch" (a sample pair's distance or order changed)."""
+
     trials: int
     passes: int
     failures: tuple[int, ...]
+    reasons: tuple[str, ...]
 
     @property
     def all_passed(self) -> bool:
@@ -503,9 +598,11 @@ def check_homogeneity(
     preserves distance and order on every pair from an independent sample,
     checked along the sample's sorted order with O(s log s) comparisons;
     that is exact because the lex order is convex on every finite set.
-    Trial i uses seed + i, so trials are independent of scheduling.  n may
-    not exceed the (2 POINT_SPAN + 1)^len(menu) distinct points that
-    ``random_point`` can draw.
+    Points, moves and the sample are value tuples throughout, drawn with
+    the rng calls of ``random_point``.  Trial i uses seed + i, so trials
+    are independent of scheduling.  n may not exceed the
+    (2 POINT_SPAN + 1)^len(menu) distinct points that ``random_point``
+    can draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -514,43 +611,46 @@ def check_homogeneity(
     limit = (2 * POINT_SPAN + 1) ** len(menu)
     if n > limit:
         raise ValueError(f"n must be at most {limit}, the number of distinct random points")
-    failures = []
+    frame = _Frame(menu)
+    failures, reasons = [], []
     for t in range(trials):
         rng = random.Random(seed + t)
-        points: list[QsPoint] = []
-        seen: set[QsPoint] = set()
-        while len(points) < n:
-            candidate = random_point(menu, rng)
-            if candidate not in seen:
-                seen.add(candidate)
-                points.append(candidate)
-        scrambler = random_automorphism(menu, rng)
-        images = [scrambler(p) for p in points]
+        drawn: dict[tuple[int, ...], None] = {}
+        while len(drawn) < n:
+            drawn[frame.draw(rng)] = None
+        points = list(map(_on_grid, drawn))
+        scrambler = [frame.compile(move) for move in random_automorphism(menu, rng).moves]
+        images = [_run(scrambler, p) for p in points]
         try:
-            extension = extend_isometry(list(zip(points, images)), menu)
-        except UmrError:
-            failures.append(t)
-            continue
-        ok = all(extension(p) == q for p, q in zip(points, images))
-        if ok:
-            sample = [random_point(menu, rng) for _ in range(samples)]
-            ok = _preserves_sample(extension, sample, menu)
-        if not ok:
-            failures.append(t)
-    return HomogeneityReport(trials, trials - len(failures), tuple(failures))
+            moves = _extend(points, images)
+        except UmrError as exc:
+            reason = type(exc).__name__
+        else:
+            if any(_run(moves, p) != q for p, q in zip(points, images)):
+                reason = "image mismatch"
+            else:
+                # numerators sort as their values do, so the check's own
+                # sort meets the sample in order
+                sample = sorted([frame.draw(rng) for _ in range(samples)])
+                if _preserves_sample(partial(_run, moves), list(map(_on_grid, sample))):
+                    continue
+                reason = "sample mismatch"
+        failures.append(t)
+        reasons.append(reason)
+    return HomogeneityReport(trials, trials - len(failures), tuple(failures), tuple(reasons))
 
 
-def _preserves_sample(auto, sample: Sequence[QsPoint], menu: DistanceSet) -> bool:
-    """Whether ``auto`` preserves distance and order on every pair of a
-    sample of points on ``menu``."""
+def _preserves_sample(image: Callable[[tuple], tuple], sample: Sequence[tuple]) -> bool:
+    """Whether ``image`` preserves distance and order on every pair of a
+    sample of value tuples."""
     # Lex order is convex on every finite set, so each distance is the
     # largest adjacent step between its two points, in both sorted lists.
-    ordered = sorted(sample, key=lambda p: _lex_key(p, menu.values))
+    ordered = sorted(sample)
     points = ordered[:1] + [y for x, y in zip(ordered, ordered[1:]) if x != y]
-    images = [auto(p) for p in points]
+    images = [image(p) for p in points]
     for x, y, a, b in zip(points, points[1:], images, images[1:]):
-        step = _largest_difference(a, b)
-        if step is None or step[1] >= step[2] or step[0] != _largest_difference(x, y)[0]:
+        k = _first_difference(a, b)
+        if k != _first_difference(x, y) or a[k] >= b[k]:
             return False
     return True
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -13,6 +14,7 @@ from util import naive_apply, naive_extension_error, naive_preserves_sample
 
 MENU2 = umr.menu_of(1, F(1, 2))
 MENU3 = umr.menu_of(1, F(1, 2), F(1, 4))
+MENU5 = umr.menu_of(3, 2, 1, F(1, 2), F(1, 3))
 
 
 def test_menu_validation():
@@ -86,6 +88,12 @@ def test_piecewise_map_basics():
     assert phi(F(1)) == 2
     assert phi(F(2)) == 3  # slope-1 tail
     inv = phi.inverse()
+    assert inv.inverse() == phi and hash(inv.inverse()) == hash(phi)
+    # the anchors kept for evaluation are neither compared nor shown
+    assert repr(phi) == (
+        "PiecewiseLinearMap(breakpoints=(Fraction(1, 2), Fraction(1, 1)),"
+        " slopes=(Fraction(3, 1), Fraction(1, 1)))"
+    )
     rng = random.Random(13)
     for _ in range(100):
         q = F(rng.randint(-60, 60), rng.randint(1, 12))
@@ -263,15 +271,21 @@ def test_homogeneity_small_run_passes():
 
 def test_homogeneity_counts_rejections_and_raises_crashes(monkeypatch):
     def extend(error):
-        def failing(pairs, menu):
+        def failing(sources, targets):
             raise error
         return failing
 
-    monkeypatch.setattr(urysohn, "extend_isometry", extend(umr.NotPartialIsometry(0, 1)))
+    monkeypatch.setattr(urysohn, "_extend", extend(umr.NotPartialIsometry(0, 1)))
     report = umr.check_homogeneity(MENU2, 2, trials=3, seed=0)
     assert report.failures == (0, 1, 2)
+    assert report.reasons == ("NotPartialIsometry",) * 3
+    # an extension that leaves every point in place misses the targets
+    monkeypatch.setattr(urysohn, "_extend", lambda sources, targets: [])
+    report = umr.check_homogeneity(MENU2, 2, trials=3, seed=0)
+    assert report.failures == (0, 1, 2)
+    assert report.reasons == ("image mismatch",) * 3
     # a crash is a bug to show, not a failed trial
-    monkeypatch.setattr(urysohn, "extend_isometry", extend(TypeError("boom")))
+    monkeypatch.setattr(urysohn, "_extend", extend(TypeError("boom")))
     with pytest.raises(TypeError, match="boom"):
         umr.check_homogeneity(MENU2, 2, trials=3, seed=0)
 
@@ -283,8 +297,9 @@ def test_homogeneity_rejects_empty_runs(n, trials):
         umr.check_homogeneity(MENU2, n, trials, seed=0)
 
 
-# Image breakers over MENU2: one reverses the order, one turns distance
-# 1/2 into 1/4 and keeps the order, one merges points 1/2 apart.
+# Image breakers over MENU3: one reverses the order, one moves the value
+# at 1/2 down to 1/4 (where a value at 1/4 wins), one merges points 1/2
+# apart.  Each stays on the menu, as an image in the model must.
 BREAKERS = {
     "reverse order": lambda q: -q,
     "change one distance": lambda q: umr.qs_point(
@@ -294,32 +309,49 @@ BREAKERS = {
 }
 
 
+def on_values(frame, mapping):
+    """A map of QsPoints as a map of the frame's value tuples."""
+    return lambda x: frame.values(mapping(frame.point(x)))
+
+
 @pytest.mark.parametrize("breaker", BREAKERS.values(), ids=list(BREAKERS))
 def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, breaker):
-    extend = urysohn.extend_isometry
+    frame = urysohn._Frame(MENU3)
+    extend = urysohn._extend
     check = urysohn._preserves_sample
     verdicts = []
 
-    def broken_extend(pairs, menu):
+    def broken_extend(sources, targets):
         # hits every target, and breaks the image of every other point
-        auto, targets = extend(pairs, menu), dict(pairs)
-        return lambda p: targets[p] if p in targets else breaker(auto(p))
+        moves, hits = extend(sources, targets), dict(zip(sources, targets))
 
-    def recorded_check(auto, sample, menu):
-        verdict = check(auto, sample, menu)
-        verdicts.append((verdict, naive_preserves_sample(auto, sample)))
+        def broken(x):
+            if x in hits:
+                return hits[x]
+            return frame.values(breaker(frame.point(urysohn._run(moves, x))))
+
+        return [broken]
+
+    def recorded_check(image, sample):
+        verdict = check(image, sample)
+
+        def mapped(p):
+            return frame.point(image(frame.values(p)))
+
+        points = [frame.point(x) for x in sample]
+        verdicts.append((verdict, naive_preserves_sample(mapped, points)))
         return verdict
 
-    monkeypatch.setattr(urysohn, "extend_isometry", broken_extend)
+    monkeypatch.setattr(urysohn, "_extend", broken_extend)
     monkeypatch.setattr(urysohn, "_preserves_sample", recorded_check)
-    report = umr.check_homogeneity(MENU2, 3, trials=8, seed=40, samples=30)
+    report = umr.check_homogeneity(MENU3, 3, trials=8, seed=40, samples=30)
     assert report.failures == tuple(range(8))
+    assert report.reasons == ("sample mismatch",) * 8
     assert verdicts == [(False, False)] * 8
 
 
-def qs_points(menu):
+def qs_points(menu, values=st.integers(-3, 3).map(lambda k: F(k, 2))):
     # few values per coordinate, so samples repeat points and share prefixes
-    values = st.integers(-3, 3).map(lambda k: F(k, 2))
     return st.dictionaries(st.sampled_from(list(menu)), values).map(umr.qs_point)
 
 
@@ -332,7 +364,9 @@ def qs_points(menu):
 def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
     auto = umr.random_automorphism(MENU3, random.Random(seed))
     mapped = auto if breaker is None else lambda p: breaker(auto(p))
-    verdict = urysohn._preserves_sample(mapped, sample, MENU3)
+    frame = urysohn._Frame(MENU3)
+    values = list(map(frame.values, sample))
+    verdict = urysohn._preserves_sample(on_values(frame, mapped), values)
     assert verdict == naive_preserves_sample(mapped, sample)
     if breaker is None:
         assert verdict
@@ -342,9 +376,10 @@ def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
 @given(st.data(), st.lists(qs_points(MENU2), max_size=8))
 def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
     table = {p: data.draw(qs_points(MENU2)) for p in sample}
-    assert urysohn._preserves_sample(table.get, sample, MENU2) == naive_preserves_sample(
-        table.get, sample
-    )
+    frame = urysohn._Frame(MENU2)
+    values = list(map(frame.values, sample))
+    verdict = urysohn._preserves_sample(on_values(frame, table.get), values)
+    assert verdict == naive_preserves_sample(table.get, sample)
 
 
 
@@ -386,10 +421,11 @@ HALVES = st.integers(-3, 3).map(lambda k: F(k, 2))
 
 
 @st.composite
-def points_and_moves(draw, menu):
-    """A point and a move: a Translate, or a CoordMap whose ball often holds
-    the point and whose threshold, value map and shifts often cancel it."""
-    point = draw(qs_points(menu))
+def points_and_moves(draw, menu, values=HALVES):
+    """A point with the given values and a move: a Translate, or a CoordMap
+    whose ball often holds the point and whose threshold, value map and
+    shifts often cancel it."""
+    point = draw(qs_points(menu, values))
     if draw(st.booleans()):
         return point, umr.Translate(draw(qs_points(menu)))
     scale = draw(st.sampled_from(list(menu)))
@@ -446,6 +482,113 @@ def test_moves_match_dict_arithmetic(case):
     if isinstance(move, umr.Translate):
         assert point + move.offset == expected
         assert point - move.offset == naive_apply(umr.Translate(-move.offset), point)
+
+
+# values off the n/6 grid that random points use
+OFF_GRID = st.fractions(-3, 3, max_denominator=35)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    case=points_and_moves(MENU5, OFF_GRID),
+    others=st.lists(qs_points(MENU5, OFF_GRID), max_size=4),
+    seed=st.integers(0, 2**16),
+)
+# in the ball, at the threshold; then a value map and a shift that cancel
+@example(case=(
+    umr.qs_point({3: F(1, 5), 1: F(2, 7)}),
+    umr.CoordMap(1, umr.qs_point({3: F(1, 5)}), F(2, 7), umr.stretch_above(F(2, 7), 1, 2)),
+), others=[umr.qs_point({3: F(1, 5), 1: F(3, 7), F(1, 3): F(-1, 7)})], seed=0)
+@example(case=(
+    umr.qs_point({2: F(-1, 2), F(1, 2): F(1, 7)}),
+    umr.CoordMap(2, umr.ZERO_POINT, F(-1), umr.PiecewiseLinearMap((F(-1),), (F(2),)),
+                 ((F(1, 2), F(-1, 7)),)),
+), others=[], seed=1)
+def test_compiled_moves_match_dict_arithmetic(case, others, seed):
+    # the hand-built move first, while its ball often still holds the point
+    point, move = case
+    moves = (move, *umr.random_automorphism(MENU5, random.Random(seed), max_moves=4).moves)
+    frame = urysohn._Frame(MENU5)
+    compiled = [frame.compile(m) for m in moves]
+    for p in (point, *others):
+        expected = p
+        for m in moves:
+            expected = naive_apply(m, expected)
+        assert frame.point(urysohn._run(compiled, frame.values(p))) == expected
+    assert tuple(map(frame.record, compiled)) == moves
+
+
+def pinned_extension(menu, seed, n):
+    """``format_automorphism`` of the extension of n seeded random points
+    onto their images under a random automorphism and four ball moves
+    around current images, given in shuffled order."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        p = umr.random_point(menu, rng)
+        if p not in points:
+            points.append(p)
+    moves = list(umr.random_automorphism(menu, rng).moves)
+    for _ in range(4):
+        q = umr.QsAutomorphism(tuple(moves))(rng.choice(points))
+        s = menu[rng.randrange(len(menu))]
+        alpha = q.value_at(s) - F(rng.randint(1, 6), 6)
+        shifts = tuple((t, F(rng.randint(1, 6), 6)) for t in menu if t < s and rng.random() < 0.5)
+        phi = umr.PiecewiseLinearMap((alpha,), (F(rng.randint(1, 4), 2),))
+        moves.append(umr.CoordMap(s, q.restrict_above(s), alpha, phi, shifts))
+    auto = umr.QsAutomorphism(tuple(moves))
+    pairs = [(p, auto(p)) for p in points]
+    rng.shuffle(pairs)
+    return umr.format_automorphism(umr.extend_isometry(pairs, menu))
+
+
+# sha256 of each text, recorded before the extension ran on value tuples
+PINNED_EXTENSIONS = {
+    ("MENU3", 1, 2): "58a8a12daa0d90909829c1369cc739862220f880d6aed33b61513f04f94a4baf",
+    ("MENU3", 2, 6): "acfe62130c30e7174a19148bc7a9dfc2946413ca087f6d48ef2e28442375338a",
+    ("MENU3", 3, 12): "80cb432f8fe80dd8c26bf9707530b053db923833db8bad9e8c3ad74db3b2817a",
+    ("MENU3", 4, 25): "b43f0a5b1ed4a0d94788f6f86408d47cdfb723eec1beedcff41f62bca5691ff1",
+    ("MENU5", 1, 2): "8862afbc2496f15c3cea857ed18e0cd390c1f9afd57a1c3fdac9d978b207f797",
+    ("MENU5", 2, 6): "e38858c466a0f3d3f5def85cd1918d0676390e11af698adcd05412c2e6b0e605",
+    ("MENU5", 3, 12): "5ea6dc678e923a711aa51fea46c59b950c9b1f206a594f23f454ae881da4e0ce",
+    ("MENU5", 4, 25): "4597784298ccd05d98f1ca6768bd90eba2d69a0732fe2a5ae3abc77cdd267a4f",
+}
+
+
+@pytest.mark.parametrize("menu_name, seed, n", list(PINNED_EXTENSIONS))
+def test_extension_moves_are_pinned(menu_name, seed, n):
+    text = pinned_extension({"MENU3": MENU3, "MENU5": MENU5}[menu_name], seed, n)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EXTENSIONS[menu_name, seed, n]
+
+
+def test_extension_moves_are_pinned_in_full():
+    assert pinned_extension(MENU3, 2, 6) == (
+        "translate 1:7/3,1/2:7/3,1/4:-7/6\n"
+        "coordmap s=1 center=0 alpha=5/3 phi=5/3:1 shifts=1/2:1/6\n"
+        "coordmap s=1/2 center=1:7/3 alpha=8/3 phi=8/3:3,17/6:1 shifts=-\n"
+        "coordmap s=1/2 center=1:7/3 alpha=23/6 phi=23/6:5,9/2:1 shifts=-\n"
+        "coordmap s=1 center=0 alpha=43/12 phi=43/12:1 shifts=1/2:-1/6\n"
+    )
+
+
+def test_random_point_draws_are_pinned():
+    rng = random.Random(7)
+    assert [umr.random_point(MENU3, rng) for _ in range(3)] == [
+        umr.qs_point({1: F(-3, 2), F(1, 2): F(-5, 2), F(1, 4): F(8, 3)}),
+        umr.qs_point({1: F(-5, 2), F(1, 4): F(-13, 6)}),
+        umr.qs_point({1: F(-7, 3), F(1, 2): F(17, 6), F(1, 4): 3}),
+    ]
+    # sha256 of 50 formatted draws on MENU5 per seed, recorded before the
+    # draws were read from value tuples
+    pinned = [
+        "438b37f7c4158bb6aab5b0bcc8be24f939a46e63e67e28f0e6815386d0430cd7",
+        "3cc04c83d317d90c4a3acde65bbe94bf08996990ce4463995f759c98a9643740",
+        "f37c55bfa63db2ff4737ecc868974c431491e30a54649d381d50ab5a4bf6fe45",
+    ]
+    for seed, digest in enumerate(pinned):
+        rng = random.Random(seed)
+        text = "".join(umr.format_qpoint(umr.random_point(MENU5, rng)) for _ in range(50))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_homogeneity_detects_perturbed_targets():
