@@ -20,11 +20,13 @@ fixing previously matched points sitting lower in the order.
 at a time into a genuine automorphism: a translation matches the first
 pair, and each further point is captured by one CoordMap.
 
-``QsPoint`` and the move records are the public view.  Inside the model
-(the extension, the homogeneity harness and its sample check) a point is
-the tuple of its values at the menu's positions, largest scale first, so
-the lex order is tuple order and a distance is the first position where
-two tuples differ; ``_Frame`` converts at the boundary.
+``QsPoint`` and the move records are the public view.  All arithmetic
+runs on a point's tuple of values at the positions of a ``_Frame``,
+largest scale first, so the lex order is tuple order and a distance is
+the first position where two tuples differ.  The extension, the
+homogeneity harness and its sample check stay in the menu's frame
+throughout; the public sum, moves, distance and order convert into the
+frame of the scales they touch (the menu's, when one is given) and back.
 """
 
 from __future__ import annotations
@@ -92,14 +94,11 @@ class QsPoint:
                 break
         return _ZERO
 
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(s for s, _ in self.coords)
-
     def restrict_above(self, scale: Fraction) -> "QsPoint":
         return QsPoint(tuple((s, v) for s, v in self.coords if s > scale))
 
     def __add__(self, other: "QsPoint") -> "QsPoint":
-        return QsPoint(_add_coords(self.coords, other.coords))
+        return Translate(other).apply(self)
 
     def __neg__(self) -> "QsPoint":
         return QsPoint(tuple((s, -v) for s, v in self.coords))
@@ -109,30 +108,6 @@ class QsPoint:
 
 
 ZERO_POINT = QsPoint()
-
-
-def _add_coords(a, b) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Coordinatewise sum of two (scale, value) tuples, both in decreasing
-    scale order, merged in that order; coordinates summing to 0 are dropped."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        s, t = a[i][0], b[j][0]
-        if s > t:
-            out.append(a[i])
-            i += 1
-        elif s < t:
-            out.append(b[j])
-            j += 1
-        else:
-            total = a[i][1] + b[j][1]
-            if total:
-                out.append((s, total))
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
 
 
 def qs_point(mapping) -> QsPoint:
@@ -146,47 +121,29 @@ def qs_point(mapping) -> QsPoint:
     return QsPoint(tuple(cleaned))
 
 
-def _check_support(menu: DistanceSet, *points: QsPoint) -> None:
-    frame = _Frame(menu)
-    for point in points:
-        frame.values(point)
-
-
-def _largest_difference(x: QsPoint, y: QsPoint):
-    """(scale, x value, y value) at the largest differing coordinate, or
-    None when the points are equal."""
-    cx, cy = x.coords, y.coords
-    ix = iy = 0
-    while ix < len(cx) or iy < len(cy):
-        if iy >= len(cy) or (ix < len(cx) and cx[ix][0] > cy[iy][0]):
-            return cx[ix][0], cx[ix][1], _ZERO
-        if ix >= len(cx) or cy[iy][0] > cx[ix][0]:
-            return cy[iy][0], _ZERO, cy[iy][1]
-        if cx[ix][1] != cy[iy][1]:
-            return cx[ix][0], cx[ix][1], cy[iy][1]
-        ix += 1
-        iy += 1
-    return None
+def _compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None):
+    """The frame, the value tuples of x and y there and the first position
+    where they differ; the menu's frame when one is given (x is checked
+    against it first), otherwise the frame of the scales of x and y."""
+    frame = _Frame(menu) if menu is not None else _spanning(x, (Translate(y),))
+    a, b = frame.values(x), frame.values(y)
+    return frame, a, b, _first_difference(a, b)
 
 
 def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> Fraction:
     """0 for equal points, otherwise the largest coordinate where they
     differ."""
-    if menu is not None:
-        _check_support(menu, x, y)
-    diff = _largest_difference(x, y)
-    return _ZERO if diff is None else diff[0]
+    frame, a, _, k = _compare(x, y, menu)
+    return frame.scales[k] if k < len(a) else _ZERO
 
 
 def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> int:
     """LESS/EQUAL/GREATER by the values at the largest differing
     coordinate."""
-    if menu is not None:
-        _check_support(menu, x, y)
-    diff = _largest_difference(x, y)
-    if diff is None:
+    _, a, b, k = _compare(x, y, menu)
+    if k == len(a):
         return EQUAL
-    return LESS if diff[1] < diff[2] else GREATER
+    return LESS if a[k] < b[k] else GREATER
 
 
 @dataclass(frozen=True)
@@ -246,7 +203,7 @@ class Translate:
     offset: QsPoint
 
     def apply(self, point: QsPoint) -> QsPoint:
-        return point + self.offset
+        return QsAutomorphism((self,))(point)
 
     def invert(self) -> "Translate":
         return Translate(-self.offset)
@@ -278,20 +235,7 @@ class CoordMap:
             raise ValueError("value map must be the identity up to the threshold")
 
     def apply(self, point: QsPoint) -> QsPoint:
-        coords, k = point.coords, len(self.center.coords)
-        if coords[:k] != self.center.coords:
-            return point
-        below, value = coords[k:], _ZERO
-        if below:
-            if below[0][0] > self.scale:
-                return point
-            if below[0][0] == self.scale:
-                below, value = below[1:], below[0][1]
-        if value <= self.threshold:
-            return point
-        image = self.value_map(value)
-        moved = ((self.scale, image),) if image else ()
-        return QsPoint(coords[:k] + moved + _add_coords(below, self.shifts))
+        return QsAutomorphism((self,))(point)
 
     def invert(self) -> "CoordMap":
         return CoordMap(
@@ -311,9 +255,9 @@ class QsAutomorphism:
     moves: tuple[Move, ...] = ()
 
     def __call__(self, point: QsPoint) -> QsPoint:
-        for move in self.moves:
-            point = move.apply(point)
-        return point
+        frame = _spanning(point, self.moves)
+        compiled = [frame.compile(move) for move in self.moves]
+        return frame.point(_run(compiled, frame.values(point)))
 
 
 IDENTITY = QsAutomorphism()
@@ -369,12 +313,13 @@ def _first_difference(x: tuple, y: tuple) -> int:
 
 
 class _Frame:
-    """A menu's positions, largest scale first, and every conversion
-    between value tuples there and the public QsPoint and move records.
-    A value tuple holds ``_ZERO`` where the point has no coordinate."""
+    """The positions of strictly decreasing scales (a menu's, or those an
+    operation touches), largest first, and every conversion between value
+    tuples there and the public QsPoint and move records.  A value tuple
+    holds ``_ZERO`` where the point has no coordinate."""
 
-    def __init__(self, menu: DistanceSet):
-        self.scales = menu.values
+    def __init__(self, scales: Sequence[Fraction]):
+        self.scales = tuple(scales)
         self.position = {s: k for k, s in enumerate(self.scales)}
         self.zero = (_ZERO,) * len(self.scales)
 
@@ -423,6 +368,18 @@ class _Frame:
             value_map=move.value_map,
             shifts=self.point(self.zero[:move.k + 1] + move.shifts).coords,
         )
+
+
+def _spanning(point: QsPoint, moves: Sequence[Move]) -> _Frame:
+    """The frame of every scale that the point and the moves mention."""
+    scales = {s for s, _ in point.coords}
+    for move in moves:
+        if isinstance(move, Translate):
+            scales.update(s for s, _ in move.offset.coords)
+        else:
+            scales.add(move.scale)
+            scales.update(s for s, _ in move.center.coords + move.shifts)
+    return _Frame(sorted(scales, reverse=True))
 
 
 def extend_isometry(
@@ -688,7 +645,7 @@ def _read_coords(pairs, menu: DistanceSet) -> tuple[tuple[Fraction, Fraction], .
     """Coordinates from (scale, value) token pairs in any order, each scale
     once and on the menu; zero values are dropped, the rest come out in
     menu order."""
-    position = {s: k for k, s in enumerate(menu)}
+    position = _Frame(menu).position
     coords: list[tuple[Fraction, Fraction] | None] = [None] * len(menu)
     for scale, value in pairs:
         s = parse_rational(scale)
@@ -768,6 +725,7 @@ def format_automorphism(auto: QsAutomorphism) -> str:
 
 
 def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
+    frame = _Frame(menu)
     moves: list[Move] = []
     for line in (ln.strip() for ln in text.splitlines()):
         if not line:
@@ -787,8 +745,7 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
                 fields[key] = value
             pl_pairs = _parse_inline_pairs(fields["phi"])
             scale = parse_rational(fields["s"])
-            if scale not in menu:
-                raise FormatError(f"coordinate {format_rational(scale)} not in menu")
+            frame._position(scale)  # an off-menu scale raises as a point's does
             moves.append(
                 CoordMap(
                     scale=scale,

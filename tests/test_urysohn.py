@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import umr
 from umr import urysohn
-from util import naive_apply, naive_extension_error, naive_preserves_sample
+from util import (
+    naive_apply,
+    naive_compare,
+    naive_distance,
+    naive_extension_error,
+    naive_preserves_sample,
+)
 
 
 MENU2 = umr.menu_of(1, F(1, 2))
@@ -475,6 +481,19 @@ def points_and_moves(draw, menu, values=HALVES):
     umr.qs_point({F(1): 1, F(1, 4): 2}),
     umr.Translate(umr.qs_point({F(1): -1, F(1, 4): -2})),
 ))
+# the point from MENU3, the move from MENU5: a scale the point lacks, a
+# threshold below 0, and the point's value below the scale kept
+@example((
+    umr.qs_point({F(1): 1, F(1, 4): 2}),
+    umr.CoordMap(F(1, 3), umr.qs_point({F(1): 1}), F(-1), umr.stretch_above(F(-1), F(0), F(1))),
+))
+# the point from MENU5, the move from MENU3: a value map that lands on 0
+# and a shift at a scale the point lacks
+@example((
+    umr.qs_point({F(1, 2): F(-1, 2), F(1, 3): 1}),
+    umr.CoordMap(F(1, 2), umr.ZERO_POINT, F(-1), umr.PiecewiseLinearMap((F(-1),), (F(2),)),
+                 ((F(1, 4), F(1)),)),
+))
 def test_moves_match_dict_arithmetic(case):
     point, move = case
     expected = naive_apply(move, point)
@@ -482,6 +501,51 @@ def test_moves_match_dict_arithmetic(case):
     if isinstance(move, umr.Translate):
         assert point + move.offset == expected
         assert point - move.offset == naive_apply(umr.Translate(-move.offset), point)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    point=qs_points(MENU5),
+    moves=st.lists(points_and_moves(MENU3).map(lambda case: case[1]), max_size=3),
+)
+# IDENTITY on ZERO_POINT
+@example(point=umr.ZERO_POINT, moves=[])
+# a translation into the CoordMap's ball, whose shift cancels the first
+# translation's, then a translation back
+@example(point=umr.qs_point({F(1, 3): 2}), moves=[
+    umr.Translate(umr.qs_point({F(1): 1, F(1, 4): -1})),
+    umr.CoordMap(F(1, 2), umr.qs_point({F(1): 1}), F(-1), umr.stretch_above(F(-1), F(0), F(2)),
+                 ((F(1, 4), F(1)),)),
+    umr.Translate(umr.qs_point({F(1): -1})),
+])
+def test_automorphisms_match_composed_dict_arithmetic(point, moves):
+    # the point and the moves come from different menus
+    expected = point
+    for move in moves:
+        expected = naive_apply(move, expected)
+    assert umr.QsAutomorphism(tuple(moves))(point) == expected
+
+
+# the scales of two menus: each menu misses some, and the frame of a pair
+# of points is often wider than either support
+TWO_MENUS = sorted(set(MENU3) | set(MENU5), reverse=True)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(x=qs_points(TWO_MENUS), y=qs_points(TWO_MENUS), menu=st.sampled_from([None, MENU3, MENU5]))
+@example(x=umr.ZERO_POINT, y=umr.ZERO_POINT, menu=None)
+@example(x=umr.qs_point({1: 1}), y=umr.qs_point({F(1, 4): 1}), menu=MENU5)
+@example(x=umr.qs_point({2: 1}), y=umr.qs_point({3: 1}), menu=MENU3)
+def test_distance_and_order_match_dict_arithmetic(x, y, menu):
+    off = [s for p in (x, y) for s, _ in p.coords if menu is not None and s not in menu]
+    if off:
+        # x is checked before y, each from its largest scale down
+        for geometry in (umr.qs_distance, umr.qs_lex_compare):
+            with pytest.raises(ValueError, match=f"^coordinate {off[0]} not in menu$"):
+                geometry(x, y, menu)
+    else:
+        assert umr.qs_distance(x, y, menu) == naive_distance(x, y)
+        assert umr.qs_lex_compare(x, y, menu) == naive_compare(x, y)
 
 
 # values off the n/6 grid that random points use
@@ -738,6 +802,9 @@ def test_automorphism_parse_raises_only_format_errors():
         "translate 1/2:1,1:1,2/4:3\n": "repeated coordinate 2/4",
         "coordmap s=1/4 center=1:1,1:2 alpha=0 phi=- shifts=-\n": "repeated coordinate 1",
         "coordmap s=1 center=0 alpha=0 phi=- shifts=1/2:1,1/2:2\n": "repeated coordinate 1/2",
+        # a point's coordinate is quoted as written, a move's scale as a rational
+        "translate 2/6:1\n": "coordinate 2/6 not in menu",
+        "coordmap s=2/6 center=0 alpha=0 phi=- shifts=-\n": "coordinate 1/3 not in menu",
     }
     for text, message in bad.items():
         with pytest.raises(umr.FormatError, match=message):

@@ -291,6 +291,18 @@ def dict_geometry(p, q):
     return s, (a.get(s, 0) > b.get(s, 0)) - (a.get(s, 0) < b.get(s, 0))
 
 
+def naive_distance(p, q):
+    """The largest scale where the coordinate dicts of p and q differ, 0
+    for equal points."""
+    return dict_geometry(p, q)[0]
+
+
+def naive_compare(p, q):
+    """-1, 0 or 1 as p's value is below, equal to or above q's at the
+    largest scale where their coordinate dicts differ."""
+    return dict_geometry(p, q)[1]
+
+
 def naive_preserves_sample(auto, sample):
     """Whether the map ``auto`` keeps distance and lex order on every pair
     of the sample, each read off the points' coordinate dicts."""
