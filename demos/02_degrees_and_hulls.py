@@ -21,7 +21,7 @@ print()
 print("=== order types: convex orders up to isometry ===")
 for i, cls in enumerate(umr.order_type_partition(c3)):
     rep = " < ".join(umr.order_labels(c3, cls.representative))
-    print(f"  type {i}: {len(cls.members)} orders, e.g. {rep}")
+    print(f"  type {i}: {cls.size} orders, e.g. {rep}")
 
 print()
 print("=== the Ramsey degree is orders divided by symmetries ===")

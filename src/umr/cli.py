@@ -176,7 +176,7 @@ def _types(args) -> int:
     space = _load_space(args.files[0])
     for i, cls in enumerate(order_type_partition(space)):
         rep = " ".join(order_labels(space, cls.representative))
-        print(f"type {i} size={len(cls.members)} rep={rep}")
+        print(f"type {i} size={cls.size} rep={rep}")
     return 0
 
 

@@ -1,16 +1,26 @@
 """Convex linear orders: enumeration, order types, Ramsey degrees, and the
 order-invariant hull.
 
-Two convex orders on a space have the same *order type* when the unique
-order-preserving bijection between them is an isometry, that is when their
-adjacent steps are equal: along a convex order each distance is the largest
-step between its two points.  The number of order types is the Ramsey
-degree of the space, the convex-order count over the isometry count.
+The convex orders of a space are exactly its sibling rearrangements: each
+ball's children follow one another in any arrangement, each read in one of
+its own convex orders.  Enumeration folds over the branching balls of the
+canonical walk, joins every arrangement of a ball's children with every
+choice of their orders, and sorts the result once, so its cost is linear
+in its output up to that sort.
 
-Enumeration costs time linear in its output, O(n^2) per convex order, with
-no scan of the n! permutations: a sequence is convex iff each point is
-nearest to its predecessor among the points not yet placed, so a
-depth-first search along that rule never reaches a dead end.
+Two convex orders have the same *order type* when the unique
+order-preserving bijection between them is an isometry.  The isometries
+act freely on the convex orders, so each type has ``iso`` members, and the
+number of types, the Ramsey degree of the space, is ``clo / iso``.  The
+types are found one representative each, the type's lexicographic
+minimum, by a depth-first search that extends a prefix by the points of
+the open ball's unused children in ascending order, and skips a candidate
+when a lower-index candidate has the same chain of ball class ids below
+the open ball: the two lie in one orbit of the prefix's pointwise
+stabiliser.  An order that is not the minimum gs of its type is cut where
+it first differs from gs, since g fixes the prefix before it; a minimum is
+never cut, and every prefix kept extends to one, so the search visits at
+most n prefixes per type (canonical augmentation, McKay 1998).
 """
 
 from __future__ import annotations
@@ -18,13 +28,15 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 from math import prod
 
 from .errors import InternalNonIntegerTau
-from .spaces import UltrametricSpace, _nearest_unused, _steps
+from .spaces import UltrametricSpace, _steps, canonical_convex_order
 from .trees import (
     LeveledTree,
+    _Classes,
+    _fold,
     _uniform_joins,
     branchings,
     canonical_tree,
@@ -36,14 +48,11 @@ from .trees import (
 
 @dataclass(frozen=True)
 class OrderTypeClass:
-    """Convex orders of one order type, in lexicographic order."""
+    """One order type: its lexicographically least convex order and its
+    number of convex orders, the isometry count of the space."""
 
-    members: tuple[tuple[int, ...], ...]
-
-    @property
-    def representative(self) -> tuple[int, ...]:
-        """The first member, the class's lexicographic minimum."""
-        return self.members[0]
+    representative: tuple[int, ...]
+    size: int
 
 
 @dataclass(frozen=True)
@@ -54,31 +63,22 @@ class RamseyDegreeReport:
 
 
 def enumerate_convex_orders(space: UltrametricSpace) -> list[tuple[int, ...]]:
-    """Every convex order exactly once, in lexicographic index order.
+    """Every convex order exactly once, in lexicographic index order: the
+    sibling rearrangements of the canonical walk's balls, sorted."""
+    walk = canonical_convex_order(space)
 
-    Depth-first: any first point, then each next point among the unused
-    points nearest to the last one, all in ascending index order.  Every
-    branch ends in a convex order, so the cost is O(n^2) per order.
-    """
-    n = space.size
-    used = [False] * n
-    seq: list[int] = []
-    out: list[tuple[int, ...]] = []
+    def node(_, kids: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
+        for arrangement in permutations(kids):
+            joined = arrangement[0]
+            for orders in arrangement[1:]:
+                joined = [a + b for a in joined for b in orders]
+            out += joined
+        return out
 
-    def extend(point: int) -> None:
-        used[point] = True
-        seq.append(point)
-        if len(seq) == n:
-            out.append(tuple(seq))
-        else:
-            for nxt in _nearest_unused(space, point, used):
-                extend(nxt)
-        seq.pop()
-        used[point] = False
-
-    for first in range(n):
-        extend(first)
-    return out
+    orders = _fold(_steps(space.dist, walk), [[(p,)] for p in walk], node)
+    orders.sort()
+    return orders
 
 
 def count_convex_orders(space: UltrametricSpace) -> int:
@@ -95,13 +95,86 @@ def order_profile(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[Frac
 
 
 def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
-    """Partition of the convex orders into order types by their steps,
-    classes listed by first appearance; each representative is its class's
-    lexicographic minimum."""
-    classes: dict[tuple[Fraction, ...], list[tuple[int, ...]]] = {}
-    for order in enumerate_convex_orders(space):
-        classes.setdefault(_steps(space.dist, order), []).append(order)
-    return [OrderTypeClass(tuple(members)) for members in classes.values()]
+    """One class per order type, by ascending representative, the type's
+    lexicographic minimum, found by the pruned search of the module
+    docstring."""
+    n = space.size
+    walk = canonical_convex_order(space)
+    # items 0..n-1 are the points, then the branching balls as the fold
+    # closes them
+    cls = [0] * n
+    kids: list[tuple[int, ...]] = [()] * n
+    parent = [-1] * n
+    least: list[dict[int, tuple[int, int]]] = [{0: (p, p)} for p in range(n)]
+    classes = _Classes()
+    chains: dict[tuple[int, int], int] = {}
+
+    def orbits(items) -> dict[int, tuple[int, int]]:
+        """The orbits of the items' points under the isometries that permute
+        the items, each keyed by its interned chain of class ids from the
+        items down (a point's own is 0), with its least point and the item
+        that holds it."""
+        out: dict[int, tuple[int, int]] = {}
+        for x in items:
+            for chain, (p, _) in least[x].items():
+                chain = chains.setdefault((cls[x], chain), len(chains) + 1)
+                if chain not in out or p < out[chain][0]:
+                    out[chain] = (p, x)
+        return out
+
+    def node(key, children: list[int]) -> int:
+        ball = len(cls)
+        cls.append(classes(key, [cls[x] for x in children]))
+        kids.append(tuple(children))
+        parent.append(-1)
+        for x in children:
+            parent[x] = ball
+        least.append(orbits(children))
+        return ball
+
+    root = _fold(_steps(space.dist, walk), walk, node)
+
+    # a frontier lists the open balls' unused children, deepest ball
+    # first, as nested pairs (children, rest) ending in None; the next
+    # point comes from the head, each orbit offering its least point once
+    def choices(frontier):
+        return iter(sorted(orbits(frontier[0]).values()))
+
+    def place(frontier, p: int, x: int):
+        unused, rest = frontier
+        if len(unused) > 1:
+            rest = (tuple([y for y in unused if y != x]), rest)
+        # open every ball from x down to p, the deepest last
+        opened = []
+        while p != x:
+            up = parent[p]
+            opened.append(tuple([y for y in kids[up] if y != p]))
+            p = up
+        for group in reversed(opened):
+            rest = (group, rest)
+        return rest
+
+    minima: list[tuple[int, ...]] = []
+    prefix: list[int] = []
+    start = ((root,), None)
+    stack = [(start, choices(start))]
+    while stack:
+        frontier, options = stack[-1]
+        option = next(options, None)
+        if option is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        p, x = option
+        following = place(frontier, p, x)
+        if following is None:
+            minima.append((*prefix, p))
+        else:
+            prefix.append(p)
+            stack.append((following, choices(following)))
+    size = classes.auts[cls[root]]
+    return [OrderTypeClass(rep, size) for rep in minima]
 
 
 def tau(space: UltrametricSpace) -> RamseyDegreeReport:

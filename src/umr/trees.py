@@ -160,19 +160,30 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
 def count_automorphisms(tree: LeveledTree) -> int:
     """Number of level-preserving, parent-respecting self-bijections; equals
     the isometry count of the dual space."""
-    # a subtree's class id interns its first branching depth and its
-    # children's sorted ids; aut = prod of child auts * prod of mult!
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    auts = [1]  # the leaf class is 0
+    classes = _Classes()
+    return classes.auts[tree._fold(0, classes)]
 
-    def node(key: int, kids: list[int]) -> int:
+
+class _Classes:
+    """Class ids of the balls of one fold, as a ``node`` function: a ball
+    closed at ``key`` over children of class ids ``kids`` interns its key
+    and its children's sorted ids, so two balls get one id iff a
+    level-preserving bijection maps one onto the other.  A point's class
+    is 0, and ``auts[c]`` counts the self-bijections of class c: the
+    product of its children's counts and of m! per m equal children."""
+
+    def __init__(self):
+        self.ids: dict[tuple[Any, tuple[int, ...]], int] = {}
+        self.auts = [1]
+
+    def __call__(self, key: Any, kids: list[int]) -> int:
         form = (key, tuple(sorted(kids)))
-        if form not in ids:
-            ids[form] = len(auts)
+        cls = self.ids.get(form)
+        if cls is None:
+            cls = self.ids[form] = len(self.auts)
+            auts = self.auts
             auts.append(prod(auts[k] ** m * factorial(m) for k, m in Counter(kids).items()))
-        return ids[form]
-
-    return auts[tree._fold(0, node)]
+        return cls
 
 
 def canonical_code(tree: LeveledTree) -> str:

@@ -5,6 +5,7 @@ import re
 import sys
 import time
 from fractions import Fraction as F
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,34 @@ def test_orders_and_types_match_the_permutation_filter(tmp_path, capsys):
         for i, members in enumerate(profile_classes(space, brute))
     )
     assert run(capsys, "types", str(path)) == (0, expected)
+
+
+def test_types_and_coloring_read_one_order_per_type(tmp_path, capsys):
+    # e12 has 12! convex orders in one type; e10 inside e10 is one copy
+    e10, e12 = tmp_path / "e10.uspace", tmp_path / "e12.uspace"
+    e10.write_text(umr.format_uspace(equilateral(10)))
+    e12.write_text(umr.format_uspace(equilateral(12)))
+    assert run(capsys, "coloring", "--Z", str(e10), "--X", str(e10)) == (
+        0, "coloring k=1 copies=1\ncopy 0 color 0\n"
+    )
+    rep = " ".join(f"p{i}" for i in range(1, 13))
+    assert run(capsys, "types", str(e12)) == (0, f"type 0 size=479001600 rep={rep}\n")
+
+
+def test_types_on_a_wide_space_needs_no_recursion(tmp_path, capsys):
+    # the search is as deep as the space is wide, so it runs under a lowered
+    # recursion limit
+    n = 300
+    path = tmp_path / "e300.uspace"
+    path.write_text(umr.format_uspace(equilateral(n)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        types = run(capsys, "types", str(path))
+    finally:
+        sys.setrecursionlimit(limit)
+    rep = " ".join(f"p{i}" for i in range(1, n + 1))
+    assert types == (0, f"type 0 size={factorial(n)} rep={rep}\n")
 
 
 def test_hull(files, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import umr
 from util import (
     brute_convex_orders,
-    brute_isometry_count,
+    brute_isometries,
     c3,
     cb4,
     comb4,
@@ -15,9 +15,12 @@ from util import (
     e3,
     equilateral,
     leveled_trees,
+    naive_convex_orders,
     naive_hull,
+    naive_order_type_partition,
     profile_classes,
     shape_spaces,
+    shuffled_census_spaces,
     shuffled_shape_spaces,
 )
 
@@ -42,13 +45,44 @@ def test_enumeration_is_the_ordered_filter_oracle():
         assert umr.enumerate_convex_orders(space) == brute
         assert umr.canonical_convex_order(space) == brute[0]
 
+        # each class's members are its representative's images under the
+        # isometries, rebuilt here from the brute-force isometry list
+        isometries = brute_isometries(space)
+        classes = umr.order_type_partition(space)
         got = [
-            (cls.representative, list(cls.members))
-            for cls in umr.order_type_partition(space)
+            (rep, sorted({tuple(g[p] for p in rep) for g in isometries}))
+            for rep in (cls.representative for cls in classes)
         ]
         assert got == [(members[0], members) for members in profile_classes(space, brute)]
         # the isometries act freely on the convex orders
-        assert {len(members) for _, members in got} == {brute_isometry_count(space)}
+        assert {len(members) for _, members in got} == {len(isometries)}
+        assert {cls.size for cls in classes} == {len(isometries)}
+
+
+def _assert_matches_the_search_oracles(space):
+    assert umr.enumerate_convex_orders(space) == naive_convex_orders(space)
+    got = [(cls.representative, cls.size) for cls in umr.order_type_partition(space)]
+    assert got == [(members[0], len(members)) for members in naive_order_type_partition(space)]
+
+
+def test_orders_and_types_match_the_search_oracles():
+    for space in shuffled_shape_spaces(6):
+        _assert_matches_the_search_oracles(space)
+    for space in shuffled_census_spaces():
+        _assert_matches_the_search_oracles(space)
+
+
+def test_types_of_a_deep_uniform_space_need_no_recursion():
+    # 1024 points, 10 levels: one type, found without walking 2^1023 orders
+    levels = umr.DistanceSet(tuple(F(2 ** k) for k in range(10, 0, -1)))
+    space, _ = umr.tree_to_space(umr.uniform_tree((2,) * 10, levels))
+    points = list(range(space.size))
+    random.Random(19).shuffle(points)
+    space = space.restrict(points)
+    classes = umr.order_type_partition(space)
+    assert [(cls.representative, cls.size) for cls in classes] == [
+        (umr.canonical_convex_order(space), umr.count_convex_orders(space))
+    ]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -63,6 +97,7 @@ def test_enumeration_on_random_trees(tree, data):
     assert all(map(convexity_oracle(space), orders))
     assert len(orders) == umr.count_convex_orders(space)
     assert umr.canonical_convex_order(space) == orders[0]
+    _assert_matches_the_search_oracles(space)
 
 
 def test_count_formula_matches_filter_oracle():
@@ -77,22 +112,22 @@ def test_comb4_count_is_eight():
 
 def test_order_type_partition_examples():
     classes = umr.order_type_partition(e3())
-    assert len(classes) == 1 and len(classes[0].members) == 6
+    assert len(classes) == 1 and classes[0].size == 6
 
     classes = umr.order_type_partition(c3())
-    assert [len(cls.members) for cls in classes] == [2, 2]
+    assert [cls.size for cls in classes] == [2, 2]
     assert tuple(classes[0].representative) == (0, 1, 2)
     assert tuple(classes[1].representative) == (2, 0, 1)
 
     classes = umr.order_type_partition(equilateral(2))
-    assert len(classes) == 1 and len(classes[0].members) == 2
+    assert len(classes) == 1 and classes[0].size == 2
 
 
 def test_classes_have_equal_size_equal_to_isometry_count():
     for space in shape_spaces(5):
         classes = umr.order_type_partition(space)
         iso = umr.tau(space).iso_count
-        assert {len(cls.members) for cls in classes} == {iso}
+        assert {cls.size for cls in classes} == {iso}
 
 
 def test_tau_examples():

@@ -69,17 +69,22 @@ def cb4():
     )
 
 
-def brute_isometry_count(space):
+def brute_isometries(space):
+    """Every distance-preserving permutation of the points, as tuples."""
     n = space.size
-    count = 0
-    for perm in permutations(range(n)):
+    return [
+        perm
+        for perm in permutations(range(n))
         if all(
             space.dist[perm[i]][perm[j]] == space.dist[i][j]
             for i in range(n)
             for j in range(i + 1, n)
-        ):
-            count += 1
-    return count
+        )
+    ]
+
+
+def brute_isometry_count(space):
+    return len(brute_isometries(space))
 
 
 def convexity_oracle(space):
@@ -112,6 +117,44 @@ def oracle_is_convex(space, seq):
 def brute_convex_orders(space):
     """The convex orders among all n! permutations, in lexicographic order."""
     return list(filter(convexity_oracle(space), permutations(range(space.size))))
+
+
+def naive_convex_orders(space):
+    """Depth-first search over the raw matrix: any first point, then each
+    next point among the unused points nearest to the last one, all in
+    ascending index order; each branch ends in a convex order, listed in
+    lexicographic order."""
+    n = space.size
+    used = [False] * n
+    seq = []
+    out = []
+
+    def extend(point):
+        used[point] = True
+        seq.append(point)
+        if len(seq) == n:
+            out.append(tuple(seq))
+        else:
+            row = space.dist[point]
+            best = min(row[q] for q in range(n) if not used[q])
+            for q in [q for q in range(n) if not used[q] and row[q] == best]:
+                extend(q)
+        seq.pop()
+        used[point] = False
+
+    for first in range(n):
+        extend(first)
+    return out
+
+
+def naive_order_type_partition(space):
+    """The convex orders grouped by their adjacent steps, groups in order of
+    first appearance, each group's members in lexicographic order."""
+    classes = {}
+    for seq in naive_convex_orders(space):
+        steps = tuple(space.dist[a][b] for a, b in zip(seq, seq[1:]))
+        classes.setdefault(steps, []).append(seq)
+    return list(classes.values())
 
 
 def profile_classes(space, orders):
@@ -526,15 +569,36 @@ def naive_hull(space):
 def shuffled_shape_spaces(max_leaves):
     """Each shape space twice, its point storage order shuffled from a fixed
     seed: once with the power-of-two levels, once with fractional ones."""
-    rng = random.Random(20261018)
-    for n in range(1, max_leaves + 1):
-        for tree in umr.all_tree_shapes(n):
-            fractional = umr.DistanceSet(tuple(Fraction(7, 3 * k + 2) for k in range(tree.height)))
-            for levels in (tree.levels, fractional):
-                space, _ = umr.tree_to_space(umr.LeveledTree(tree.labels, tree.joins, levels))
-                points = list(range(space.size))
-                rng.shuffle(points)
-                yield space.restrict(points)
+    trees = (tree for n in range(1, max_leaves + 1) for tree in umr.all_tree_shapes(n))
+    return _shuffled_spaces(trees, random.Random(20261018))
+
+
+# the fixed 7- and 8-point shapes of the census benchmark with their
+# heights, the last the uniform (2,2,2) tree
+CENSUS_SHAPES = (
+    (2, (("a", "b", "c"), ("d", "e"), ("f", "g"))),
+    (3, ((("a", "b"), ("c", "d", "e")), (("f", "g"),))),
+    (3, ((("a", "b"), ("c", "d")), (("e", "f"), ("g", "h")))),
+)
+
+
+def shuffled_census_spaces():
+    """The census shapes, shuffled as in shuffled_shape_spaces."""
+    trees = [
+        from_nested(root, umr.DistanceSet(tuple(Fraction(2 ** k) for k in range(height, 0, -1))))
+        for height, root in CENSUS_SHAPES
+    ]
+    return _shuffled_spaces(trees, random.Random(20261019))
+
+
+def _shuffled_spaces(trees, rng):
+    for tree in trees:
+        fractional = umr.DistanceSet(tuple(Fraction(7, 3 * k + 2) for k in range(tree.height)))
+        for levels in (tree.levels, fractional):
+            space, _ = umr.tree_to_space(umr.LeveledTree(tree.labels, tree.joins, levels))
+            points = list(range(space.size))
+            rng.shuffle(points)
+            yield space.restrict(points)
 
 
 def shape_spaces(max_leaves, max_height=None):
