@@ -12,23 +12,22 @@ Two convex orders have the same *order type* when the unique
 order-preserving bijection between them is an isometry.  The isometries
 act freely on the convex orders, so each type has ``iso`` members, and the
 number of types, the Ramsey degree of the space, is ``clo / iso``.  The
-types are found one representative each, the type's lexicographic
-minimum, by a depth-first search that extends a prefix by the points of
-the open ball's unused children in ascending order, and skips a candidate
-when a lower-index candidate has the same chain of ball class ids below
-the open ball: the two lie in one orbit of the prefix's pointwise
-stabiliser.  An order that is not the minimum gs of its type is cut where
-it first differs from gs, since g fixes the prefix before it; a minimum is
-never cut, and every prefix kept extends to one, so the search visits at
-most n prefixes per type (canonical augmentation, McKay 1998).
+same fold lists a ball's types as its sequences of slots, each a child
+class and one of its types, every class filling one slot per child of it.
+A type's least order fills the slots from left to right, each with the
+unused child of its class whose least order of the slot's type starts
+lowest.  That is exact: an isometry fixing the prefix fixes every used
+child, so it only permutes the unused isomorphic children and acts inside
+them, and blocks in different children start at different points.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, permutations
+from itertools import combinations, count, permutations, product
 from math import prod
 
 from .errors import InternalNonIntegerTau
@@ -96,85 +95,56 @@ def order_profile(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[Frac
 
 def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
     """One class per order type, by ascending representative, the type's
-    lexicographic minimum, found by the pruned search of the module
-    docstring."""
-    n = space.size
+    lexicographic minimum, read off the fold of the module docstring."""
     walk = canonical_convex_order(space)
-    # items 0..n-1 are the points, then the branching balls as the fold
-    # closes them
-    cls = [0] * n
-    kids: list[tuple[int, ...]] = [()] * n
-    parent = [-1] * n
-    least: list[dict[int, tuple[int, int]]] = [{0: (p, p)} for p in range(n)]
     classes = _Classes()
-    chains: dict[tuple[int, int], int] = {}
+    types: dict[tuple, int] = {}
 
-    def orbits(items) -> dict[int, tuple[int, int]]:
-        """The orbits of the items' points under the isometries that permute
-        the items, each keyed by its interned chain of class ids from the
-        items down (a point's own is 0), with its least point and the item
-        that holds it."""
-        out: dict[int, tuple[int, int]] = {}
-        for x in items:
-            for chain, (p, _) in least[x].items():
-                chain = chains.setdefault((cls[x], chain), len(chains) + 1)
-                if chain not in out or p < out[chain][0]:
-                    out[chain] = (p, x)
-        return out
+    # a ball's value: its class id, and its least order of each type id
+    def node(key, kids: list[tuple[int, dict]]) -> tuple[int, dict]:
+        cls = classes(key, [c for c, _ in kids])
+        # the children that can fill each slot (c, t), by where their least
+        # order of type t starts; each class's slots interleave with the rest
+        ranked: dict[tuple[int, int], list[int]] = {}
+        for x, (c, least) in enumerate(kids):
+            for t in least:
+                ranked.setdefault((c, t), []).append(x)
+        for (_, t), xs in ranked.items():
+            xs.sort(key=lambda x: kids[x][1][t][0])
+        sequences: list[tuple] = [()]
+        for c, m in Counter([c for c, _ in kids]).items():
+            options = [slot for slot in ranked if slot[0] == c]
+            sequences = [
+                _interleave(slots, run, at)
+                for slots in sequences
+                for run in product(options, repeat=m)
+                for at in combinations(range(len(slots) + m), m)
+            ]
+        out = {}
+        for slots in sequences:
+            used: set[int] = set()
+            skip: dict[tuple[int, int], int] = {}
+            order: list[int] = []
+            for slot in slots:
+                xs, i = ranked[slot], skip.get(slot, 0)
+                while xs[i] in used:
+                    i += 1
+                skip[slot] = i + 1
+                used.add(xs[i])
+                order += kids[xs[i]][1][slot[1]]
+            out[types.setdefault((cls, slots), len(types) + 1)] = tuple(order)
+        return cls, out
 
-    def node(key, children: list[int]) -> int:
-        ball = len(cls)
-        cls.append(classes(key, [cls[x] for x in children]))
-        kids.append(tuple(children))
-        parent.append(-1)
-        for x in children:
-            parent[x] = ball
-        least.append(orbits(children))
-        return ball
+    cls, least = _fold(_steps(space.dist, walk), [(0, {0: (p,)}) for p in walk], node)
+    return [OrderTypeClass(rep, classes.auts[cls]) for rep in sorted(least.values())]
 
-    root = _fold(_steps(space.dist, walk), walk, node)
 
-    # a frontier lists the open balls' unused children, deepest ball
-    # first, as nested pairs (children, rest) ending in None; the next
-    # point comes from the head, each orbit offering its least point once
-    def choices(frontier):
-        return iter(sorted(orbits(frontier[0]).values()))
-
-    def place(frontier, p: int, x: int):
-        unused, rest = frontier
-        if len(unused) > 1:
-            rest = (tuple([y for y in unused if y != x]), rest)
-        # open every ball from x down to p, the deepest last
-        opened = []
-        while p != x:
-            up = parent[p]
-            opened.append(tuple([y for y in kids[up] if y != p]))
-            p = up
-        for group in reversed(opened):
-            rest = (group, rest)
-        return rest
-
-    minima: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    start = ((root,), None)
-    stack = [(start, choices(start))]
-    while stack:
-        frontier, options = stack[-1]
-        option = next(options, None)
-        if option is None:
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        p, x = option
-        following = place(frontier, p, x)
-        if following is None:
-            minima.append((*prefix, p))
-        else:
-            prefix.append(p)
-            stack.append((following, choices(following)))
-    size = classes.auts[cls[root]]
-    return [OrderTypeClass(rep, size) for rep in minima]
+def _interleave(slots: tuple, run: tuple, at: tuple[int, ...]) -> tuple:
+    """``slots`` with the items of ``run`` inserted to land at positions ``at``."""
+    out = list(slots)
+    for i, item in zip(at, run):
+        out.insert(i, item)
+    return tuple(out)
 
 
 def tau(space: UltrametricSpace) -> RamseyDegreeReport:

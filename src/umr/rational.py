@@ -1,4 +1,5 @@
-"""Exact rational parsing and formatting shared by all text formats.
+"""Exact rational parsing and formatting, and the header rule, shared by all
+text formats.
 
 Everything in this package is computed over ``fractions.Fraction``; floats
 are rejected at the boundaries so no rounding can creep in.  The canonical
@@ -33,6 +34,15 @@ def parse_rational(token: str) -> Fraction:
         return Fraction(int(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"bad rational {token!r}") from exc
+
+
+def body_lines(text: str, header: str) -> list[str]:
+    """The stripped non-blank lines of a text after its first line, which
+    must be ``header``."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != header:
+        raise FormatError(f"expected {header!r} header")
+    return lines[1:]
 
 
 def format_rational(value: Fraction) -> str:

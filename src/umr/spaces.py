@@ -28,7 +28,7 @@ from .errors import (
     NonpositiveOffDiagonal,
     UltrametricViolation,
 )
-from .rational import as_fraction, format_rational, parse_rational
+from .rational import as_fraction, body_lines, format_rational, parse_rational
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -358,16 +358,14 @@ def format_uspace(space: UltrametricSpace) -> str:
 
 
 def parse_uspace(text: str) -> UltrametricSpace:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "uspace v1":
-        raise FormatError("expected 'uspace v1' header")
-    if len(lines) < 3 or not lines[1].startswith("points "):
+    lines = body_lines(text, "uspace v1")
+    if len(lines) < 2 or not lines[0].startswith("points "):
         raise FormatError("expected 'points <n>' line")
     try:
-        n = int(lines[1].split()[1])
+        n = int(lines[0].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError("bad points line") from exc
-    label_parts = lines[2].split()
+    label_parts = lines[1].split()
     if not label_parts or label_parts[0] != "labels" or len(label_parts) != n + 1:
         raise FormatError("expected 'labels' line with one name per point")
     names = tuple(label_parts[1:])
@@ -380,7 +378,7 @@ def parse_uspace(text: str) -> UltrametricSpace:
         rows[i][i] = _ZERO
     # equal tokens share one parsed Fraction
     values: dict[str, Fraction] = {}
-    for line in lines[3:]:
+    for line in lines[2:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "d":
             raise FormatError(f"bad distance line {line!r}")
@@ -394,6 +392,6 @@ def parse_uspace(text: str) -> UltrametricSpace:
             value = values[parts[3]] = parse_rational(parts[3])
         rows[i][j] = rows[j][i] = value
     # every line filled a new pair
-    if len(lines) - 3 != n * (n - 1) // 2:
+    if len(lines) - 2 != n * (n - 1) // 2:
         raise FormatError("missing distance lines")
     return validate_space(rows, names)

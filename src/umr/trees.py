@@ -27,7 +27,7 @@ from math import factorial, inf, prod
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from .errors import FormatError, NonConvexOrder
-from .rational import format_rational, parse_rational
+from .rational import body_lines, format_rational, parse_rational
 from .spaces import DistanceSet, UltrametricSpace, _steps, canonical_convex_order, is_convex_order
 
 _ZERO = Fraction(0)
@@ -234,14 +234,12 @@ def format_utree(tree: LeveledTree) -> str:
 
 
 def parse_utree(text: str) -> LeveledTree:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "utree v1":
-        raise FormatError("expected 'utree v1' header")
-    if len(lines) < 3 or not lines[1].startswith("levels"):
+    lines = body_lines(text, "utree v1")
+    if len(lines) < 2 or not lines[0].startswith("levels"):
         raise FormatError("expected 'levels' line and a tree line")
-    level_tokens = lines[1].split()[1:]
+    level_tokens = lines[0].split()[1:]
     values = tuple(parse_rational(tok) for tok in level_tokens)
-    body = " ".join(lines[2:])
+    body = " ".join(lines[1:])
 
     height = len(values)
     labels: list[str] = []

@@ -32,6 +32,7 @@ frame of the scales they touch (the menu's, when one is given) and back.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from fractions import Fraction
@@ -46,7 +47,7 @@ from .errors import (
     NotPartialIsometry,
     UmrError,
 )
-from .rational import as_fraction, format_rational, parse_rational
+from .rational import as_fraction, body_lines, format_rational, parse_rational
 from .spaces import DistanceSet
 
 _ZERO = Fraction(0)
@@ -174,12 +175,12 @@ class PiecewiseLinearMap:
         object.__setattr__(self, "_anchors", tuple(anchors))
 
     def __call__(self, x: Fraction) -> Fraction:
-        if not self.breakpoints or x <= self.breakpoints[0]:
+        # the segment of the last breakpoint at or below x; the map is
+        # continuous, so a breakpoint's own value is its anchor either way
+        i = bisect_right(self.breakpoints, x) - 1
+        if i < 0:
             return x
-        for i in range(len(self.breakpoints) - 1, -1, -1):
-            if x >= self.breakpoints[i]:
-                return self._anchors[i] + self.slopes[i] * (x - self.breakpoints[i])
-        raise AssertionError("unreachable")
+        return self._anchors[i] + self.slopes[i] * (x - self.breakpoints[i])
 
     def inverse(self) -> "PiecewiseLinearMap":
         return PiecewiseLinearMap(self._anchors, tuple(1 / m for m in self.slopes))
@@ -623,13 +624,11 @@ def format_menu(menu: DistanceSet) -> str:
 
 
 def parse_menu(text: str) -> DistanceSet:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "menu v1":
-        raise FormatError("expected 'menu v1' header")
-    if len(lines) == 1:
+    lines = body_lines(text, "menu v1")
+    if not lines:
         raise FormatError("menu must list at least one distance")
     try:
-        return DistanceSet(tuple(parse_rational(tok) for tok in lines[1:]))
+        return DistanceSet(tuple(parse_rational(tok) for tok in lines))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -667,11 +666,9 @@ def _line_pair(line: str) -> list[str]:
 
 
 def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "qpoint v1":
-        raise FormatError("expected 'qpoint v1' header")
+    lines = body_lines(text, "qpoint v1")
     try:
-        return QsPoint(_read_coords(map(_line_pair, lines[1:]), menu))
+        return QsPoint(_read_coords(map(_line_pair, lines), menu))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

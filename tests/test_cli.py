@@ -234,7 +234,8 @@ def test_types_and_coloring_read_one_order_per_type(tmp_path, capsys):
 
 
 def test_types_on_a_wide_space_needs_no_recursion(tmp_path, capsys):
-    # the search is as deep as the space is wide, so it runs under a lowered
+    # one ball with 300 children: the fold over the balls and the filling
+    # of its slots must not recurse per child, so it runs under a lowered
     # recursion limit
     n = 300
     path = tmp_path / "e300.uspace"

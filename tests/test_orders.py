@@ -70,6 +70,16 @@ def test_orders_and_types_match_the_search_oracles():
         _assert_matches_the_search_oracles(space)
     for space in shuffled_census_spaces():
         _assert_matches_the_search_oracles(space)
+    # one wide ball with mixed classes: two c3-shaped balls and two points,
+    # all at distance 3, labels listed in reverse; 4!/(2!·2!)·2² = 24 types
+    # of 16 orders each
+    labels = ["q", "p", "c2", "b2", "a2", "c1", "b1", "a1"]
+    near = {("a1", "b1"): 1, ("a1", "c1"): 2, ("b1", "c1"): 2}
+    near.update({(a[0] + "2", b[0] + "2"): d for (a, b), d in near.items()})
+    pairs = {(a, b): near.get((b, a), 3) for i, a in enumerate(labels) for b in labels[i + 1:]}
+    space = umr.space_from_distances(labels, pairs)
+    _assert_matches_the_search_oracles(space)
+    assert umr.tau(space) == umr.RamseyDegreeReport(384, 16, 24)
 
 
 def test_types_of_a_deep_uniform_space_need_no_recursion():

@@ -14,6 +14,7 @@ from util import (
     naive_compare,
     naive_distance,
     naive_extension_error,
+    naive_piecewise,
     naive_preserves_sample,
 )
 
@@ -105,6 +106,26 @@ def test_piecewise_map_basics():
         q = F(rng.randint(-60, 60), rng.randint(1, 12))
         assert inv(phi(q)) == q
         assert phi(inv(q)) == q
+
+
+def test_piecewise_map_matches_the_segment_oracle():
+    # below, at, between and above the breakpoints of random maps
+    rng = random.Random(20)
+    for _ in range(300):
+        cuts = sorted(
+            {F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(rng.randint(0, 5))}
+        )
+        slopes = [F(rng.randint(1, 20), rng.randint(1, 6)) for _ in cuts]
+        phi = umr.PiecewiseLinearMap(tuple(cuts), tuple(slopes))
+        ends = [cuts[0], cuts[-1]] if cuts else [F(0), F(0)]
+        probes = [
+            *cuts,
+            *((a + b) / 2 for a, b in zip(cuts, cuts[1:])),
+            *(ends[0] - F(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(3)),
+            *(ends[1] + F(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(3)),
+        ]
+        for x in probes:
+            assert phi(x) == naive_piecewise(cuts, slopes, x)
 
 
 def test_piecewise_map_validation():

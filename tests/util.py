@@ -389,6 +389,20 @@ def naive_apply(move, point):
     return umr.qs_point(items)
 
 
+def naive_piecewise(breakpoints, slopes, x):
+    """Value at x of the map with these breakpoints and slopes, summed
+    segment by segment from the left: x itself up to the first breakpoint,
+    else the first breakpoint plus each segment's slope times the length
+    of its part below x."""
+    if not breakpoints or x <= breakpoints[0]:
+        return x
+    value = breakpoints[0]
+    for i, slope in enumerate(slopes):
+        end = breakpoints[i + 1] if i + 1 < len(breakpoints) else x
+        value += slope * (max(min(x, end), breakpoints[i]) - breakpoints[i])
+    return value
+
+
 def _children(node):
     """A nested-tuple node's children: a leaf is its label, a node the
     tuple of its children."""
