@@ -1,60 +1,49 @@
 """Executable model of the countable homogeneous ultrametric space over a
 finite distance menu.
 
-Points are finitely supported rational-valued functions on the menu.  The
-distance of two distinct points is the largest coordinate where they
-differ, and the lexicographic order compares the values at that same
-coordinate.  Under these definitions every finite subset induces a
-convexly ordered ultrametric space with distances drawn from the menu.
+Points are finitely supported rational functions on the menu; the
+distance of two points is the largest coordinate where they differ, and
+the lex order compares their values there.  Automorphisms are move lists:
+a ``Translate`` adds a point, and a ``CoordMap`` remaps, inside one ball
+and above a threshold, the value at one scale by a piecewise-linear
+bijection and shifts the values below it.  ``extend_isometry`` grows any
+finite order-preserving isometry into such a list.
 
-Automorphisms (order-preserving self-isometries) are represented as finite
-move lists.  A ``Translate`` adds a fixed point coordinatewise.  A
-``CoordMap`` acts inside one ball: on the points that agree with a stored
-center above some scale s and whose value at s exceeds a threshold, it
-applies a strictly increasing piecewise-linear rational bijection at s and
-adds fixed shifts below s; everything else is untouched.  The threshold
-gate is what lets a CoordMap move one point of a ball onto another while
-fixing previously matched points sitting lower in the order.
-
-``extend_isometry`` grows any finite order-preserving isometry one point
-at a time into a genuine automorphism: a translation matches the first
-pair, and each further point is captured by one CoordMap.
-
-``QsPoint`` and the move records are the public view.  All arithmetic
-runs on a point's tuple of values at the positions of a ``_Frame``,
-largest scale first, so the lex order is tuple order and a distance is
-the first position where two tuples differ.  The extension, the
-homogeneity harness and its sample check stay in the menu's frame
-throughout; the public sum, moves, distance and order convert into the
-frame of the scales they touch (the menu's, when one is given) and back.
+The arithmetic runs on integers.  A value tuple holds a point's values at
+the positions of a ``_Frame``, largest scale first, as numerators over one
+grid G (n stands for n/G), so the lex order is tuple order and a distance
+is the first position where two tuples differ.  Each compiled move has an
+integer factor L and maps grid G to grid G*L, every position scaled alike:
+it lifts its input by the least L1 that makes its own data integers and
+gates there, and a ball then applies each slope p/q as the integer p*Q/q,
+with Q the lcm of its slope denominators, so L = L1*Q.  The grid grows by
+one factor per move; an extension ball, whose threshold is the midpoint of
+two grid values, has L = q or 2q for its slope p/q.  ``QsPoint`` and the
+move records, over ``Fraction``, are built only by ``_Frame.point`` and
+``_Frame.record`` and in text I/O.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm, prod
 from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from .errors import (
-    DuplicatePoint,
-    FormatError,
-    NotOrderPreserving,
-    NotPartialIsometry,
-    UmrError,
+    DuplicatePoint, FormatError, NotOrderPreserving, NotPartialIsometry, UmrError,
 )
 from .rational import as_fraction, body_lines, format_rational, parse_rational
 from .spaces import DistanceSet
 
 _ZERO = Fraction(0)
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
+LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def menu_of(*values) -> DistanceSet:
@@ -83,17 +72,11 @@ class QsPoint:
 
     def __post_init__(self):
         _check_scales(self.coords)
-        for _, v in self.coords:
-            if not v:
-                raise ValueError("zero values must be dropped")
+        if not all(v for _, v in self.coords):
+            raise ValueError("zero values must be dropped")
 
     def value_at(self, scale: Fraction) -> Fraction:
-        for s, v in self.coords:
-            if s == scale:
-                return v
-            if s < scale:
-                break
-        return _ZERO
+        return dict(self.coords).get(scale, _ZERO)
 
     def restrict_above(self, scale: Fraction) -> "QsPoint":
         return QsPoint(tuple((s, v) for s, v in self.coords if s > scale))
@@ -114,37 +97,38 @@ ZERO_POINT = QsPoint()
 def qs_point(mapping) -> QsPoint:
     """Normalize a {scale: value} mapping or pair iterable into a QsPoint."""
     pairs = mapping.items() if hasattr(mapping, "items") else mapping
-    cleaned = sorted(
-        ((as_fraction(s), as_fraction(v)) for s, v in pairs if v != 0),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    return QsPoint(tuple(cleaned))
+    coords = ((as_fraction(s), as_fraction(v)) for s, v in pairs if v != 0)
+    return QsPoint(tuple(sorted(coords, key=itemgetter(0), reverse=True)))
 
 
-def _compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None):
-    """The frame, the value tuples of x and y there and the first position
-    where they differ; the menu's frame when one is given (x is checked
-    against it first), otherwise the frame of the scales of x and y."""
-    frame = _Frame(menu) if menu is not None else _spanning(x, (Translate(y),))
-    a, b = frame.values(x), frame.values(y)
-    return frame, a, b, _first_difference(a, b)
+def _split(x: QsPoint, y: QsPoint, menu: DistanceSet | None):
+    """The largest scale where x and y differ (past the common prefix of
+    their coordinates, the larger next scale) and their values there, or
+    (0, 0, 0); with a menu, x's scales and then y's must lie on it."""
+    if menu is not None:
+        position = _menu_frame(menu)._position
+        for s, _ in x.coords + y.coords:
+            position(s)
+    a, b, i = x.coords, y.coords, 0
+    while i < len(a) and i < len(b) and a[i] == b[i]:
+        i += 1
+    s, v = a[i] if i < len(a) else (_ZERO, _ZERO)
+    t, w = b[i] if i < len(b) else (_ZERO, _ZERO)
+    return (s, v, w) if s == t else (s, v, _ZERO) if s > t else (t, _ZERO, w)
 
 
 def qs_distance(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> Fraction:
     """0 for equal points, otherwise the largest coordinate where they
     differ."""
-    frame, a, _, k = _compare(x, y, menu)
-    return frame.scales[k] if k < len(a) else _ZERO
+    return _split(x, y, menu)[0]
 
 
 def qs_lex_compare(x: QsPoint, y: QsPoint, menu: DistanceSet | None = None) -> int:
     """LESS/EQUAL/GREATER by the values at the largest differing
-    coordinate."""
-    _, a, b, k = _compare(x, y, menu)
-    if k == len(a):
-        return EQUAL
-    return LESS if a[k] < b[k] else GREATER
+    coordinate, as numerators over the product of their denominators."""
+    _, v, w = _split(x, y, menu)
+    a, b = v.numerator * w.denominator, w.numerator * v.denominator
+    return (a > b) - (a < b)
 
 
 @dataclass(frozen=True)
@@ -167,11 +151,9 @@ class PiecewiseLinearMap:
         for m in self.slopes:
             if m <= 0:
                 raise ValueError("slopes must be positive")
-        anchors = list(self.breakpoints[:1])
-        for i in range(1, len(self.breakpoints)):
-            anchors.append(
-                anchors[-1] + self.slopes[i - 1] * (self.breakpoints[i] - self.breakpoints[i - 1])
-            )
+        b, m, anchors = self.breakpoints, self.slopes, list(self.breakpoints[:1])
+        for i in range(1, len(b)):
+            anchors.append(anchors[-1] + m[i - 1] * (b[i] - b[i - 1]))
         object.__setattr__(self, "_anchors", tuple(anchors))
 
     def __call__(self, x: Fraction) -> Fraction:
@@ -193,10 +175,7 @@ def stretch_above(alpha: Fraction, source: Fraction, image: Fraction) -> Piecewi
         raise ValueError("source and image must lie above alpha")
     if source == image:
         return PiecewiseLinearMap((alpha,), (Fraction(1),))
-    return PiecewiseLinearMap(
-        (alpha, source),
-        ((image - alpha) / (source - alpha), Fraction(1)),
-    )
+    return PiecewiseLinearMap((alpha, source), ((image - alpha) / (source - alpha), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -229,9 +208,8 @@ class CoordMap:
         _check_scales(shifts)
         if shifts and shifts[0][0] >= self.scale:
             raise ValueError("shifts must live strictly below the scale")
-        for _, delta in shifts:
-            if not delta:
-                raise ValueError("zero shifts must be dropped")
+        if not all(delta for _, delta in shifts):
+            raise ValueError("zero shifts must be dropped")
         if self.value_map.breakpoints and self.value_map.breakpoints[0] < self.threshold:
             raise ValueError("value map must be the identity up to the threshold")
 
@@ -239,13 +217,8 @@ class CoordMap:
         return QsAutomorphism((self,))(point)
 
     def invert(self) -> "CoordMap":
-        return CoordMap(
-            scale=self.scale,
-            center=self.center,
-            threshold=self.threshold,
-            value_map=self.value_map.inverse(),
-            shifts=tuple((t, -delta) for t, delta in self.shifts),
-        )
+        shifts = tuple((t, -delta) for t, delta in self.shifts)
+        return replace(self, value_map=self.value_map.inverse(), shifts=shifts)
 
 
 Move = Translate | CoordMap
@@ -256,9 +229,9 @@ class QsAutomorphism:
     moves: tuple[Move, ...] = ()
 
     def __call__(self, point: QsPoint) -> QsPoint:
-        frame = _spanning(point, self.moves)
-        compiled = [frame.compile(move) for move in self.moves]
-        return frame.point(_run(compiled, frame.values(point)))
+        frame, grid = _spanning(point, self.moves), _grid((point,))
+        compiled, out = frame.compile(self.moves, grid)
+        return frame.point(_run(compiled, frame.values(point, grid)), out)
 
 
 IDENTITY = QsAutomorphism()
@@ -268,34 +241,64 @@ def invert_automorphism(auto: QsAutomorphism) -> QsAutomorphism:
     return QsAutomorphism(tuple(move.invert() for move in reversed(auto.moves)))
 
 
-# --- the model on menu positions ---------------------------------------------
+# --- the model on integer numerators -----------------------------------------
 
 
 class _Offset(NamedTuple):
-    """A Translate on value tuples: adds ``offset`` position by position."""
+    """A Translate on value tuples: scales every position by ``factor`` and
+    adds ``offset``, numerators on the output grid."""
 
-    offset: tuple[Fraction, ...]
+    factor: int
+    offset: tuple[int, ...]
 
     def __call__(self, x: tuple) -> tuple:
-        return tuple([a + d if d else a for a, d in zip(x, self.offset)])
+        f = self.factor
+        return tuple([a * f + d for a, d in zip(x, self.offset)])
 
 
 class _Ball(NamedTuple):
-    """A CoordMap on value tuples: its scale is position ``k``, its center
-    the values above it and its shifts the values below it."""
+    """A CoordMap on value tuples at position ``k``: ``gate`` is its center on
+    the input grid (None if off it: no point is in the ball), its threshold
+    and breakpoints are on that grid times ``lift``, and ``rates`` (the
+    slopes), ``anchors`` (the breakpoints' images), ``head`` (the center)
+    and ``shifts`` are on the output grid, the input's times ``factor``."""
 
     k: int
-    center: tuple[Fraction, ...]
-    threshold: Fraction
-    value_map: PiecewiseLinearMap
-    shifts: tuple[Fraction, ...]
+    lift: int
+    factor: int
+    gate: tuple[int, ...] | None
+    threshold: int
+    breakpoints: tuple[int, ...]
+    rates: tuple[int, ...]
+    anchors: tuple[int, ...]
+    head: tuple[int, ...]
+    shifts: tuple[int, ...]
 
     def __call__(self, x: tuple) -> tuple:
-        k = self.k
-        if x[:k] != self.center or x[k] <= self.threshold:
-            return x
-        below = [a + d if d else a for a, d in zip(x[k + 1:], self.shifts)]
-        return (*self.center, self.value_map(x[k]), *below)
+        k, f, v = self.k, self.factor, x[self.k] * self.lift
+        if x[:k] != self.gate or v <= self.threshold:
+            return x if f == 1 else tuple([a * f for a in x])
+        i = bisect_right(self.breakpoints, v) - 1
+        if i < 0:
+            v = v * f // self.lift
+        else:
+            v = self.anchors[i] + self.rates[i] * (v - self.breakpoints[i])
+        return (*self.head, v, *[a * f + d for a, d in zip(x[k + 1:], self.shifts)])
+
+
+def _ball(k: int, lift: int, center, threshold: int, breakpoints, slopes, shifts) -> _Ball:
+    """The ball at k with center, threshold, breakpoints and shifts on its
+    input grid times ``lift``, and slopes as (p, q) in lowest terms."""
+    spread = lcm(*(q for _, q in slopes))
+    rates = tuple([p * (spread // q) for p, q in slopes])
+    anchors = [b * spread for b in breakpoints[:1]]
+    for i in range(1, len(breakpoints)):
+        anchors.append(anchors[-1] + rates[i - 1] * (breakpoints[i] - breakpoints[i - 1]))
+    gate = None if any(c % lift for c in center) else tuple([c // lift for c in center])
+    return _Ball(
+        k, lift, lift * spread, gate, threshold, tuple(breakpoints), rates, tuple(anchors),
+        tuple([c * spread for c in center]), tuple([d * spread for d in shifts]),
+    )
 
 
 def _run(moves: Sequence[Callable[[tuple], tuple]], x: tuple) -> tuple:
@@ -308,119 +311,174 @@ def _first_difference(x: tuple, y: tuple) -> int:
     """The first position where two value tuples differ (the position of
     their distance), or len(x) when they are equal."""
     for k, (a, b) in enumerate(zip(x, y)):
-        if a is not b and a != b:
+        if a != b:
             return k
     return len(x)
 
 
+def _grid(points) -> int:
+    """The least grid on which every value of the points is a numerator."""
+    return lcm(*(v.denominator for p in points for _, v in p.coords))
+
+
 class _Frame:
-    """The positions of strictly decreasing scales (a menu's, or those an
-    operation touches), largest first, and every conversion between value
-    tuples there and the public QsPoint and move records.  A value tuple
-    holds ``_ZERO`` where the point has no coordinate."""
+    """The positions of strictly decreasing scales, largest first, and the
+    conversions between records and value tuples there: numerators over a
+    grid the caller keeps, 0 where a point has no coordinate.  The lookups
+    are built on first use: the harness, which only draws, reads no scale."""
 
     def __init__(self, scales: Sequence[Fraction]):
         self.scales = tuple(scales)
-        self.position = {s: k for k, s in enumerate(self.scales)}
-        self.zero = (_ZERO,) * len(self.scales)
+        self.zero = (0,) * len(self.scales)
+
+    @cached_property
+    def position(self) -> dict[tuple[int, int], int]:  # by (numerator, denominator)
+        return {(s.numerator, s.denominator): k for k, s in enumerate(self.scales)}
+
+    @cached_property
+    def tokens(self) -> dict[str, int]:  # by each scale's canonical spelling
+        return {format_rational(s): k for k, s in enumerate(self.scales)}
 
     def _position(self, scale: Fraction) -> int:
-        k = self.position.get(scale)
+        k = self.position.get((scale.numerator, scale.denominator))
         if k is None:
             raise ValueError(f"coordinate {format_rational(scale)} not in menu")
         return k
 
-    def values(self, point: QsPoint) -> tuple[Fraction, ...]:
-        """The point's value tuple; ValueError if its support leaves the menu."""
+    def values(self, point: QsPoint, grid: int) -> tuple[int, ...]:
+        """The point over a grid its denominators divide; ValueError off the frame."""
         values = list(self.zero)
         for s, v in point.coords:
-            values[self._position(s)] = v
+            values[self._position(s)] = v.numerator * (grid // v.denominator)
         return tuple(values)
 
-    def point(self, values: Sequence[Fraction]) -> QsPoint:
-        """The point with these values at the first len(values) positions."""
-        return QsPoint(tuple((s, v) for s, v in zip(self.scales, values) if v))
+    def point(self, values: Sequence[int], grid: int) -> QsPoint:
+        """The point with values n/grid at the first len(values) positions."""
+        return QsPoint(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
-        """``random_point``'s draw as the numerators n of its values
-        n/POINT_GRID (0 where it has no coordinate): one rng.random() per
+        """``random_point``'s draw over POINT_GRID: one rng.random() per
         position and one rng.randint() per position it fills."""
         return tuple([
             rng.randint(-POINT_SPAN, POINT_SPAN) if rng.random() < POINT_DENSITY else 0
             for _ in self.scales
         ])
 
-    def compile(self, move: Move) -> _Offset | _Ball:
-        if isinstance(move, Translate):
-            return _Offset(self.values(move.offset))
-        k = self._position(move.scale)
-        return _Ball(
-            k, self.values(move.center)[:k], move.threshold, move.value_map,
-            self.values(QsPoint(move.shifts))[k + 1:],
-        )
+    def scramble(self, rng: random.Random, max_moves: int = 3) -> list[_Offset | _Ball]:
+        """``random_automorphism``'s moves on tuples over POINT_GRID, with
+        its rng calls; drawn data are scaled onto the running grid."""
+        moves, grow = [], 1
+        for _ in range(rng.randint(1, max_moves)):
+            if rng.random() < 0.5:
+                moves.append(_Offset(1, tuple([a * grow for a in self.draw(rng)])))
+                continue
+            k = rng.randrange(len(self.scales))
+            breakpoints = [rng.randint(-POINT_SPAN, POINT_SPAN) * grow]
+            for _ in range(rng.randint(0, 2)):
+                breakpoints.append(breakpoints[-1] + rng.randint(1, 12) * grow)
+            slopes = [rng.choice(_SLOPES) for _ in breakpoints]
+            below = range(k + 1, len(self.scales))
+            shifts = [rng.randint(-12, 12) * grow if rng.random() < 0.5 else 0 for _ in below]
+            center = [a * grow for a in self.draw(rng)[:k]]
+            moves.append(_ball(k, 1, center, breakpoints[0], breakpoints, slopes, shifts))
+            grow *= moves[-1].factor
+        return moves
 
-    def record(self, move: _Offset | _Ball) -> Move:
-        if isinstance(move, _Offset):
-            return Translate(self.point(move.offset))
-        return CoordMap(
-            scale=self.scales[move.k],
-            center=self.point(move.center),
-            threshold=move.threshold,
-            value_map=move.value_map,
-            shifts=self.point(self.zero[:move.k + 1] + move.shifts).coords,
-        )
+    def compile(self, moves: Sequence[Move], grid: int) -> tuple[list[_Offset | _Ball], int]:
+        """The moves on value tuples over ``grid``, and their output grid."""
+        compiled: list[_Offset | _Ball] = []
+        for move in moves:
+            if isinstance(move, Translate):
+                lifted = lcm(grid, _grid((move.offset,)))
+                compiled.append(_Offset(lifted // grid, self.values(move.offset, lifted)))
+            else:
+                k, shifts = self._position(move.scale), QsPoint(move.shifts)
+                numbers = (move.threshold, *move.value_map.breakpoints)
+                lifted = lcm(grid, _grid((move.center, shifts)), *(v.denominator for v in numbers))
+                threshold, *breakpoints = [v.numerator * (lifted // v.denominator) for v in numbers]
+                compiled.append(_ball(
+                    k, lifted // grid, self.values(move.center, lifted)[:k], threshold, breakpoints,
+                    [(m.numerator, m.denominator) for m in move.value_map.slopes],
+                    self.values(shifts, lifted)[k + 1:],
+                ))
+            grid *= compiled[-1].factor
+        return compiled, grid
+
+    def record(self, moves: Sequence[_Offset | _Ball], grid: int) -> tuple[Move, ...]:
+        """The public records of moves that run on tuples over ``grid``."""
+        records: list[Move] = []
+        for move in moves:
+            out = grid * move.factor
+            if isinstance(move, _Offset):
+                records.append(Translate(self.point(move.offset, out)))
+            else:
+                lifted, spread = grid * move.lift, move.factor // move.lift
+                records.append(CoordMap(
+                    scale=self.scales[move.k],
+                    center=self.point(move.head, out),
+                    threshold=Fraction(move.threshold, lifted),
+                    value_map=PiecewiseLinearMap(
+                        tuple([Fraction(b, lifted) for b in move.breakpoints]),
+                        tuple([Fraction(r, spread) for r in move.rates]),
+                    ),
+                    shifts=self.point(self.zero[:move.k + 1] + move.shifts, out).coords,
+                ))
+            grid = out
+        return tuple(records)
 
 
 def _spanning(point: QsPoint, moves: Sequence[Move]) -> _Frame:
     """The frame of every scale that the point and the moves mention."""
-    scales = {s for s, _ in point.coords}
-    for move in moves:
-        if isinstance(move, Translate):
-            scales.update(s for s, _ in move.offset.coords)
+    coords = list(point.coords)
+    for m in moves:
+        if isinstance(m, Translate):
+            coords += m.offset.coords
         else:
-            scales.add(move.scale)
-            scales.update(s for s, _ in move.center.coords + move.shifts)
-    return _Frame(sorted(scales, reverse=True))
+            coords += ((m.scale, None), *m.center.coords, *m.shifts)
+    scales = {(s.numerator, s.denominator): s for s, _ in coords}
+    return _Frame(sorted(scales.values(), reverse=True))
 
 
-def extend_isometry(
-    pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet
-) -> QsAutomorphism:
+_last_frame: tuple = (None, None)
+
+
+def _menu_frame(menu: DistanceSet) -> _Frame:
+    """The menu's frame, built once for a run of calls on one menu object
+    (the CLI parses each qpoint of a job against one); frames never change."""
+    global _last_frame
+    last = _last_frame
+    if last[0] is not menu:
+        last = _last_frame = (menu, _Frame(menu))
+    return last[1]
+
+
+def extend_isometry(pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet) -> QsAutomorphism:
     """Extend a finite distance- and order-preserving map to a full
-    automorphism.
+    ``QsAutomorphism``, on value tuples over the pairs' least common grid.
 
-    The pairs are sorted by source once and validated along that order:
-    sources and targets must be strictly increasing, with equal distances
-    between neighbours.  The lex order is convex on every finite set, so
-    each distance is the largest adjacent step between its two points, and
-    this accepts exactly the valid maps with O(n log n) comparisons.  Only
-    when it fails does the all-pairs scan run, to name the first bad pair
-    (errors cite the positions in the given sequence).  The first sorted
-    pair is matched by a translation.  Each later source x, already
-    carried to h(x) by the moves so far, is captured by one CoordMap: with
-    s the distance from the previous source, h(x) and the wanted target
-    agree above s and both sit above all earlier targets at s, so a
-    threshold strictly between leaves the earlier targets fixed while a
-    stretch at s plus shifts below s move h(x) exactly onto the target.
-    The work runs on value tuples; only the moves it returns are records.
+    The pairs are validated along their sorted order (sources and targets
+    increasing, equal neighbour distances), which is exact as the lex
+    order is convex; only on failure does the all-pairs scan name the first
+    bad pair by input positions.  A translation matches the first pair.
+    Each later source x, carried to h(x), is captured by one CoordMap at
+    the distance s from the previous source: h(x) and its target agree
+    above s and lie above the earlier targets at s, so a threshold between
+    fixes those, and a stretch at s and shifts below s finish the move.
     """
-    frame = _Frame(menu)
-    sources = [frame.values(p) for p, _ in pairs]
-    targets = [frame.values(q) for _, q in pairs]
-    return QsAutomorphism(tuple(map(frame.record, _extend(sources, targets))))
+    frame, grid = _menu_frame(menu), _grid(p for pair in pairs for p in pair)
+    sources = [frame.values(p, grid) for p, _ in pairs]
+    targets = [frame.values(q, grid) for _, q in pairs]
+    return QsAutomorphism(frame.record(_extend(sources, targets), grid))
 
 
 def _extend(sources: list[tuple], targets: list[tuple]) -> list[_Offset | _Ball]:
-    """``extend_isometry`` on value tuples of one frame: the moves, in
+    """``extend_isometry`` on value tuples over one grid: the moves, in
     order, or the same UmrError for the same pair."""
-    n = len(sources)
-    if n == 0:
+    if not sources:
         return []
-    ordered = sorted(zip(sources, targets), key=itemgetter(0))
-    xs = [x for x, _ in ordered]
-    ys = [y for _, y in ordered]
+    xs, ys = zip(*sorted(zip(sources, targets), key=itemgetter(0)))
     steps = []
-    for m in range(1, n):
+    for m in range(1, len(xs)):
         k = _first_difference(xs[m - 1], xs[m])
         apart = k < len(xs[m]) and _first_difference(ys[m - 1], ys[m]) == k
         if not apart or ys[m - 1][k] >= ys[m][k]:
@@ -429,24 +487,30 @@ def _extend(sources: list[tuple], targets: list[tuple]) -> list[_Offset | _Ball]
 
     moves: list[_Offset | _Ball] = []
     if xs[0] != ys[0]:
-        moves.append(_Offset(tuple([b - a for a, b in zip(xs[0], ys[0])])))
-
-    for m in range(1, n):
+        moves.append(_Offset(1, tuple([b - a for a, b in zip(xs[0], ys[0])])))
+    grow = 1  # the moves' factor so far: carried points lie on grid * grow
+    for m in range(1, len(xs)):
         carried = _run(moves, xs[m])
-        wanted = ys[m]
+        wanted = tuple([b * grow for b in ys[m]])
         if carried == wanted:
             continue
         k = steps[m - 1]
         # geometry of the sorted configuration, guaranteed by validation
         assert _first_difference(carried, wanted) >= k
-        low = ys[m - 1][k]
-        high = min(wanted[k], carried[k])
+        low, high = ys[m - 1][k] * grow, min(wanted[k], carried[k])
         assert low < high
-        alpha = (low + high) / 2
-        moves.append(_Ball(
-            k, wanted[:k], alpha, stretch_above(alpha, carried[k], wanted[k]),
-            tuple([b - a for a, b in zip(carried[k + 1:], wanted[k + 1:])]),
+        # the threshold is the midpoint, a grid value once the grid is doubled
+        lift = 1 + (low + high) % 2
+        alpha, source, image = (low + high) * lift // 2, carried[k] * lift, wanted[k] * lift
+        # stretch_above's map, in one segment when source == image
+        d = gcd(image - alpha, source - alpha)
+        stretch = [(alpha, ((image - alpha) // d, (source - alpha) // d)), (source, (1, 1))]
+        breakpoints, slopes = zip(*stretch[:1 + (source != image)])
+        moves.append(_ball(
+            k, lift, [c * lift for c in wanted[:k]], alpha, breakpoints, slopes,
+            [(b - a) * lift for a, b in zip(carried[k + 1:], wanted[k + 1:])],
         ))
+        grow *= moves[-1].factor
     return moves
 
 
@@ -469,60 +533,21 @@ def _raise_first_bad_pair(sources: list[tuple], targets: list[tuple]) -> NoRetur
 POINT_DENSITY = 0.75
 POINT_SPAN = 18
 POINT_GRID = 6
-# n -> n/POINT_GRID for |n| <= POINT_SPAN, one object per value, so that
-# equal drawn values compare by identity
-_GRID = {n: Fraction(n, POINT_GRID) if n else _ZERO for n in range(-POINT_SPAN, POINT_SPAN + 1)}
-
-
-def _on_grid(numerators: Sequence[int]) -> tuple[Fraction, ...]:
-    """The value tuple of a draw."""
-    return tuple([_GRID[n] for n in numerators])
+# the slopes p/q that random_automorphism draws, as (p, q)
+_SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
 
 def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
-    """Random finitely supported point: each coordinate present with
-    probability POINT_DENSITY, values n/POINT_GRID for integers n with
-    |n| <= POINT_SPAN."""
+    """Random point: each coordinate present with probability POINT_DENSITY,
+    values n/POINT_GRID for integers n with |n| <= POINT_SPAN."""
     frame = _Frame(menu)
-    return frame.point(_on_grid(frame.draw(rng)))
+    return frame.point(frame.draw(rng), POINT_GRID)
 
 
-def random_automorphism(
-    menu: DistanceSet, rng: random.Random, max_moves: int = 3
-) -> QsAutomorphism:
-    """Random composition of valid primitive moves."""
-    slopes = (
-        Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
-        Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3),
-    )
+def random_automorphism(menu: DistanceSet, rng: random.Random, max_moves: int = 3) -> QsAutomorphism:
+    """A random ``QsAutomorphism`` of valid moves (``_Frame.scramble``)."""
     frame = _Frame(menu)
-    moves: list[Move] = []
-    for _ in range(rng.randint(1, max_moves)):
-        if rng.random() < 0.5:
-            moves.append(Translate(frame.point(_on_grid(frame.draw(rng)))))
-            continue
-        k = rng.randrange(len(menu))
-        alpha = Fraction(rng.randint(-18, 18), 6)
-        breakpoints = [alpha]
-        for _ in range(rng.randint(0, 2)):
-            breakpoints.append(breakpoints[-1] + Fraction(rng.randint(1, 12), 6))
-        chosen = tuple(rng.choice(slopes) for _ in breakpoints)
-        shift_items = []
-        for t in menu[k + 1:]:
-            if rng.random() < 0.5:
-                delta = Fraction(rng.randint(-12, 12), 6)
-                if delta != 0:
-                    shift_items.append((t, delta))
-        moves.append(
-            CoordMap(
-                scale=menu[k],
-                center=frame.point(_on_grid(frame.draw(rng)[:k])),
-                threshold=alpha,
-                value_map=PiecewiseLinearMap(tuple(breakpoints), chosen),
-                shifts=tuple(shift_items),
-            )
-        )
-    return QsAutomorphism(tuple(moves))
+    return QsAutomorphism(frame.record(frame.scramble(rng, max_moves), POINT_GRID))
 
 
 @dataclass(frozen=True)
@@ -542,30 +567,21 @@ class HomogeneityReport:
 
 
 def check_homogeneity(
-    menu: DistanceSet,
-    n: int,
-    trials: int,
-    seed: int,
-    samples: int = 100,
+    menu: DistanceSet, n: int, trials: int, seed: int, samples: int = 100
 ) -> HomogeneityReport:
     """Randomized end-to-end exercise of the extension algorithm.
 
-    Each trial draws n distinct points, pushes them through a random
-    automorphism to get an order-isometric image, extends the finite map,
-    and then checks that the extension hits every target exactly and
-    preserves distance and order on every pair from an independent sample,
-    checked along the sample's sorted order with O(s log s) comparisons;
-    that is exact because the lex order is convex on every finite set.
-    Points, moves and the sample are value tuples throughout, drawn with
-    the rng calls of ``random_point``.  Trial i uses seed + i, so trials
-    are independent of scheduling.  n may not exceed the
-    (2 POINT_SPAN + 1)^len(menu) distinct points that ``random_point``
-    can draw.
+    Each trial draws n distinct points, maps them by a random automorphism,
+    extends that finite map, and checks that the extension hits every
+    target and keeps distance and order on every pair of an independent
+    sample (along its sorted order, exact as the lex order is convex).
+    Everything is a value tuple, drawn over POINT_GRID with the rng calls
+    of ``random_point`` and ``random_automorphism``.  Trial i uses seed + i.
+    n may not exceed the (2 POINT_SPAN + 1)^len(menu) drawable points.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    for name, count in (("n", n), ("trials", trials)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
     limit = (2 * POINT_SPAN + 1) ** len(menu)
     if n > limit:
         raise ValueError(f"n must be at most {limit}, the number of distinct random points")
@@ -576,21 +592,23 @@ def check_homogeneity(
         drawn: dict[tuple[int, ...], None] = {}
         while len(drawn) < n:
             drawn[frame.draw(rng)] = None
-        points = list(map(_on_grid, drawn))
-        scrambler = [frame.compile(move) for move in random_automorphism(menu, rng).moves]
-        images = [_run(scrambler, p) for p in points]
+        scrambler = frame.scramble(rng)
+        # the points lifted onto their images' grid
+        lift = _Offset(prod(move.factor for move in scrambler), frame.zero)
+        points, images = list(map(lift, drawn)), [_run(scrambler, p) for p in drawn]
         try:
             moves = _extend(points, images)
         except UmrError as exc:
             reason = type(exc).__name__
         else:
-            if any(_run(moves, p) != q for p, q in zip(points, images)):
+            out = _Offset(prod(move.factor for move in moves), frame.zero)
+            if any(_run(moves, p) != out(q) for p, q in zip(points, images)):
                 reason = "image mismatch"
             else:
                 # numerators sort as their values do, so the check's own
                 # sort meets the sample in order
                 sample = sorted([frame.draw(rng) for _ in range(samples)])
-                if _preserves_sample(partial(_run, moves), list(map(_on_grid, sample))):
+                if _preserves_sample(partial(_run, [lift, *moves]), sample):
                     continue
                 reason = "sample mismatch"
         failures.append(t)
@@ -634,28 +652,27 @@ def parse_menu(text: str) -> DistanceSet:
 
 
 def format_qpoint(point: QsPoint) -> str:
-    lines = ["qpoint v1"]
-    for s, v in point.coords:
-        lines.append(f"{format_rational(s)} {format_rational(v)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{format_rational(s)} {format_rational(v)}" for s, v in point.coords]
+    return "\n".join(["qpoint v1", *lines]) + "\n"
 
 
-def _read_coords(pairs, menu: DistanceSet) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Coordinates from (scale, value) token pairs in any order, each scale
-    once and on the menu; zero values are dropped, the rest come out in
-    menu order."""
-    position = _Frame(menu).position
-    coords: list[tuple[Fraction, Fraction] | None] = [None] * len(menu)
+def _read_coords(pairs, frame: _Frame) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Coordinates, in frame order and without zeros, from (scale, value)
+    token pairs in any order, each scale once and on the frame; a scale is
+    parsed only when not in its canonical spelling."""
+    values: list[Fraction | None] = [None] * len(frame.scales)
     for scale, value in pairs:
-        s = parse_rational(scale)
-        k = position.get(s)
+        k = frame.tokens.get(scale)
         if k is None:
-            _check_scales(((s, None),))  # the scale rule speaks before the menu
-            raise FormatError(f"coordinate {scale} not in menu")
-        if coords[k] is not None:
+            s = parse_rational(scale)
+            k = frame.position.get((s.numerator, s.denominator))
+            if k is None:
+                _check_scales(((s, None),))  # the scale rule speaks before the menu
+                raise FormatError(f"coordinate {scale} not in menu")
+        if values[k] is not None:
             raise FormatError(f"repeated coordinate {scale}")
-        coords[k] = (s, parse_rational(value))
-    return tuple(c for c in coords if c is not None and c[1])
+        values[k] = parse_rational(value)
+    return tuple((s, v) for s, v in zip(frame.scales, values) if v)
 
 
 def _line_pair(line: str) -> list[str]:
@@ -668,7 +685,7 @@ def _line_pair(line: str) -> list[str]:
 def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
     lines = body_lines(text, "qpoint v1")
     try:
-        return QsPoint(_read_coords(map(_line_pair, lines), menu))
+        return QsPoint(_read_coords(map(_line_pair, lines), _menu_frame(menu)))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -684,22 +701,14 @@ def _chunk_pairs(token: str, none: str, kind: str):
         yield chunk.split(":", 1)
 
 
-def _parse_inline_point(token: str, menu: DistanceSet) -> QsPoint:
-    return QsPoint(_read_coords(_chunk_pairs(token, "0", "point"), menu))
+def _parse_inline_point(token: str, frame: _Frame) -> QsPoint:
+    return QsPoint(_read_coords(_chunk_pairs(token, "0", "point"), frame))
 
 
 def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...], none: str = "-") -> str:
     if not pairs:
         return none
-    return ",".join(
-        f"{format_rational(a)}:{format_rational(b)}" for a, b in pairs
-    )
-
-
-def _parse_inline_pairs(token: str) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple(
-        (parse_rational(a), parse_rational(b)) for a, b in _chunk_pairs(token, "-", "pair")
-    )
+    return ",".join(f"{format_rational(a)}:{format_rational(b)}" for a, b in pairs)
 
 
 def format_automorphism(auto: QsAutomorphism) -> str:
@@ -708,53 +717,42 @@ def format_automorphism(auto: QsAutomorphism) -> str:
         if isinstance(move, Translate):
             lines.append(f"translate {_inline_pairs(move.offset.coords, '0')}")
         else:
-            phi = _inline_pairs(
-                tuple(zip(move.value_map.breakpoints, move.value_map.slopes))
-            )
+            phi = _inline_pairs(tuple(zip(move.value_map.breakpoints, move.value_map.slopes)))
             lines.append(
                 f"coordmap s={format_rational(move.scale)}"
                 f" center={_inline_pairs(move.center.coords, '0')}"
-                f" alpha={format_rational(move.threshold)}"
-                f" phi={phi}"
+                f" alpha={format_rational(move.threshold)} phi={phi}"
                 f" shifts={_inline_pairs(move.shifts)}"
             )
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
-    frame = _Frame(menu)
+    frame = _menu_frame(menu)
     moves: list[Move] = []
-    for line in (ln.strip() for ln in text.splitlines()):
-        if not line:
-            continue
+    for line in filter(None, (ln.strip() for ln in text.splitlines())):
         parts = line.split()
         try:
             if parts[0] == "translate" and len(parts) == 2:
-                moves.append(Translate(_parse_inline_point(parts[1], menu)))
+                moves.append(Translate(_parse_inline_point(parts[1], frame)))
                 continue
             if parts[0] != "coordmap":
                 raise FormatError(f"unknown move {line!r}")
             fields = {}
-            for part in parts[1:]:
-                if "=" not in part:
-                    raise FormatError(f"bad field {part!r}")
-                key, value = part.split("=", 1)
+            for key, eq, value in (part.partition("=") for part in parts[1:]):
+                if not eq:
+                    raise FormatError(f"bad field {key!r}")
                 fields[key] = value
-            pl_pairs = _parse_inline_pairs(fields["phi"])
+            phi = [tuple(map(parse_rational, c)) for c in _chunk_pairs(fields["phi"], "-", "pair")]
             scale = parse_rational(fields["s"])
             frame._position(scale)  # an off-menu scale raises as a point's does
-            moves.append(
-                CoordMap(
-                    scale=scale,
-                    center=_parse_inline_point(fields["center"], menu),
-                    threshold=parse_rational(fields["alpha"]),
-                    value_map=PiecewiseLinearMap(
-                        tuple(a for a, _ in pl_pairs),
-                        tuple(b for _, b in pl_pairs),
-                    ),
-                    shifts=_read_coords(_chunk_pairs(fields["shifts"], "-", "pair"), menu),
-                )
-            )
+            moves.append(CoordMap(
+                scale=scale,
+                center=_parse_inline_point(fields["center"], frame),
+                threshold=parse_rational(fields["alpha"]),
+                value_map=PiecewiseLinearMap(tuple(a for a, _ in phi), tuple(b for _, b in phi)),
+                shifts=_read_coords(_chunk_pairs(fields["shifts"], "-", "pair"), frame),
+            ))
         except KeyError as exc:
             raise FormatError(f"missing coordmap field {exc}") from exc
         except ValueError as exc:

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,9 +337,14 @@ BREAKERS = {
 }
 
 
-def on_values(frame, mapping):
-    """A map of QsPoints as a map of the frame's value tuples."""
-    return lambda x: frame.values(mapping(frame.point(x)))
+def on_values(frame, mapping, sample):
+    """A sample of QsPoints as value tuples over one grid, and a map of
+    them as a table of the images' value tuples over another."""
+    grid = urysohn._grid(sample)
+    images = {p: mapping(p) for p in sample}
+    out = urysohn._grid(images.values())
+    table = {frame.values(p, grid): frame.values(q, out) for p, q in images.items()}
+    return [frame.values(p, grid) for p in sample], table.__getitem__
 
 
 @pytest.mark.parametrize("breaker", BREAKERS.values(), ids=list(BREAKERS))
@@ -348,24 +354,29 @@ def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, break
     check = urysohn._preserves_sample
     verdicts = []
 
+    # Each breaker commutes with scaling, and distance and order do too, so
+    # numerators over any grid may stand in for the values they scale.
     def broken_extend(sources, targets):
         # hits every target, and breaks the image of every other point
-        moves, hits = extend(sources, targets), dict(zip(sources, targets))
+        moves = extend(sources, targets)
+        out = urysohn._Offset(prod(move.factor for move in moves), frame.zero)
+        hits = {x: out(y) for x, y in zip(sources, targets)}
 
         def broken(x):
             if x in hits:
                 return hits[x]
-            return frame.values(breaker(frame.point(urysohn._run(moves, x))))
+            return frame.values(breaker(frame.point(urysohn._run(moves, x), 1)), 1)
 
+        broken.factor = out.factor
         return [broken]
 
     def recorded_check(image, sample):
         verdict = check(image, sample)
 
         def mapped(p):
-            return frame.point(image(frame.values(p)))
+            return frame.point(image(frame.values(p, urysohn.POINT_GRID)), 1)
 
-        points = [frame.point(x) for x in sample]
+        points = [frame.point(x, urysohn.POINT_GRID) for x in sample]
         verdicts.append((verdict, naive_preserves_sample(mapped, points)))
         return verdict
 
@@ -375,6 +386,37 @@ def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, break
     assert report.failures == tuple(range(8))
     assert report.reasons == ("sample mismatch",) * 8
     assert verdicts == [(False, False)] * 8
+
+
+def test_sample_check_reads_the_extension_at_the_sampled_values(monkeypatch):
+    # the sample is drawn over POINT_GRID, the extension runs on the grid of
+    # the scrambled images: the map the check reads must still be the
+    # extension's automorphism at each sampled point
+    frame, seen = urysohn._Frame(MENU3), {"checks": 0}
+    scramble, extend, check = urysohn._Frame.scramble, urysohn._extend, urysohn._preserves_sample
+
+    def recorded_scramble(self, rng, max_moves=3):
+        seen["scrambler"] = scramble(self, rng, max_moves)
+        return seen["scrambler"]
+
+    def recorded_extend(sources, targets):
+        seen["moves"] = extend(sources, targets)
+        return seen["moves"]
+
+    def recorded_check(image, sample):
+        grid = urysohn.POINT_GRID * prod(move.factor for move in seen["scrambler"])
+        auto = umr.QsAutomorphism(frame.record(seen["moves"], grid))
+        out = grid * prod(move.factor for move in seen["moves"])
+        for x in sample:
+            assert frame.point(image(x), out) == auto(frame.point(x, urysohn.POINT_GRID))
+        seen["checks"] += 1
+        return check(image, sample)
+
+    monkeypatch.setattr(urysohn._Frame, "scramble", recorded_scramble)
+    monkeypatch.setattr(urysohn, "_extend", recorded_extend)
+    monkeypatch.setattr(urysohn, "_preserves_sample", recorded_check)
+    assert umr.check_homogeneity(MENU3, 4, trials=6, seed=3, samples=20).all_passed
+    assert seen["checks"] == 6
 
 
 def qs_points(menu, values=st.integers(-3, 3).map(lambda k: F(k, 2))):
@@ -391,9 +433,8 @@ def qs_points(menu, values=st.integers(-3, 3).map(lambda k: F(k, 2))):
 def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
     auto = umr.random_automorphism(MENU3, random.Random(seed))
     mapped = auto if breaker is None else lambda p: breaker(auto(p))
-    frame = urysohn._Frame(MENU3)
-    values = list(map(frame.values, sample))
-    verdict = urysohn._preserves_sample(on_values(frame, mapped), values)
+    values, image = on_values(urysohn._Frame(MENU3), mapped, sample)
+    verdict = urysohn._preserves_sample(image, values)
     assert verdict == naive_preserves_sample(mapped, sample)
     if breaker is None:
         assert verdict
@@ -403,9 +444,8 @@ def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
 @given(st.data(), st.lists(qs_points(MENU2), max_size=8))
 def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
     table = {p: data.draw(qs_points(MENU2)) for p in sample}
-    frame = urysohn._Frame(MENU2)
-    values = list(map(frame.values, sample))
-    verdict = urysohn._preserves_sample(on_values(frame, table.get), values)
+    values, image = on_values(urysohn._Frame(MENU2), table.get, sample)
+    verdict = urysohn._preserves_sample(image, values)
     assert verdict == naive_preserves_sample(table.get, sample)
 
 
@@ -448,21 +488,23 @@ HALVES = st.integers(-3, 3).map(lambda k: F(k, 2))
 
 
 @st.composite
-def points_and_moves(draw, menu, values=HALVES):
+def points_and_moves(draw, menu, values=HALVES, numbers=HALVES, unit=F(1, 2),
+                     slopes=(F(1, 2), F(1), F(2))):
     """A point with the given values and a move: a Translate, or a CoordMap
     whose ball often holds the point and whose threshold, value map and
-    shifts often cancel it."""
+    shifts often cancel it.  The move's offset, center, threshold and
+    shifts are drawn from ``numbers``, its breakpoints ``unit`` apart."""
     point = draw(qs_points(menu, values))
     if draw(st.booleans()):
-        return point, umr.Translate(draw(qs_points(menu)))
+        return point, umr.Translate(draw(qs_points(menu, numbers)))
     scale = draw(st.sampled_from(list(menu)))
-    center = point if draw(st.booleans()) else draw(qs_points(menu))
-    threshold = draw(HALVES)
+    center = point if draw(st.booleans()) else draw(qs_points(menu, numbers))
+    threshold = draw(numbers)
     steps = draw(st.lists(st.integers(0, 4), max_size=3, unique=True))
-    breakpoints = tuple(threshold + F(k, 2) for k in sorted(steps))
-    slopes = tuple(draw(st.sampled_from([F(1, 2), F(1), F(2)])) for _ in breakpoints)
+    breakpoints = tuple(threshold + unit * k for k in sorted(steps))
+    slopes = tuple(draw(st.sampled_from(slopes)) for _ in breakpoints)
     below = [t for t in menu if t < scale]
-    shifts = draw(st.dictionaries(st.sampled_from(below), HALVES.filter(bool))) if below else {}
+    shifts = draw(st.dictionaries(st.sampled_from(below), numbers.filter(bool))) if below else {}
     return point, umr.CoordMap(
         scale=scale,
         center=center.restrict_above(scale),
@@ -593,14 +635,64 @@ def test_compiled_moves_match_dict_arithmetic(case, others, seed):
     # the hand-built move first, while its ball often still holds the point
     point, move = case
     moves = (move, *umr.random_automorphism(MENU5, random.Random(seed), max_moves=4).moves)
-    frame = urysohn._Frame(MENU5)
-    compiled = [frame.compile(m) for m in moves]
-    for p in (point, *others):
+    check_compiled(MENU5, moves, (point, *others))
+
+
+def check_compiled(menu, moves, points):
+    """Compiled on the points' least grid, the moves carry each point as the
+    composed ``naive_apply`` does, and ``record`` gives the moves back."""
+    frame = urysohn._Frame(menu)
+    grid = urysohn._grid(points)
+    compiled, out = frame.compile(moves, grid)
+    for p in points:
         expected = p
         for m in moves:
             expected = naive_apply(m, expected)
-        assert frame.point(urysohn._run(compiled, frame.values(p))) == expected
-    assert tuple(map(frame.record, compiled)) == moves
+        assert frame.point(urysohn._run(compiled, frame.values(p, grid)), out) == expected
+    assert frame.record(compiled, grid) == tuple(moves)
+
+
+# values with denominators 7, 11 and 13: a move's data are often off the
+# grid of the points it meets (its lift) and its slopes widen the grid
+SEVENS = st.builds(F, st.integers(-30, 30), st.sampled_from([7, 11, 13]))
+
+
+def odd_moves(unit, slopes):
+    return points_and_moves(MENU5, SEVENS, numbers=SEVENS, unit=unit, slopes=slopes)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    case=odd_moves(F(1, 11), (F(3, 7), F(1), F(13, 11))),
+    others=st.lists(qs_points(MENU5, SEVENS), max_size=4),
+    more=st.lists(odd_moves(F(2, 13), (F(2, 13), F(7, 11))).map(lambda c: c[1]), max_size=3),
+)
+def test_compiled_moves_on_sevenths_elevenths_and_thirteenths(case, others, more):
+    point, move = case
+    check_compiled(MENU5, (move, *more), (point, *others))
+
+
+def test_extension_with_a_ball_per_pair_grows_the_grid():
+    # 120 sources in one ball, at values p/7, onto increasing values q/11
+    # with growing gaps: a translation and then one ball per pair, each
+    # widening the grid by its own factor
+    pairs = [
+        (umr.qs_point({1: 1, F(1, 2): F(5 * i + i % 3, 7)}),
+         umr.qs_point({1: 1, F(1, 2): F(i * i + 3 * i + 1, 11)}))
+        for i in range(120)
+    ]
+    auto = umr.extend_isometry(pairs, MENU2)
+    assert len(auto.moves) == 120
+    for p, q in pairs:
+        image = p
+        for move in auto.moves:
+            image = naive_apply(move, image)
+        assert image == q
+    points = [p for pair in pairs for p in pair]
+    frame, grid = urysohn._Frame(MENU2), urysohn._grid(points)
+    compiled, out = frame.compile(auto.moves, grid)
+    assert out.bit_length() > 400
+    assert frame.record(compiled, grid) == auto.moves
 
 
 def pinned_extension(menu, seed, n):
