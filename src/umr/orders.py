@@ -31,11 +31,10 @@ from itertools import combinations, count, permutations, product
 from math import prod
 
 from .errors import InternalNonIntegerTau
-from .spaces import UltrametricSpace, _steps, canonical_convex_order
+from .spaces import UltrametricSpace, _fold, _steps, canonical_convex_order
 from .trees import (
     LeveledTree,
     _Classes,
-    _fold,
     _uniform_joins,
     branchings,
     canonical_tree,

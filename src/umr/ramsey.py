@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -29,8 +28,8 @@ from typing import Callable, Sequence
 from .errors import BudgetExceeded, OracleFailure
 from .orders import order_type_partition
 from .shapes import branching_vectors, uniform_tree
-from .spaces import UltrametricSpace, _steps, canonical_convex_order
-from .trees import _fold, _require_convex, space_to_tree, tree_to_space
+from .spaces import UltrametricSpace, _fold, _steps, canonical_convex_order
+from .trees import _require_convex, space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -72,23 +71,16 @@ class ArrowVerdict:
 
 
 def _ball(step: Fraction, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
-    balls.sort(key=itemgetter(0))
-    return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
-
-
-def _canonical(
-    leaves: list[tuple[tuple, list[int]]], steps: Sequence[Fraction]
-) -> tuple[tuple, list[int]]:
-    """Canonical form of the space a convex sequence spans, and the
-    sequence's positions arranged along it, read off its adjacent steps;
-    ``leaves`` is ``[((), [p]) for p in range(len(steps) + 1)]``, which
-    the fold reads and never changes.
+    """Canonical form of a ball of a convex sequence, and the sequence's
+    positions arranged along it, as ``_fold``'s node over the leaves
+    ``((), [p])`` for the positions p, which the fold reads and never changes.
 
     A point's form is ``()``; a ball cut at its largest steps into top balls
     has the form ``(step, their forms sorted)``, and its arrangement is
     theirs in that order.  Equal forms mean isometric spaces, and lining up
     their arrangements gives an isometry."""
-    return _fold(steps, leaves, _ball)
+    balls.sort(key=itemgetter(0))
+    return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
 
 
 def enumerate_copies(
@@ -108,16 +100,23 @@ def enumerate_copies(
     unordered one the pattern's canonical form."""
     if (ambient_order is None) != (pattern_order is None):
         raise ValueError("pass both orders or neither")
-    ordered = pattern_order is not None
-    if ordered:
+    if pattern_order is not None:
         _require_convex(ambient, ambient_order)
         _require_convex(pattern, pattern_order)
-    else:
+    return _copies(ambient, pattern, ambient_order, pattern_order)
+
+
+def _copies(
+    ambient: UltrametricSpace, pattern: UltrametricSpace, ambient_order, pattern_order
+) -> list[Copy]:
+    """``enumerate_copies`` on orders already checked."""
+    ordered = pattern_order is not None
+    if not ordered:
         ambient_order = canonical_convex_order(ambient)
         pattern_order = canonical_convex_order(pattern)
     m, n = pattern.size, ambient.size
     leaves = [((), [p]) for p in range(m)]
-    key = (lambda s: (s, range(m))) if ordered else partial(_canonical, leaves)
+    key = (lambda s: (s, range(m))) if ordered else (lambda s: _fold(s, leaves, _ball))
     target, pattern_arranged = key(_steps(pattern.dist, pattern_order))
     place = {point: p for p, point in enumerate(ambient_order)}
     out: list[Copy] = []
@@ -184,10 +183,26 @@ def verify_arrow(
     the arrow holds, the counterexample's rank when it fails.  Raises
     BudgetExceeded when that number is above the budget.
     """
+    orders = (ambient_order, target_order, pattern_order)
+    if orders.count(None) not in (0, 3):
+        raise ValueError("pass both orders or neither")
+    if ambient_order is not None:
+        _require_convex(ambient, ambient_order)
+        _require_convex(pattern, pattern_order)
+        _require_convex(target, target_order)
+    return _arrow(ambient, target, pattern, k, l, orders, budget)
+
+
+def _arrow(
+    ambient: UltrametricSpace, target: UltrametricSpace, pattern: UltrametricSpace,
+    k: int, l: int, orders: tuple, budget: int,
+) -> ArrowVerdict:
+    """``verify_arrow`` on its three orders, already checked, or three Nones."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    x_copies = enumerate_copies(ambient, pattern, ambient_order, pattern_order)
-    y_copies = enumerate_copies(ambient, target, ambient_order, target_order)
+    ambient_order, target_order, pattern_order = orders
+    x_copies = _copies(ambient, pattern, ambient_order, pattern_order)
+    y_copies = _copies(ambient, target, ambient_order, target_order)
     n = len(x_copies)
     members = _members(x_copies, y_copies, pattern.size)
     # Copy i never gets a color above i, so a palette of n colors gives the
@@ -323,24 +338,19 @@ def search_witness(
     The pool is complete for the ordering side of the theory and a
     heuristic for the Ramsey side; the search is exhaustive only relative
     to this pool and its budget.  Raises BudgetExceeded when the cumulative
-    coloring budget runs out.
+    coloring budget runs out.  Each candidate is convexly ordered by
+    construction, so only the two given orders are checked.
     """
     target_tree = space_to_tree(target, target_order)
+    _require_convex(pattern, pattern_order)
     spent = 0
     for vector in branching_vectors(target_tree.height):
         candidate_tree = uniform_tree(vector, target_tree.levels)
         candidate, candidate_order = tree_to_space(candidate_tree)
         try:
-            verdict = verify_arrow(
-                candidate,
-                target,
-                pattern,
-                k,
-                1,
-                ambient_order=candidate_order,
-                target_order=target_order,
-                pattern_order=pattern_order,
-                budget=budget - spent,
+            verdict = _arrow(
+                candidate, target, pattern, k, 1,
+                (candidate_order, target_order, pattern_order), budget - spent,
             )
         except BudgetExceeded as exc:
             raise BudgetExceeded(exc.copies, spent + exc.colorings) from None

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
-from typing import Iterator, Sequence
+from math import inf
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
     AsymmetricMatrix,
@@ -33,6 +34,7 @@ from .rational import as_fraction, body_lines, format_rational, parse_rational
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -66,26 +68,34 @@ class DistanceSet:
 class UltrametricSpace:
     labels: tuple[str, ...]
     dist: Matrix
-    # the nearest-unused walk, kept by validate_space and tree_to_space
+    # the canonical convex order, from validate_space, tree_to_space or restrict
     _order: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    def d(self, i: int, j: int) -> Fraction:
-        return self.dist[i][j]
-
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
     def restrict(self, points: Sequence[int]) -> "UltrametricSpace":
-        """Induced subspace on the given point indices, labels preserved."""
+        """Induced subspace on distinct point indices, labels preserved
+        (EmptySpace for none, ValueError for a repeated or unknown index).
+        The parent's canonical order stays convex on the chosen points; its
+        fold, each ball listing its children by first point, is the least."""
         pts = tuple(points)
-        return UltrametricSpace(
-            tuple(self.labels[p] for p in pts),
-            tuple(tuple(self.dist[p][q] for q in pts) for p in pts),
+        if not pts:
+            raise EmptySpace()
+        place = {p: i for i, p in enumerate(pts)}
+        order = [place[p] for p in canonical_convex_order(self) if p in place]
+        if len(order) != len(pts):
+            raise ValueError("points must be distinct point indices")
+        dist = tuple(tuple(self.dist[p][q] for q in pts) for p in pts)
+        least = _fold(
+            _steps(dist, order), [[p] for p in order],
+            lambda _, kids: [p for kid in sorted(kids) for p in kid],
         )
+        return UltrametricSpace(tuple(self.labels[p] for p in pts), dist, tuple(least))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UltrametricSpace):
@@ -166,20 +176,12 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
                     raise AsymmetricMatrix(names[i], names[j])
                 if row[j] <= zero:
                     raise NonpositiveOffDiagonal(names[i], names[j])
-    # The matrix is ultrametric iff along the nearest-unused walk w every
-    # d(w_i, w_j) is the largest step between positions i and j.  If it is
-    # ultrametric, the walk is a convex order (see _nearest_unused), and in
-    # a convex order the ball of radius d(w_i, w_j) around w_i is an
-    # interval holding every step between i and j, so d(w_i, w_j) is their
-    # maximum.  Conversely, for positions a < b < c path maxima give
-    # d(a, c) = max(d(a, b), d(b, c)) >= d(a, b), d(b, c), which is the
-    # strong triangle inequality for every triple.
+    # The matrix is ultrametric iff path maxima hold along the nearest-unused
+    # walk: an unfinished ball holds the last point placed, which a nearest
+    # unused point never leaves early, so an ultrametric walk is convex; and
+    # path maxima at a < b < c give d(a, c) = max(d(a, b), d(b, c)).
     walk = _walk(ranks)
-    steps = _steps(ranks, walk)
-    if all(
-        list(map(ranks[p].__getitem__, walk[i + 1:])) == list(accumulate(steps[i:], max))
-        for i, p in enumerate(walk)
-    ):
+    if _path_maxima(ranks, walk):
         dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
         return UltrametricSpace(names, dist, walk)
     raise UltrametricViolation(*(names[k] for k in _first_witness(ranks)))
@@ -249,84 +251,81 @@ def distance_set(space: UltrametricSpace) -> DistanceSet:
 
 def ball_partition(space: UltrametricSpace, radius: Fraction) -> tuple[tuple[int, ...], ...]:
     """Closed balls of the given radius; in an ultrametric space they
-    partition the points.  Blocks are sorted by smallest member."""
+    partition the points, and they are the runs of a convex order between
+    its steps above the radius.  Blocks are sorted by smallest member."""
     r = as_fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    blocks = []
-    placed = [False] * space.size
-    for i in range(space.size):
-        if placed[i]:
-            continue
-        block = tuple(j for j in range(space.size) if space.dist[i][j] <= r)
-        for j in block:
-            placed[j] = True
-        blocks.append(block)
-    return tuple(blocks)
+    order = canonical_convex_order(space)
+    blocks = [[order[0]]]
+    for p, step in zip(order[1:], _steps(space.dist, order)):
+        if step > r:
+            blocks.append([])
+        blocks[-1].append(p)
+    return tuple(sorted(tuple(sorted(block)) for block in blocks))
 
 
-def _nearest_unused(space: UltrametricSpace, point: int, used: list[bool]) -> list[int]:
-    """The points not yet used that lie nearest to ``point``, ascending.
-
-    A sequence is a convex order iff each point after the first is one of
-    these for its predecessor: every ball entered and not yet finished
-    contains the last point placed, so leaving it early skips a nearer
-    unused point, and a nearest unused point never leaves a ball early.
-    """
-    row = space.dist[point]
-    nearest: list[int] = []
-    best = None
-    for q, taken in enumerate(used):
-        if taken:
-            continue
-        d = row[q]
-        if best is None or d < best:
-            best, nearest = d, [q]
-        elif d == best:
-            nearest.append(q)
-    return nearest
+def _path_maxima(dist: Sequence[Sequence], order: Sequence[int]) -> bool:
+    """True iff along the order each entry is the largest step between its
+    two points, in O(n^2).  On an ultrametric matrix that holds iff every
+    ball is an interval: the ball of radius d(x, y) around x spans every
+    step between x and y, and by path maxima no point between them lies
+    farther from x than y."""
+    steps = _steps(dist, order)
+    return all(
+        list(map(dist[p].__getitem__, order[i + 1:])) == list(accumulate(steps[i:], max))
+        for i, p in enumerate(order)
+    )
 
 
 def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
     """True iff every ball at every realized radius is an interval of the
-    order, checked in O(n^2) as: each point is nearest to its predecessor
-    among the points not yet placed."""
+    order, checked in O(n^2) as path maxima: each distance is the largest
+    step between its two points along the order."""
     if sorted(order) != list(range(space.size)):
         raise ValueError("order must be a permutation of the point indices")
-    used = [False] * space.size
-    for prev, point in zip(order, order[1:]):
-        used[prev] = True
-        if point not in _nearest_unused(space, prev, used):
-            return False
-    return True
+    return _path_maxima(space.dist, order)
 
 
 def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
     """The lexicographically least convex order: point 0, then each time
     the lowest-index point among the unused points nearest to the last.
-    A validated space returns the walk its validation took."""
+    Only a space built with the constructor walks the matrix for it."""
     if space._order is not None:
         return space._order
     return _walk(space.dist)
 
 
 def _walk(dist: Sequence[Sequence]) -> tuple[int, ...]:
-    """The nearest-unused walk over a raw matrix of comparable entries:
-    point 0, then each time the lowest-index unused point nearest to the
-    last one."""
-    unused = list(range(1, len(dist)))
-    order = [0]
+    """The walk of canonical_convex_order over a matrix of comparable entries."""
+    order, unused = [0], list(range(1, len(dist)))
     while unused:
-        nearest = min(unused, key=dist[order[-1]].__getitem__)
-        unused.remove(nearest)
-        order.append(nearest)
+        order.append(min(unused, key=dist[order[-1]].__getitem__))
+        unused.remove(order[-1])
     return tuple(order)
 
 
 def _steps(dist: Sequence[Sequence], order: Sequence[int]) -> tuple:
-    """The distances between neighbours along an order; along a convex order
-    each distance is the largest step between its two points."""
+    """The distances between neighbours along an order."""
     return tuple([dist[a][b] for a, b in zip(order, order[1:])])
+
+
+def _fold(steps: Sequence[Any], leaves: Iterable[_T], node: Callable[[Any, list[_T]], _T]) -> _T:
+    """Value of the ball a sequence spans, from its adjacent steps and its
+    points' values: a ball cut at its largest step ``key`` into top balls is
+    node(key, their values).  One stack pass closes a ball where a neighbour's
+    step is larger, so it visits only branching balls, in O(n) plus the calls."""
+    stack: list[tuple[Any, list[_T]]] = []
+    for step, value in zip([*steps, inf], leaves):
+        while stack and stack[-1][0] < step:
+            key, kids = stack.pop()
+            kids.append(value)
+            value = node(key, kids)
+        if stack and stack[-1][0] == step:
+            stack[-1][1].append(value)
+        else:
+            stack.append((step, [value]))
+    return stack[0][1][0]
 
 
 def order_labels(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[str, ...]:

@@ -23,12 +23,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, inf, prod
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from math import factorial, prod
+from typing import Any, Callable, Sequence, TypeVar
 
 from .errors import FormatError, NonConvexOrder
 from .rational import body_lines, format_rational, parse_rational
-from .spaces import DistanceSet, UltrametricSpace, _steps, canonical_convex_order, is_convex_order
+from .spaces import (
+    DistanceSet, UltrametricSpace, _fold, _steps, canonical_convex_order, is_convex_order,
+)
 
 _ZERO = Fraction(0)
 _T = TypeVar("_T")
@@ -67,24 +69,6 @@ class LeveledTree:
     def _fold(self, leaf: _T, node: Callable[[int, list[_T]], _T]) -> _T:
         """``_fold`` with minus the joins as steps: ``node`` gets -depth."""
         return _fold([-j for j in self.joins], [leaf] * len(self.labels), node)
-
-
-def _fold(steps: Sequence[Any], leaves: Iterable[_T], node: Callable[[Any, list[_T]], _T]) -> _T:
-    """Value of the ball a sequence spans, from its adjacent steps and its
-    points' values: a ball cut at its largest step ``key`` into top balls is
-    node(key, their values).  One stack pass closes a ball where a neighbour's
-    step is larger, so it visits only branching balls, in O(n) plus the calls."""
-    stack: list[tuple[Any, list[_T]]] = []
-    for step, value in zip([*steps, inf], leaves):
-        while stack and stack[-1][0] < step:
-            key, kids = stack.pop()
-            kids.append(value)
-            value = node(key, kids)
-        if stack and stack[-1][0] == step:
-            stack[-1][1].append(value)
-        else:
-            stack.append((step, [value]))
-    return stack[0][1][0]
 
 
 def branchings(tree: LeveledTree) -> list[int]:
@@ -141,7 +125,7 @@ def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]
     """Dual space of a tree: points are the leaves in left-to-right order,
     the distance of two leaves is the level distance of their deepest
     common ancestor, and the returned order is the identity, which is the
-    space's nearest-unused walk."""
+    space's canonical convex order."""
     labels, joins = tree.labels, tree.joins
     n = len(labels)
     levels = tree.levels.values

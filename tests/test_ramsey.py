@@ -520,6 +520,30 @@ def test_arrow_takes_all_three_orders_or_none():
             umr.verify_arrow(equilateral(6), e3(), pair, 2, 1, **orders)
 
 
+def test_each_given_order_is_checked_once(monkeypatch):
+    checked = []
+    is_convex_order = umr.spaces.is_convex_order
+
+    def counted(space, order):
+        checked.append(order)
+        return is_convex_order(space, order)
+
+    monkeypatch.setattr(umr.spaces, "is_convex_order", counted)
+    monkeypatch.setattr(umr.trees, "is_convex_order", counted)
+    pair, six = equilateral(2), equilateral(6)
+    umr.verify_arrow(
+        six, e3(), pair, 2, 1,
+        ambient_order=ordered(six), target_order=ordered(e3()), pattern_order=ordered(pair),
+    )
+    assert len(checked) == 3
+    checked.clear()
+    # candidates with 2, 3 and 4 points fail before the 5-point one holds
+    one = umr.validate_space([[0]], ["x"])
+    z, _ = umr.search_witness(one, (0,), e3(), ordered(e3()), 2)
+    assert z.size == 5
+    assert checked == [ordered(e3()), (0,)]
+
+
 def test_search_budget_exceeded():
     pair = equilateral(2)
     with pytest.raises(umr.BudgetExceeded):

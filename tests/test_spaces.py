@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 import umr
 from util import (
+    brute_convex_orders,
     c3,
+    convexity_oracle,
     e3,
     equilateral,
     leveled_trees,
+    naive_convex_orders,
     naive_first_error,
     naive_valid,
-    oracle_is_convex,
     shape_spaces,
+    shuffled_shape_spaces,
 )
 
 
@@ -95,6 +98,15 @@ def test_ball_partition_requires_positive_radius():
         umr.ball_partition(c3(), F(0))
 
 
+def test_ball_partition_matches_the_definition():
+    for space in shuffled_shape_spaces(5):
+        n = space.size
+        radii = list(umr.distance_set(space))
+        for r in [*radii, F(1, 100), F(100)]:
+            balls = {tuple(y for y in range(n) if space.dist[x][y] <= r) for x in range(n)}
+            assert umr.ball_partition(space, r) == tuple(sorted(balls))
+
+
 def test_ball_refinement():
     for space in shape_spaces(5):
         radii = list(umr.distance_set(space))
@@ -120,11 +132,16 @@ def test_is_convex_order_rejects_non_permutations():
 
 
 def test_convexity_matches_interval_oracle():
-    from itertools import permutations
-
-    for space in shape_spaces(5):
+    # every permutation of every shape space with up to 6 points; the
+    # convex ones are also the nearest-unused search's
+    for space in shape_spaces(6):
+        oracle = convexity_oracle(space)
+        convex = []
         for seq in permutations(range(space.size)):
-            assert umr.is_convex_order(space, seq) == oracle_is_convex(space, seq)
+            assert umr.is_convex_order(space, seq) == oracle(seq)
+            if oracle(seq):
+                convex.append(seq)
+        assert convex == naive_convex_orders(space)
 
 
 def test_canonical_convex_order_is_convex():
@@ -344,9 +361,8 @@ def test_validated_spaces_keep_the_walk(monkeypatch):
         for variant in (space, space.restrict(range(n - 1, -1, -1))):
             parsed = umr.parse_uspace(umr.format_uspace(variant))
             plain = variant.restrict(range(n))
-            walk = umr.canonical_convex_order(plain)
-            if variant is space:
-                assert umr.canonical_convex_order(space) == walk
+            walk = umr.spaces._walk(variant.dist)
+            assert umr.canonical_convex_order(variant) == walk
             assert parsed == plain and parsed == variant
             assert hash(parsed) == hash(plain) == hash(variant)
             assert repr(parsed) == repr(plain)
@@ -358,3 +374,30 @@ def test_validated_spaces_keep_the_walk(monkeypatch):
 
     monkeypatch.setattr(umr.spaces, "_walk", no_walk)
     assert [umr.canonical_convex_order(space) for space in validated] == expected
+
+
+def test_restrict_refuses_an_empty_or_repeated_selection():
+    with pytest.raises(umr.EmptySpace):
+        c3().restrict([])
+    for points in ([0, 0, 1], [1, 1], [0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="distinct point indices"):
+            c3().restrict(points)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(leveled_trees(max_leaves=7), st.data())
+def test_restrict_keeps_the_least_convex_order_without_walking(tree, data):
+    space, _ = umr.tree_to_space(tree)
+    shuffled = space.restrict(data.draw(st.permutations(range(space.size))))
+    points = data.draw(st.lists(st.sampled_from(range(space.size)), min_size=1, unique=True))
+
+    def no_walk(dist):
+        raise AssertionError("restricted space walked its matrix")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(umr.spaces, "_walk", no_walk)
+        for sub in (space.restrict(points), shuffled.restrict(points)):
+            order = umr.canonical_convex_order(sub)
+            assert order == umr.enumerate_convex_orders(sub)[0]
+            if sub.size <= 5:
+                assert order == brute_convex_orders(sub)[0]

@@ -157,10 +157,8 @@ def test_sibling_ordering_count():
 def test_random_tree_round_trip(tree):
     space, order = umr.tree_to_space(tree)
     assert tree.labels == space.labels
-    # restrict drops the stored walk, so the right-hand side walks afresh
-    assert umr.canonical_convex_order(space) == umr.canonical_convex_order(
-        space.restrict(range(space.size))
-    )
+    # the stored order against a fresh nearest-unused walk of the matrix
+    assert umr.canonical_convex_order(space) == umr.spaces._walk(space.dist)
     rebuilt = umr.space_to_tree(space, order)
     assert rebuilt == tree
     assert hash(rebuilt) == hash(tree)

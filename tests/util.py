@@ -110,10 +110,6 @@ def convexity_oracle(space):
     return is_convex
 
 
-def oracle_is_convex(space, seq):
-    return convexity_oracle(space)(seq)
-
-
 def brute_convex_orders(space):
     """The convex orders among all n! permutations, in lexicographic order."""
     return list(filter(convexity_oracle(space), permutations(range(space.size))))
@@ -123,7 +119,10 @@ def naive_convex_orders(space):
     """Depth-first search over the raw matrix: any first point, then each
     next point among the unused points nearest to the last one, all in
     ascending index order; each branch ends in a convex order, listed in
-    lexicographic order."""
+    lexicographic order.  This is the nearest-unused lemma: a sequence is
+    convex iff each point after the first is nearest to its predecessor
+    among the points not yet placed, since every ball entered and not yet
+    finished holds the last point placed."""
     n = space.size
     used = [False] * n
     seq = []
