@@ -39,7 +39,7 @@ def parse_rational(token: str) -> Fraction:
 def body_lines(text: str, header: str) -> list[str]:
     """The stripped non-blank lines of a text after its first line, which
     must be ``header``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines or lines[0] != header:
         raise FormatError(f"expected {header!r} header")
     return lines[1:]

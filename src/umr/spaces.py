@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import inf
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -133,13 +133,17 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
 
     Every check compares integers: each distance is replaced by its rank
     among the distinct values, 0 included, which orders them as the
-    values do.  The returned space keeps the nearest-unused walk the
-    check took, which is its canonical convex order.
+    values do.  Entries are ranked by object, each distinct one coerced
+    once; parse_uspace ranks its tokens instead, and from the rank matrix
+    on both run the same checks.  The returned space keeps the
+    nearest-unused walk the check took, which is its canonical convex
+    order, and holds one Fraction per distinct value.
 
     Cost: O(n^2) for a valid space, which is checked along the
-    nearest-unused walk, plus O(k log k) to rank k distinct values; an
-    invalid space's witness costs O(n^2) plus O(n) per pair joined by a
-    path of shorter steps, O(n^3) in the worst case.
+    nearest-unused walk with O(n) Python steps for path maxima, the rest
+    list operations made in C, plus O(k log k) to rank k distinct values;
+    an invalid space's witness costs O(n^2) plus O(n) per pair joined by
+    a path of shorter steps, O(n^3) in the worst case.
     """
     names = tuple(labels)
     n = len(names)
@@ -153,16 +157,31 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the label count")
     # each distinct entry object is coerced once, in row order, so the
-    # first float raises; equal values held by distinct objects share a
-    # rank, found by their lowest terms since hashing a Fraction is slow
+    # first float raises; equal values held by distinct objects share a rank
     entries = dict(zip(map(id, chain.from_iterable(matrix)), chain.from_iterable(matrix)))
-    exact = [as_fraction(v) for v in entries.values()]
+    values, entry_ranks, zero = _ranked([as_fraction(v) for v in entries.values()])
+    rank_by_id = dict(zip(entries, entry_ranks))
+    ranks = [list(map(rank_by_id.__getitem__, map(id, row))) for row in matrix]
+    return _validated(names, ranks, values, zero)
+
+
+def _ranked(exact: list[Fraction]) -> tuple[list[Fraction], list[int], int]:
+    """The distinct values among ``exact`` and 0, ascending, the rank of
+    each entry of ``exact`` among them, and the rank of 0; equal values are
+    found by their lowest terms, since hashing a Fraction is slow."""
     terms = [v.as_integer_ratio() for v in exact]
     values = sorted({(0, 1): _ZERO, **dict(zip(terms, exact))}.values())
     rank_of = {v.as_integer_ratio(): r for r, v in enumerate(values)}
-    rank_by_id = dict(zip(entries, map(rank_of.__getitem__, terms)))
-    ranks = [list(map(rank_by_id.__getitem__, map(id, row))) for row in matrix]
-    zero = rank_of[0, 1]
+    return values, list(map(rank_of.__getitem__, terms)), rank_of[0, 1]
+
+
+def _validated(
+    names: tuple[str, ...], ranks: list[list[int]], values: list[Fraction], zero: int
+) -> UltrametricSpace:
+    """The space holding ``values[r]`` where the square rank matrix holds
+    r, once every check of validate_space after the label checks passes on
+    the ranks (``zero`` is the rank of 0), or the first witness's error."""
+    n = len(names)
     for i in range(n):
         if ranks[i][i] != zero:
             raise NonzeroDiagonal(names[i])
@@ -267,15 +286,29 @@ def ball_partition(space: UltrametricSpace, radius: Fraction) -> tuple[tuple[int
 
 def _path_maxima(dist: Sequence[Sequence], order: Sequence[int]) -> bool:
     """True iff along the order each entry is the largest step between its
-    two points, in O(n^2).  On an ultrametric matrix that holds iff every
-    ball is an interval: the ball of radius d(x, y) around x spans every
-    step between x and y, and by path maxima no point between them lies
-    farther from x than y."""
+    two points.  On an ultrametric matrix that holds iff every ball is an
+    interval: the ball of radius d(x, y) around x spans every step between
+    x and y, and by path maxima no point between them lies farther from x
+    than y.
+
+    From step i on, the running maximum of the steps is step i up to the
+    next larger step j, and from j on the running maximum from j.  One pass
+    from the right keeps the next larger steps on a stack, each with its
+    expected row, so each point's expected row is one run of equal steps
+    followed by a row already built: O(n) Python steps, and O(n^2) copies
+    and compares made in C."""
     steps = _steps(dist, order)
-    return all(
-        list(map(dist[p].__getitem__, order[i + 1:])) == list(accumulate(steps[i:], max))
-        for i, p in enumerate(order)
-    )
+    larger: list[tuple[int, list]] = [(len(steps), [])]
+    for i in range(len(steps) - 1, -1, -1):
+        step = steps[i]
+        while len(larger) > 1 and larger[-1][1][0] <= step:
+            larger.pop()
+        j, suffix = larger[-1]
+        expected = [step] * (j - i) + suffix
+        if list(map(dist[order[i]].__getitem__, order[i + 1:])) != expected:
+            return False
+        larger.append((i, expected))
+    return True
 
 
 def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
@@ -357,6 +390,11 @@ def format_uspace(space: UltrametricSpace) -> str:
 
 
 def parse_uspace(text: str) -> UltrametricSpace:
+    """The space a USPACE text describes, checked as validate_space checks
+    a matrix.  Lines are checked in order, after the line count: a text
+    with fewer distance lines than pairs raises FormatError before any
+    table is built.  Each distinct token is parsed once, and the checks
+    run on the ranks of the tokens' values."""
     lines = body_lines(text, "uspace v1")
     if len(lines) < 2 or not lines[0].startswith("points "):
         raise FormatError("expected 'points <n>' line")
@@ -370,27 +408,39 @@ def parse_uspace(text: str) -> UltrametricSpace:
     names = tuple(label_parts[1:])
     index = {lab: i for i, lab in enumerate(names)}
     if len(index) != n:
-        raise DuplicateLabel(next(l for l in names if names.count(l) > 1))
-    # off-diagonal cells stay None until their line fills them
-    rows = [[None] * n for _ in range(n)]
+        # the first label seen again later, found in O(n): index keeps
+        # each label's last position
+        raise DuplicateLabel(next(l for i, l in enumerate(names) if index[l] != i))
+    # a short document is refused before its table is built, so the
+    # table is bounded by the document's own size
+    if len(lines) - 2 < n * (n - 1) // 2:
+        raise FormatError("missing distance lines")
+    # each cell holds the index of its token's value, 0 the diagonal's
+    # zero; off-diagonal cells stay None until their line fills them
+    table = [[None] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = _ZERO
-    # equal tokens share one parsed Fraction
-    values: dict[str, Fraction] = {}
+        table[i][i] = 0
+    tokens: dict[str, int] = {}
+    exact = [_ZERO]
     for line in lines[2:]:
         parts = line.split()
         if len(parts) != 4 or parts[0] != "d":
             raise FormatError(f"bad distance line {line!r}")
-        i, j = index.get(parts[1]), index.get(parts[2])
-        if i is None or j is None:
-            raise FormatError(f"unknown label in {line!r}")
-        if rows[i][j] is not None:
+        _, a, b, value = parts
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            raise FormatError(f"unknown label in {line!r}") from None
+        row = table[i]
+        if row[j] is not None:
             raise FormatError(f"repeated or diagonal pair in {line!r}")
-        value = values.get(parts[3])
-        if value is None:
-            value = values[parts[3]] = parse_rational(parts[3])
-        rows[i][j] = rows[j][i] = value
-    # every line filled a new pair
-    if len(lines) - 2 != n * (n - 1) // 2:
-        raise FormatError("missing distance lines")
-    return validate_space(rows, names)
+        token = tokens.get(value)
+        if token is None:
+            token = tokens[value] = len(exact)
+            exact.append(parse_rational(value))
+        row[j] = table[j][i] = token
+    # no line repeated a pair and none is missing, so every cell is filled
+    if n == 0:
+        raise EmptySpace()
+    values, rank, zero = _ranked(exact)
+    return _validated(names, [list(map(rank.__getitem__, row)) for row in table], values, zero)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
 
@@ -16,6 +17,8 @@ from util import (
     leveled_trees,
     naive_convex_orders,
     naive_first_error,
+    naive_parse_uspace,
+    naive_path_maxima,
     naive_valid,
     shape_spaces,
     shuffled_shape_spaces,
@@ -133,15 +136,28 @@ def test_is_convex_order_rejects_non_permutations():
 
 def test_convexity_matches_interval_oracle():
     # every permutation of every shape space with up to 6 points; the
-    # convex ones are also the nearest-unused search's
+    # convex ones are also the nearest-unused search's, and path maxima
+    # agree with running maxima on each
     for space in shape_spaces(6):
         oracle = convexity_oracle(space)
         convex = []
         for seq in permutations(range(space.size)):
-            assert umr.is_convex_order(space, seq) == oracle(seq)
+            assert umr.is_convex_order(space, seq) == oracle(seq) == naive_path_maxima(space.dist, seq)
             if oracle(seq):
                 convex.append(seq)
         assert convex == naive_convex_orders(space)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.data())
+def test_path_maxima_match_running_maxima_on_integer_matrices(n, top, data):
+    # symmetric matrices over 0..top, ultrametric or not, along any order
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = data.draw(st.integers(0, top))
+    order = data.draw(st.permutations(range(n)))
+    assert umr.spaces._path_maxima(rows, order) == naive_path_maxima(rows, order)
 
 
 def test_canonical_convex_order_is_convex():
@@ -265,6 +281,101 @@ def test_uspace_parse_errors():
         umr.parse_uspace(
             "uspace v1\npoints 2\nlabels a b\nd a b 1\nd a b 1\n"
         )
+
+
+def parse_outcome(parse, text):
+    """What a USPACE parse returns, as the labels, matrix and canonical
+    order of its space, or the class and message of the error it raises."""
+    try:
+        space = parse(text)
+    except umr.UmrError as exc:
+        return type(exc), str(exc)
+    return space.labels, space.dist, space._order
+
+
+def spelled(value, factor=1):
+    """A USPACE token for value, its terms multiplied by factor."""
+    return f"{factor * value.numerator}/{factor * value.denominator}"
+
+
+MUTATIONS = (
+    "none", "bad line", "unknown label", "repeated pair", "diagonal pair", "bad rational",
+    "zero", "negative", "raised", "spelled apart", "dropped",
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(leveled_trees(max_leaves=7), st.sampled_from(MUTATIONS), st.data())
+def test_parse_uspace_matches_the_sequential_parse(tree, kind, data):
+    # a valid text, its points stored and its lines listed in any order,
+    # with at most one mutation
+    space, _ = umr.tree_to_space(tree)
+    space = space.restrict(data.draw(st.permutations(range(space.size))))
+    text_lines = umr.format_uspace(space).splitlines()
+    head, lines = text_lines[:3], data.draw(st.permutations(text_lines[3:]))
+    if lines and kind != "none":
+        k = data.draw(st.integers(0, len(lines) - 1))
+        _, a, b, token = lines[k].split()
+        value = F(token)
+        if kind == "bad line":
+            lines[k] = data.draw(st.sampled_from([f"d {a} {b}", f"e {a} {b} {token}", f"d {a} {b} {token} 1"]))
+        elif kind == "unknown label":
+            lines[k] = data.draw(st.sampled_from([f"d zz {b} {token}", f"d {a} zz {token}"]))
+        elif kind == "repeated pair":
+            _, c, e, other = data.draw(st.sampled_from(lines)).split()
+            lines[k] = data.draw(st.sampled_from([f"d {c} {e} {other}", f"d {e} {c} {other}"]))
+        elif kind == "diagonal pair":
+            lines[k] = f"d {a} {a} {token}"
+        elif kind == "bad rational":
+            lines[k] = f"d {a} {b} " + data.draw(st.sampled_from(["1/0", "x", "1//2", "2/", "0.5"]))
+        elif kind == "dropped":
+            del lines[k]
+        else:
+            new = {
+                "zero": spelled(F(0)),
+                "negative": spelled(-value),
+                "raised": spelled(value + data.draw(st.sampled_from([F(1, 3), tree.levels[0]]))),
+                "spelled apart": spelled(value, data.draw(st.integers(2, 3))),
+            }[kind]
+            lines[k] = f"d {a} {b} {new}"
+    text = "\n".join([*head, *lines]) + "\n"
+    assert parse_outcome(umr.parse_uspace, text) == parse_outcome(naive_parse_uspace, text)
+
+
+def test_parse_uspace_matches_the_sequential_parse_at_the_edges():
+    texts = [
+        "uspace v1\npoints 0\nlabels\n",
+        "uspace v1\npoints 0\nlabels\nd a b 1\n",
+        "uspace v1\npoints 1\nlabels a\n",
+        "uspace v1\npoints 1\nlabels a\nd a a 0\n",
+        "uspace v1\npoints 2\nlabels a a\nd a a 1\n",
+        "uspace v1\npoints 4\nlabels b a a b\n",
+        "uspace v1\npoints 5\nlabels c b a a b\n",
+        "uspace v1\npoints 2\nlabels a b\nd a b 1\nd b a 1\n",
+        "uspace v1\npoints 2\nlabels a b\nd a b 1\nd a b 1\nd a b x\n",
+        "uspace v1\npoints 3\nlabels a b c\nd a b 1\nd a c 2\nd b c 2/1\nd c a 4/2\n",
+        "uspace v1\npoints 3\nlabels a b c\nd a b 2\nd a c 2/1\nd b c 4/2\n",
+        "uspace v1\npoints 3\nlabels a b c\nd a b 0\nd a c -1\nd b c 1\n",
+    ]
+    for text in texts:
+        assert parse_outcome(umr.parse_uspace, text) == parse_outcome(naive_parse_uspace, text)
+
+
+def test_a_short_uspace_is_refused_before_its_table_is_built():
+    n = 20000
+    text = f"uspace v1\npoints {n}\nlabels " + " ".join(f"p{k}" for k in range(n)) + "\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(umr.FormatError, match="missing distance lines"):
+            umr.parse_uspace(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    # the line count is read first, so a short document names it even
+    # where one of its lines is bad
+    with pytest.raises(umr.FormatError, match="missing distance lines"):
+        umr.parse_uspace("uspace v1\npoints 3\nlabels a b c\nd a a 1\n")
 
 
 def test_space_equality_ignores_row_order():

@@ -2,8 +2,10 @@
 
 The oracles deliberately avoid the library's own code paths: isometries
 are counted by scanning all permutations against the raw matrix, convexity
-is re-derived from the interval definition, the validity check and its
-first witness are naive scans ending in a triple loop, arrows are decided
+is re-derived from the interval definition (and path maxima from running
+maxima), the validity check and its first witness are naive scans ending
+in a triple loop, the USPACE parser is the sequential one that fills a
+table of Fractions line by line before validate_space, arrows are decided
 by trying every coloring (or every restricted-growth coloring, one by one,
 for the engine's counts), the homogeneous model's checks and moves are
 pair loops and arithmetic over plain coordinate dicts, and trees are
@@ -15,12 +17,13 @@ never from the functions under test.
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, permutations, product
+from itertools import accumulate, combinations, count, permutations, product
 from math import factorial, prod
 
 from hypothesis import strategies as st
 
 import umr
+from umr.rational import body_lines, parse_rational
 
 
 def equilateral(n, d=1):
@@ -320,6 +323,55 @@ def naive_first_error(matrix, labels):
                 if z not in (i, j) and matrix[i][j] > max(matrix[i][z], matrix[z][j]):
                     return umr.UltrametricViolation, (names[i], names[j], names[z])
     return None
+
+
+def naive_path_maxima(dist, order):
+    """Path maxima read off running maxima: along the order, each point's
+    row from its successor on equals the running maximum of the steps from
+    it on."""
+    steps = [dist[a][b] for a, b in zip(order, order[1:])]
+    return all(
+        [dist[p][q] for q in order[i + 1:]] == list(accumulate(steps[i:], max))
+        for i, p in enumerate(order)
+    )
+
+
+def naive_parse_uspace(text):
+    """The sequential USPACE parse: a table of Fractions filled line by
+    line, each line checked as it is read and each distinct token parsed
+    once, the line count checked after the last line, then validate_space
+    on the table."""
+    lines = body_lines(text, "uspace v1")
+    if len(lines) < 2 or not lines[0].startswith("points "):
+        raise umr.FormatError("expected 'points <n>' line")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError) as exc:
+        raise umr.FormatError("bad points line") from exc
+    label_parts = lines[1].split()
+    if not label_parts or label_parts[0] != "labels" or len(label_parts) != n + 1:
+        raise umr.FormatError("expected 'labels' line with one name per point")
+    names = tuple(label_parts[1:])
+    index = {lab: i for i, lab in enumerate(names)}
+    if len(index) != n:
+        raise umr.DuplicateLabel(next(l for l in names if names.count(l) > 1))
+    rows = [[Fraction(0) if i == j else None for j in range(n)] for i in range(n)]
+    values = {}
+    for line in lines[2:]:
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "d":
+            raise umr.FormatError(f"bad distance line {line!r}")
+        i, j = index.get(parts[1]), index.get(parts[2])
+        if i is None or j is None:
+            raise umr.FormatError(f"unknown label in {line!r}")
+        if rows[i][j] is not None:
+            raise umr.FormatError(f"repeated or diagonal pair in {line!r}")
+        if parts[3] not in values:
+            values[parts[3]] = parse_rational(parts[3])
+        rows[i][j] = rows[j][i] = values[parts[3]]
+    if len(lines) - 2 != n * (n - 1) // 2:
+        raise umr.FormatError("missing distance lines")
+    return umr.validate_space(rows, names)
 
 
 def dict_geometry(p, q):
