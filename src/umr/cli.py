@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from pathlib import Path
 
 from .errors import BudgetExceeded, OracleFailure, SpaceValidationError, UmrError
 from .orders import (
@@ -113,7 +112,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The file's text, decoded and newline-translated as ``open`` does by
+    default; an error names the path as typed."""
+    with open(path) as file:
+        return file.read()
 
 
 def _load_space(path: str):

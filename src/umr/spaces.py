@@ -162,7 +162,11 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     values, entry_ranks, zero = _ranked([as_fraction(v) for v in entries.values()])
     rank_by_id = dict(zip(entries, entry_ranks))
     ranks = [list(map(rank_by_id.__getitem__, map(id, row))) for row in matrix]
-    return _validated(names, ranks, values, zero)
+    # the pair scan runs only when some pair may be bad: when a value is
+    # negative, an off-diagonal rank is zero's, or the ranks are asymmetric
+    scan = bool(zero) or sum(row.count(zero) for row in ranks) != n
+    scan = scan or ranks != list(map(list, zip(*ranks)))
+    return _validated(names, ranks, values, zero, scan)
 
 
 def _ranked(exact: list[Fraction]) -> tuple[list[Fraction], list[int], int]:
@@ -176,18 +180,19 @@ def _ranked(exact: list[Fraction]) -> tuple[list[Fraction], list[int], int]:
 
 
 def _validated(
-    names: tuple[str, ...], ranks: list[list[int]], values: list[Fraction], zero: int
+    names: tuple[str, ...], ranks: list[list[int]], values: list[Fraction], zero: int,
+    scan: bool,
 ) -> UltrametricSpace:
     """The space holding ``values[r]`` where the square rank matrix holds
     r, once every check of validate_space after the label checks passes on
-    the ranks (``zero`` is the rank of 0), or the first witness's error."""
+    the ranks (``zero`` is the rank of 0), or the first witness's error.
+    The pair scan, for asymmetric and nonpositive pairs, runs only when
+    ``scan`` is true: the caller knows that no pair is bad otherwise."""
     n = len(names)
     for i in range(n):
         if ranks[i][i] != zero:
             raise NonzeroDiagonal(names[i])
-    # the pair scan runs only when some pair is bad: when a value is
-    # negative, an off-diagonal rank is zero's, or the ranks are asymmetric
-    if zero or sum(row.count(zero) for row in ranks) != n or ranks != list(map(list, zip(*ranks))):
+    if scan:
         for i in range(n):
             row = ranks[i]
             for j in range(i + 1, n):
@@ -443,4 +448,8 @@ def parse_uspace(text: str) -> UltrametricSpace:
     if n == 0:
         raise EmptySpace()
     values, rank, zero = _ranked(exact)
-    return _validated(names, [list(map(rank.__getitem__, row)) for row in table], values, zero)
+    # the table is symmetric with a zero diagonal by construction, so a
+    # pair can be bad only when some token's value is not positive
+    scan = any(v <= 0 for v in exact[1:])
+    ranks = [list(map(rank.__getitem__, row)) for row in table]
+    return _validated(names, ranks, values, zero, scan)

@@ -75,6 +75,15 @@ class QsPoint:
         if not all(v for _, v in self.coords):
             raise ValueError("zero values must be dropped")
 
+    @classmethod
+    def _of(cls, coords: tuple[tuple[Fraction, Fraction], ...]) -> "QsPoint":
+        """A point of coordinates known to keep the rules (scales from a
+        frame that keeps the scale rule, in its order; no zero values),
+        built without checking them again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "coords", coords)
+        return point
+
     def value_at(self, scale: Fraction) -> Fraction:
         return dict(self.coords).get(scale, _ZERO)
 
@@ -325,11 +334,17 @@ class _Frame:
     """The positions of strictly decreasing scales, largest first, and the
     conversions between records and value tuples there: numerators over a
     grid the caller keeps, 0 where a point has no coordinate.  The lookups
-    are built on first use: the harness, which only draws, reads no scale."""
+    are built on first use: the harness, which only draws, reads no scale.
+    ``build`` makes the frame's points from coordinates in its order
+    without zeros: unchecked when its scales keep the scale rule, as a
+    menu's do, and checked when a spanning frame ends at a move's scale
+    that does not."""
 
     def __init__(self, scales: Sequence[Fraction]):
         self.scales = tuple(scales)
         self.zero = (0,) * len(self.scales)
+        # strictly decreasing, so the scale rule holds if the last is positive
+        self.build = QsPoint._of if not self.scales or self.scales[-1] > 0 else QsPoint
 
     @cached_property
     def position(self) -> dict[tuple[int, int], int]:  # by (numerator, denominator)
@@ -354,15 +369,24 @@ class _Frame:
 
     def point(self, values: Sequence[int], grid: int) -> QsPoint:
         """The point with values n/grid at the first len(values) positions."""
-        return QsPoint(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
+        return self.build(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
         """``random_point``'s draw over POINT_GRID: one rng.random() per
-        position and one rng.randint() per position it fills."""
-        return tuple([
-            rng.randint(-POINT_SPAN, POINT_SPAN) if rng.random() < POINT_DENSITY else 0
-            for _ in self.scales
-        ])
+        position and, per position it fills, the rng's bits read exactly as
+        ``rng.randint(-POINT_SPAN, POINT_SPAN)`` reads them, so the draws
+        and the rng's state are randint's."""
+        random_, bits = rng.random, rng.getrandbits
+        values = []
+        for _ in self.scales:
+            if random_() < POINT_DENSITY:
+                r = bits(_DRAW_BITS)
+                while r >= _DRAW_WIDTH:
+                    r = bits(_DRAW_BITS)
+                values.append(r - POINT_SPAN)
+            else:
+                values.append(0)
+        return tuple(values)
 
     def scramble(self, rng: random.Random, max_moves: int = 3) -> list[_Offset | _Ball]:
         """``random_automorphism``'s moves on tuples over POINT_GRID, with
@@ -532,6 +556,10 @@ def _raise_first_bad_pair(sources: list[tuple], targets: list[tuple]) -> NoRetur
 
 POINT_DENSITY = 0.75
 POINT_SPAN = 18
+# randint(-POINT_SPAN, POINT_SPAN) draws getrandbits(_DRAW_BITS) until it is
+# below _DRAW_WIDTH, and adds -POINT_SPAN
+_DRAW_WIDTH = 2 * POINT_SPAN + 1
+_DRAW_BITS = _DRAW_WIDTH.bit_length()
 POINT_GRID = 6
 # the slopes p/q that random_automorphism draws, as (p, q)
 _SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
@@ -539,7 +567,8 @@ _SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 
 def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
     """Random point: each coordinate present with probability POINT_DENSITY,
-    values n/POINT_GRID for integers n with |n| <= POINT_SPAN."""
+    values n/POINT_GRID for integers n with |n| <= POINT_SPAN, each n read
+    from the rng's bits exactly as ``rng.randint`` reads it (``_Frame.draw``)."""
     frame = _Frame(menu)
     return frame.point(frame.draw(rng), POINT_GRID)
 
@@ -576,13 +605,14 @@ def check_homogeneity(
     target and keeps distance and order on every pair of an independent
     sample (along its sorted order, exact as the lex order is convex).
     Everything is a value tuple, drawn over POINT_GRID with the rng calls
-    of ``random_point`` and ``random_automorphism``.  Trial i uses seed + i.
+    of ``random_point`` and ``random_automorphism``; a drawn value reads
+    the rng's bits exactly as ``randint`` does.  Trial i uses seed + i.
     n may not exceed the (2 POINT_SPAN + 1)^len(menu) drawable points.
     """
     for name, count in (("n", n), ("trials", trials)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
-    limit = (2 * POINT_SPAN + 1) ** len(menu)
+    limit = _DRAW_WIDTH ** len(menu)
     if n > limit:
         raise ValueError(f"n must be at most {limit}, the number of distinct random points")
     frame = _Frame(menu)
@@ -684,8 +714,9 @@ def _line_pair(line: str) -> list[str]:
 
 def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
     lines = body_lines(text, "qpoint v1")
+    frame = _menu_frame(menu)
     try:
-        return QsPoint(_read_coords(map(_line_pair, lines), _menu_frame(menu)))
+        return frame.build(_read_coords(map(_line_pair, lines), frame))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -702,7 +733,7 @@ def _chunk_pairs(token: str, none: str, kind: str):
 
 
 def _parse_inline_point(token: str, frame: _Frame) -> QsPoint:
-    return QsPoint(_read_coords(_chunk_pairs(token, "0", "point"), frame))
+    return frame.build(_read_coords(_chunk_pairs(token, "0", "point"), frame))
 
 
 def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...], none: str = "-") -> str:

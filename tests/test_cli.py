@@ -521,9 +521,18 @@ def test_usage_error_exits_2(files, capsys):
     assert main(["arrow", "--Z", files["e6.uspace"]]) == 2
 
 
-def test_missing_file_diagnostic(files, capsys):
-    code = main(["validate", "/nonexistent/file.uspace"])
-    assert code == 1
+def test_missing_file_diagnostic(capsys, tmp_path, monkeypatch):
+    # the error names the path as typed, not normalised
+    monkeypatch.chdir(tmp_path)
+    expected = {
+        "/nonexistent/file.uspace":
+            "FileNotFoundError [Errno 2] No such file or directory: '/nonexistent/file.uspace'\n",
+        "./missing//x.uspace":
+            "FileNotFoundError [Errno 2] No such file or directory: './missing//x.uspace'\n",
+        str(tmp_path): f"IsADirectoryError [Errno 21] Is a directory: '{tmp_path}'\n",
+    }
+    for path, line in expected.items():
+        assert run(capsys, "validate", path) == (1, line)
 
 
 def test_every_verb_is_reachable(files, capsys, tmp_path):

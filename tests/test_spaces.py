@@ -300,7 +300,7 @@ def spelled(value, factor=1):
 
 MUTATIONS = (
     "none", "bad line", "unknown label", "repeated pair", "diagonal pair", "bad rational",
-    "zero", "negative", "raised", "spelled apart", "dropped",
+    "zero", "negative", "nonpositive pairs", "raised", "spelled apart", "dropped",
 )
 
 
@@ -330,9 +330,15 @@ def test_parse_uspace_matches_the_sequential_parse(tree, kind, data):
             lines[k] = f"d {a} {b} " + data.draw(st.sampled_from(["1/0", "x", "1//2", "2/", "0.5"]))
         elif kind == "dropped":
             del lines[k]
+        elif kind == "nonpositive pairs":
+            # the pair scan names the first bad pair in index order
+            bad = st.sampled_from(["0", "0/3", "-0", "-1", "-2/3"])
+            for k in data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=1, max_size=3)):
+                _, a, b, _ = lines[k].split()
+                lines[k] = f"d {a} {b} {data.draw(bad)}"
         else:
             new = {
-                "zero": spelled(F(0)),
+                "zero": data.draw(st.sampled_from(["0", "0/3", spelled(F(0))])),
                 "negative": spelled(-value),
                 "raised": spelled(value + data.draw(st.sampled_from([F(1, 3), tree.levels[0]]))),
                 "spelled apart": spelled(value, data.draw(st.integers(2, 3))),

@@ -14,6 +14,7 @@ from util import (
     naive_apply,
     naive_compare,
     naive_distance,
+    naive_draw,
     naive_extension_error,
     naive_piecewise,
     naive_preserves_sample,
@@ -768,6 +769,33 @@ def test_random_point_draws_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_draws_read_the_rng_as_randint_does():
+    # the rejection sampling on the rng's bits makes randint's draws and
+    # leaves the rng in randint's state
+    for length in range(1, 9):
+        frame = urysohn._Frame(umr.menu_of(*range(length, 0, -1)))
+        for seed in range(200):
+            fast, slow = random.Random(seed), random.Random(seed)
+            drawn = [frame.draw(fast) for _ in range(50)]
+            assert drawn == [naive_draw(length, slow) for _ in range(50)]
+            assert fast.getstate() == slow.getstate()
+
+
+def test_public_point_constructor_keeps_its_checks():
+    for coords, message in [
+        (((F(1, 2), F(1)), (F(1), F(1))), "scales must be strictly decreasing"),
+        (((F(1), F(1)), (F(1), F(2))), "scales must be strictly decreasing"),
+        (((F(1), F(1)), (F(0), F(1))), "scales must be positive"),
+        (((F(1), F(1)), (F(1, 2), F(0))), "zero values must be dropped"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            umr.QsPoint(coords)
+    # a move at a nonpositive scale spans a frame whose points are checked
+    move = umr.CoordMap(F(-1), umr.ZERO_POINT, F(-5), umr.PiecewiseLinearMap((F(-5),), (F(2),)))
+    with pytest.raises(ValueError, match="scales must be positive"):
+        umr.QsAutomorphism((move,))(umr.ZERO_POINT)
+
+
 def test_homogeneity_detects_perturbed_targets():
     rng = random.Random(19)
     rejected = 0
@@ -853,14 +881,24 @@ def test_qpoint_parse_errors():
 )
 def test_parsed_points_match_qs_point_in_any_line_order(coords):
     # zero values included, scales in drawn order: both parsers sort and
-    # drop as qs_point does, from a mapping or from the pairs themselves
+    # drop as qs_point does, from a mapping or from the pairs themselves;
+    # parsed, inline and frame-built points skip the checks that qs_point's
+    # points pass, so each must equal its checked point
     expected = umr.qs_point(dict(coords))
     assert umr.qs_point(coords) == expected
     text = "".join(f"{s} {v}\n" for s, v in coords)
     assert umr.parse_qpoint("qpoint v1\n" + text, MENU3) == expected
+    assert umr.parse_qpoint(umr.format_qpoint(expected), MENU3) == expected
     inline = ",".join(f"{s}:{v}" for s, v in coords) or "0"
-    (move,) = umr.parse_automorphism(f"translate {inline}\n", MENU3).moves
-    assert move.offset == expected
+    above = ",".join(f"{s}:{v}" for s, v in coords if s > MENU3[-1]) or "0"
+    translate, coordmap = umr.parse_automorphism(
+        f"translate {inline}\ncoordmap s={MENU3[-1]} center={above} alpha=0 phi=- shifts=-\n",
+        MENU3,
+    ).moves
+    assert translate.offset == expected
+    assert coordmap.center == expected.restrict_above(MENU3[-1])
+    frame, grid = urysohn._Frame(MENU3), urysohn._grid([expected])
+    assert frame.point(frame.values(expected, grid), grid) == expected
 
 
 def test_automorphism_serialization_round_trip():

@@ -8,10 +8,10 @@ in a triple loop, the USPACE parser is the sequential one that fills a
 table of Fractions line by line before validate_space, arrows are decided
 by trying every coloring (or every restricted-growth coloring, one by one,
 for the engine's counts), the homogeneous model's checks and moves are
-pair loops and arithmetic over plain coordinate dicts, and trees are
-read, padded and walked as nested tuples (a leaf is its label, a node the
-tuple of its children).  Expected values in the tests come from these,
-never from the functions under test.
+pair loops and arithmetic over plain coordinate dicts and its draws are
+``randint`` calls, and trees are read, padded and walked as nested tuples
+(a leaf is its label, a node the tuple of its children).  Expected values
+in the tests come from these, never from the functions under test.
 """
 
 import random
@@ -404,6 +404,17 @@ def naive_preserves_sample(auto, sample):
     return all(
         dict_geometry(p, q) == dict_geometry(fp, fq)
         for (p, fp), (q, fq) in combinations(mapped, 2)
+    )
+
+
+def naive_draw(length, rng):
+    """The homogeneous model's draw of a value tuple of this length, as
+    ``rng.randint`` makes it: per position, one ``rng.random()`` and, when
+    it falls below POINT_DENSITY, one ``rng.randint`` over the span."""
+    span = umr.urysohn.POINT_SPAN
+    return tuple(
+        rng.randint(-span, span) if rng.random() < umr.urysohn.POINT_DENSITY else 0
+        for _ in range(length)
     )
 
 
