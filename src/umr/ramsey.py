@@ -10,11 +10,12 @@ requires the induced order to match.
 The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
 color 0), and cuts a subtree once some Y-copy can see at most l colors in
-every completion of the partial coloring; a cut subtree is counted, not
-visited.  Both prunings are tested against oracles that try every
-coloring and that scan the restricted-growth strings one by one.  Work is
-metered in colorings decided, the number that scan examines, and cut off
-by a budget.
+every completion of the partial coloring, or once every color of some
+later copy would make a Y-copy safe; a cut subtree is counted, not
+visited.  The prunings are tested against oracles that try every
+coloring, that scan the restricted-growth strings one by one, and that cut
+only at a safe Y-copy.  Work is metered in colorings decided, the number
+that scan examines, and cut off by a budget.
 """
 
 from __future__ import annotations
@@ -64,10 +65,14 @@ class Coloring:
 
 @dataclass(frozen=True)
 class ArrowVerdict:
+    """``colorings`` is the number of colorings decided, ``nodes`` the
+    work spent on it: the copies the search colored."""
+
     holds: bool
     witness: Coloring | None
     copies: int
     colorings: int
+    nodes: int
 
 
 def _ball(step: Fraction, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
@@ -177,11 +182,16 @@ def verify_arrow(
     lexicographic order.  Once some Y-copy can see at most l colors in
     every completion of the partial coloring (its colors seen plus its
     uncolored X-copies, capped at k), the whole subtree is good: it is
-    counted, not visited.  So a full coloring the search reaches is the
-    first counterexample, and ``colorings`` is the number of colorings
-    decided, the same number an exhaustive scan examines: all of them when
-    the arrow holds, the counterexample's rank when it fails.  Raises
-    BudgetExceeded when that number is above the budget.
+    counted, not visited.  The subtree is good as well once a later copy is
+    forced: a Y-copy whose only uncolored member is its last one, and whose
+    other members show exactly l colors, is safe if that member takes one
+    of them, and such Y-copies may cover every color of one later copy.
+    Both cuts drop only colorings that hold the arrow, so a full coloring
+    the search reaches is the first counterexample, and ``colorings`` is
+    the number of colorings decided, the same number an exhaustive scan
+    examines: all of them when the arrow holds, the counterexample's rank
+    when it fails.  Raises BudgetExceeded when that number is above the
+    budget.
     """
     orders = (ambient_order, target_order, pattern_order)
     if orders.count(None) not in (0, 3):
@@ -210,6 +220,7 @@ def _arrow(
     palette = min(k, max(n, 1))
     table = _completions(n, palette, max(budget, 0) + 1)
     colors = [0] * n
+    nodes = 0
 
     def decided(count: int, holds: bool) -> ArrowVerdict:
         if count > budget:
@@ -218,7 +229,7 @@ def _arrow(
             pattern=pattern, ambient=ambient, copies=tuple(x_copies),
             colors=tuple(colors), k=k,
         )
-        return ArrowVerdict(holds, witness, n, count)
+        return ArrowVerdict(holds, witness, n, count, nodes)
 
     # Some Y-copy sees at most l colors whatever the coloring.
     if any(min(len(inside), k) <= l for inside in members):
@@ -229,28 +240,58 @@ def _arrow(
     # From here every Y-copy has more than l members and k > l, so a Y-copy
     # is safe once seen + uncolored <= l.
     covering: list[list[int]] = [[] for _ in range(n)]
+    # Copies are colored in index order, so once a Y-copy's second-to-last
+    # member is placed, its last one is its only uncolored member; if the
+    # others show exactly l colors, any of them on the last member makes it
+    # safe.  forced[j][c] counts the placed members, over such Y-copies
+    # closing at j, that show color c; covered[j] counts the colors so forced.
+    closing: list[list[tuple[int, list[int], int]]] = [[] for _ in range(n)]
+    forced: dict[int, list[int]] = {}
     for y, inside in enumerate(members):
         for i in inside:
             covering[i].append(y)
+        *head, last = sorted(inside)
+        closing[head[-1]].append((y, head, last))
+        forced.setdefault(last, [0] * palette)
+    covered = [0] * n
     uncolored = [len(inside) for inside in members]
     seen = [[0] * palette for _ in members]
     distinct = [0] * len(members)
     top = [0] * n  # largest color among copies 0..i
 
     def place(i: int) -> bool:
-        """Color copy i with colors[i]; True when that makes a Y-copy safe."""
+        """Color copy i with colors[i]; True when that makes a Y-copy safe,
+        or forces every color of a later copy to make one safe."""
         c = colors[i]
-        safe = False
+        cut = False
         for y in covering[i]:
             uncolored[y] -= 1
             if not seen[y][c]:
                 distinct[y] += 1
             seen[y][c] += 1
             if distinct[y] + uncolored[y] <= l:
-                safe = True
-        return safe
+                cut = True
+        for y, head, j in closing[i]:
+            if distinct[y] == l:
+                row = forced[j]
+                for x in head:
+                    if not row[colors[x]]:
+                        covered[j] += 1
+                    row[colors[x]] += 1
+                if covered[j] == palette:
+                    cut = True
+        return cut
 
     def unplace(i: int) -> None:
+        # Copies after i are uncolored again, so the counts are as place(i)
+        # left them and pick out the same Y-copies.
+        for y, head, j in closing[i]:
+            if distinct[y] == l:
+                row = forced[j]
+                for x in head:
+                    row[colors[x]] -= 1
+                    if not row[colors[x]]:
+                        covered[j] -= 1
         c = colors[i]
         for y in covering[i]:
             uncolored[y] += 1
@@ -261,6 +302,7 @@ def _arrow(
     count = 0
     i = 0
     while True:
+        nodes += 1
         if not place(i):
             if i == n - 1:
                 return decided(count + 1, False)

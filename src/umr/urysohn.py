@@ -212,6 +212,8 @@ class CoordMap:
 
     def __post_init__(self):
         center, shifts = self.center.coords, self.shifts
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
         if center and center[-1][0] <= self.scale:
             raise ValueError("center must live strictly above the scale")
         _check_scales(shifts)
@@ -308,6 +310,12 @@ def _ball(k: int, lift: int, center, threshold: int, breakpoints, slopes, shifts
         k, lift, lift * spread, gate, threshold, tuple(breakpoints), rates, tuple(anchors),
         tuple([c * spread for c in center]), tuple([d * spread for d in shifts]),
     )
+
+
+def _scaling(factor: int, zero: tuple[int, ...]) -> list[_Offset]:
+    """The moves that put value tuples on a grid ``factor`` times finer:
+    none when it is the same grid."""
+    return [] if factor == 1 else [_Offset(factor, zero)]
 
 
 def _run(moves: Sequence[Callable[[tuple], tuple]], x: tuple) -> tuple:
@@ -624,21 +632,21 @@ def check_homogeneity(
             drawn[frame.draw(rng)] = None
         scrambler = frame.scramble(rng)
         # the points lifted onto their images' grid
-        lift = _Offset(prod(move.factor for move in scrambler), frame.zero)
-        points, images = list(map(lift, drawn)), [_run(scrambler, p) for p in drawn]
+        lift = _scaling(prod(move.factor for move in scrambler), frame.zero)
+        points, images = [_run(lift, p) for p in drawn], [_run(scrambler, p) for p in drawn]
         try:
             moves = _extend(points, images)
         except UmrError as exc:
             reason = type(exc).__name__
         else:
-            out = _Offset(prod(move.factor for move in moves), frame.zero)
-            if any(_run(moves, p) != out(q) for p, q in zip(points, images)):
+            out = _scaling(prod(move.factor for move in moves), frame.zero)
+            if any(_run(moves, p) != _run(out, q) for p, q in zip(points, images)):
                 reason = "image mismatch"
             else:
                 # numerators sort as their values do, so the check's own
                 # sort meets the sample in order
                 sample = sorted([frame.draw(rng) for _ in range(samples)])
-                if _preserves_sample(partial(_run, [lift, *moves]), sample):
+                if _preserves_sample(partial(_run, [*lift, *moves]), sample):
                     continue
                 reason = "sample mismatch"
         failures.append(t)

@@ -21,6 +21,7 @@ from util import (
     equilateral,
     exhaustive_arrow,
     leveled_trees,
+    safe_cut_arrow,
     shuffled_shape_spaces,
 )
 
@@ -394,6 +395,41 @@ def test_search_matches_exhaustive_scan_on_random_instances(instance, data):
     budget = data.draw(st.one_of(st.sampled_from([-1, 0]), st.integers(0, total + 1)))
     expected = exhaustive_outcome(*instance, budget)
     assert_search_gives(expected, *instance, budget)
+
+
+def safe_cut_outcome(ambient, target, pattern, k, l, orders, budget):
+    try:
+        return safe_cut_arrow(ambient, target, pattern, k, l, budget=budget, **orders)[:3]
+    except umr.BudgetExceeded as exc:
+        return "budget-exceeded", exc.copies, exc.colorings
+
+
+def test_search_matches_the_safe_cut_search_beyond_the_exhaustive_scan():
+    # K8 and K9 fail for K4 (R(4, 4) = 18), at colorings 255575 and 33150643
+    pair = equilateral(2)
+    instances = [(7, 3, 2, 1), (8, 3, 2, 1), (8, 4, 2, 1), (9, 4, 2, 1), (6, 3, 3, 2), (7, 3, 3, 2)]
+    ranks = {}
+    for n, y, k, l in instances:
+        for with_orders in (False, True):
+            ambient, target = equilateral(n), equilateral(y)
+            instance = (ambient, target, pair, k, l, arrow_orders(ambient, target, pair, with_orders))
+            unlimited = safe_cut_outcome(*instance, 10 ** 18)
+            rank = unlimited[1]
+            ranks[n, y, k, with_orders] = rank
+            for budget in (rank - 1, rank, rank + 1):
+                expected = unlimited if budget >= rank else safe_cut_outcome(*instance, budget)
+                assert_search_gives(expected, *instance, budget)
+    assert ranks[8, 4, 2, False] == 255575
+    assert ranks[9, 4, 2, True] == 33150643
+
+
+def test_forced_colors_cut_at_least_half_the_nodes():
+    pair = equilateral(2)
+    for n in (6, 7):
+        verdict = umr.verify_arrow(equilateral(n), e3(), pair, 2, 1)
+        holds, colorings, _, nodes = safe_cut_arrow(equilateral(n), e3(), pair, 2, 1)
+        assert (verdict.holds, verdict.colorings) == (holds, colorings)
+        assert 2 * verdict.nodes <= nodes
 
 
 def test_order_type_coloring_constant_for_pair():

@@ -790,10 +790,12 @@ def test_public_point_constructor_keeps_its_checks():
     ]:
         with pytest.raises(ValueError, match=message):
             umr.QsPoint(coords)
-    # a move at a nonpositive scale spans a frame whose points are checked
-    move = umr.CoordMap(F(-1), umr.ZERO_POINT, F(-5), umr.PiecewiseLinearMap((F(-5),), (F(2),)))
-    with pytest.raises(ValueError, match="scales must be positive"):
-        umr.QsAutomorphism((move,))(umr.ZERO_POINT)
+
+
+def test_move_at_a_nonpositive_scale_is_refused_when_built():
+    for scale in (F(-1), F(0)):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            umr.CoordMap(scale, umr.ZERO_POINT, F(-5), umr.PiecewiseLinearMap((F(-5),), (F(2),)))
 
 
 def test_homogeneity_detects_perturbed_targets():

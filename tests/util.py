@@ -7,16 +7,19 @@ maxima), the validity check and its first witness are naive scans ending
 in a triple loop, the USPACE parser is the sequential one that fills a
 table of Fractions line by line before validate_space, arrows are decided
 by trying every coloring (or every restricted-growth coloring, one by one,
-for the engine's counts), the homogeneous model's checks and moves are
-pair loops and arithmetic over plain coordinate dicts and its draws are
-``randint`` calls, and trees are read, padded and walked as nested tuples
-(a leaf is its label, a node the tuple of its children).  Expected values
-in the tests come from these, never from the functions under test.
+for the engine's counts, or, for instances too large for that scan, by a
+recursive search that cuts only at an already safe Y-copy), the
+homogeneous model's checks and moves are pair loops and arithmetic over
+plain coordinate dicts and its draws are ``randint`` calls, and trees are
+read, padded and walked as nested tuples (a leaf is its label, a node the
+tuple of its children).  Expected values in the tests come from these,
+never from the functions under test.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, combinations, count, permutations, product
 from math import factorial, prod
 
@@ -272,6 +275,73 @@ def exhaustive_arrow(
         if not any(len({colors[i] for i in members}) <= l for members in y_members):
             return False, examined, tuple(colors)
     return True, examined, None
+
+
+def safe_cut_arrow(
+    ambient, target, pattern, k, l,
+    ambient_order=None, target_order=None, pattern_order=None,
+    budget=umr.DEFAULT_BUDGET,
+):
+    """The arrow decided by a recursive search over restricted-growth
+    colorings in canonical order that cuts a subtree only once some Y-copy
+    is already safe: it sees at most l colors in every completion (its
+    colors so far plus its uncolored X-copies, capped at k).  A cut subtree
+    is counted by a memoised count of its completions.  Returns ``(holds,
+    colorings, first bad coloring or None, nodes)``, nodes being the copies
+    it colored, or raises BudgetExceeded, as ``exhaustive_arrow`` does, once
+    the count passes the budget.  It reaches instances too large for the
+    one-by-one scan."""
+    x_copies = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
+    y_copies = umr.enumerate_copies(ambient, target, ambient_order, target_order)
+    x_sets = [frozenset(c.mapping) for c in x_copies]
+    y_members = [
+        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
+        for y in y_copies
+    ]
+    n = len(x_sets)
+    colors = []
+
+    def safe(members):
+        colored = [colors[i] for i in members if i < len(colors)]
+        return min(len(set(colored)) + len(members) - len(colored), k) <= l
+
+    @cache
+    def completions(rest, top):
+        # colorings of ``rest`` more copies after a prefix using colors 0..top
+        if not rest:
+            return 1
+        return sum(completions(rest - 1, max(top, c)) for c in range(min(k, top + 2)))
+
+    if any(safe(members) for members in y_members):
+        return True, completions(n, -1), None, 0
+    if not y_members:
+        return False, 1, (0,) * n, 0
+    containing = [[m for m in y_members if i in m] for i in range(n)]
+    count = nodes = 0
+
+    def search(top):
+        # True once every copy is colored and no Y-copy is safe; colors
+        # then holds that coloring
+        nonlocal count, nodes
+        i = len(colors)
+        for c in range(min(k, top + 2)):
+            colors.append(c)
+            nodes += 1
+            cut = any(safe(members) for members in containing[i])
+            if cut:
+                count += completions(n - 1 - i, max(top, c))
+            elif i == n - 1:
+                count += 1
+            if count > budget:
+                raise umr.BudgetExceeded(n, max(budget, 0))
+            if not cut and (i == n - 1 or search(max(top, c))):
+                return True
+            colors.pop()
+        return False
+
+    if search(-1):
+        return False, count, tuple(colors), nodes
+    return True, count, None, nodes
 
 
 def naive_valid(matrix):
