@@ -74,7 +74,7 @@ def enumerate_convex_orders(space: UltrametricSpace) -> list[tuple[int, ...]]:
             out += joined
         return out
 
-    orders = _fold(_steps(space.dist, walk), [[(p,)] for p in walk], node)
+    orders = _fold(_steps(space.ranks, walk), [[(p,)] for p in walk], node)
     orders.sort()
     return orders
 
@@ -134,7 +134,7 @@ def order_type_partition(space: UltrametricSpace) -> list[OrderTypeClass]:
             out[types.setdefault((cls, slots), len(types) + 1)] = tuple(order)
         return cls, out
 
-    cls, least = _fold(_steps(space.dist, walk), [(0, {0: (p,)}) for p in walk], node)
+    cls, least = _fold(_steps(space.ranks, walk), [(0, {0: (p,)}) for p in walk], node)
     return [OrderTypeClass(rep, classes.auts[cls]) for rep in sorted(least.values())]
 
 

@@ -21,7 +21,6 @@ that scan examines, and cut off by a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -29,7 +28,7 @@ from typing import Callable, Sequence
 from .errors import BudgetExceeded, OracleFailure
 from .orders import order_type_partition
 from .shapes import branching_vectors, uniform_tree
-from .spaces import UltrametricSpace, _fold, _steps, canonical_convex_order
+from .spaces import UltrametricSpace, _fold, _rank_map, _steps, canonical_convex_order
 from .trees import _require_convex, space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
@@ -75,15 +74,15 @@ class ArrowVerdict:
     nodes: int
 
 
-def _ball(step: Fraction, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
+def _ball(step: int, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
     """Canonical form of a ball of a convex sequence, and the sequence's
     positions arranged along it, as ``_fold``'s node over the leaves
     ``((), [p])`` for the positions p, which the fold reads and never changes.
 
-    A point's form is ``()``; a ball cut at its largest steps into top balls
-    has the form ``(step, their forms sorted)``, and its arrangement is
-    theirs in that order.  Equal forms mean isometric spaces, and lining up
-    their arrangements gives an isometry."""
+    A point's form is ``()``; a ball cut at its largest step rank into top
+    balls has the form ``(step, their forms sorted)``, and its arrangement
+    is theirs in that order.  Equal forms mean isometric spaces, and lining
+    up their arrangements gives an isometry."""
     balls.sort(key=itemgetter(0))
     return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
 
@@ -120,14 +119,19 @@ def _copies(
         ambient_order = canonical_convex_order(ambient)
         pattern_order = canonical_convex_order(pattern)
     m, n = pattern.size, ambient.size
+    # the pattern's steps as ambient ranks; a value the ambient lacks leaves no copy
+    to_ambient = _rank_map(pattern.values, ambient.values)
+    steps = tuple(map(to_ambient.__getitem__, _steps(pattern.ranks, pattern_order)))
+    if None in steps:
+        return []
     leaves = [((), [p]) for p in range(m)]
     key = (lambda s: (s, range(m))) if ordered else (lambda s: _fold(s, leaves, _ball))
-    target, pattern_arranged = key(_steps(pattern.dist, pattern_order))
+    target, pattern_arranged = key(steps)
     place = {point: p for p, point in enumerate(ambient_order)}
     out: list[Copy] = []
     for subset in combinations(range(n), m):
         points = sorted(subset, key=place.__getitem__)
-        form, arranged = key(_steps(ambient.dist, points))
+        form, arranged = key(_steps(ambient.ranks, points))
         if form == target:
             mapping = [0] * m
             for i, j in zip(pattern_arranged, arranged):
@@ -333,20 +337,14 @@ def order_type_coloring(
     its steps; uses exactly one color per order type."""
     _require_convex(ambient, ambient_order)
     classes = order_type_partition(pattern)
-    color_of = {_steps(pattern.dist, c.representative): i for i, c in enumerate(classes)}
+    color_of = {_steps(pattern.ranks, c.representative): i for i, c in enumerate(classes)}
     place = {point: p for p, point in enumerate(ambient_order)}
     copies = enumerate_copies(ambient, pattern)
-    colors = [
-        color_of[_steps(ambient.dist, sorted(copy.mapping, key=place.__getitem__))]
-        for copy in copies
-    ]
-    return Coloring(
-        pattern=pattern,
-        ambient=ambient,
-        copies=tuple(copies),
-        colors=tuple(colors),
-        k=len(classes),
-    )
+    # a copy's steps are pattern values, read as pattern ranks
+    to_pattern = _rank_map(ambient.values, pattern.values).__getitem__
+    along = [sorted(copy.mapping, key=place.__getitem__) for copy in copies]
+    colors = [color_of[tuple(map(to_pattern, _steps(ambient.ranks, points)))] for points in along]
+    return Coloring(pattern, ambient, tuple(copies), tuple(colors), k=len(classes))
 
 
 def verify_degree_lower(

@@ -7,17 +7,27 @@ a tuple of point indices, is *convex* when every ball is an interval of
 it; convex orders are the combinatorial backbone of everything else in
 this package.
 
+A space is its labels, a matrix of integer ranks and one value table:
+``ranks[i][j]`` indexes d(i, j) in ``values``, ascending distinct Fractions
+from 0, some perhaps unrealized (a restriction keeps its parent's table).
+Trees, orders, balls and copies only compare distances, so they compare
+ranks; a Fraction is read at the text boundary, for a radius, and where
+two tables meet, mapped once.  ``dist`` is built on first use.
+
 Point identity is by label.  Two spaces compare equal when they carry the
 same label set with the same label-to-label distances, regardless of the
-storage order of the rows.
+storage order of the rows or of their value tables.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import inf
+from operator import is_
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import (
@@ -30,8 +40,6 @@ from .errors import (
     UltrametricViolation,
 )
 from .rational import as_fraction, body_lines, format_rational, parse_rational
-
-Matrix = tuple[tuple[Fraction, ...], ...]
 
 _ZERO = Fraction(0)
 _T = TypeVar("_T")
@@ -47,9 +55,8 @@ class DistanceSet:
         for v in self.values:
             if v <= 0:
                 raise ValueError(f"distance {v} is not positive")
-        for a, b in zip(self.values, self.values[1:]):
-            if a <= b:
-                raise ValueError("distances must be strictly decreasing")
+        if any(a <= b for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("distances must be strictly decreasing")
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.values)
@@ -64,12 +71,26 @@ class DistanceSet:
         return value in self.values
 
 
+def _realized(values: tuple[Fraction, ...], ranks: Iterable[int]) -> DistanceSet:
+    """The DistanceSet of distinct positive ranks, descending, into an
+    ascending value table, unchecked: their values are positive, descending."""
+    out = object.__new__(DistanceSet)
+    object.__setattr__(out, "values", tuple([values[r] for r in ranks]))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class UltrametricSpace:
     labels: tuple[str, ...]
-    dist: Matrix
+    ranks: tuple[tuple[int, ...], ...]  # indices into values; rank 0 is distance 0
+    values: tuple[Fraction, ...]
     # the canonical convex order, from validate_space, tree_to_space or restrict
     _order: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix of distances, built on first use."""
+        return tuple(tuple(map(self.values.__getitem__, row)) for row in self.ranks)
 
     @property
     def size(self) -> int:
@@ -79,8 +100,8 @@ class UltrametricSpace:
         return self.labels.index(label)
 
     def restrict(self, points: Sequence[int]) -> "UltrametricSpace":
-        """Induced subspace on distinct point indices, labels preserved
-        (EmptySpace for none, ValueError for a repeated or unknown index).
+        """Induced subspace on distinct point indices, labels and value table
+        kept (EmptySpace for none, ValueError for a repeated or unknown index).
         The parent's canonical order stays convex on the chosen points; its
         fold, each ball listing its children by first point, is the least."""
         pts = tuple(points)
@@ -90,36 +111,39 @@ class UltrametricSpace:
         order = [place[p] for p in canonical_convex_order(self) if p in place]
         if len(order) != len(pts):
             raise ValueError("points must be distinct point indices")
-        dist = tuple(tuple(self.dist[p][q] for q in pts) for p in pts)
+        ranks = tuple(tuple(map(self.ranks[p].__getitem__, pts)) for p in pts)
         least = _fold(
-            _steps(dist, order), [[p] for p in order],
+            _steps(ranks, order), [[p] for p in order],
             lambda _, kids: [p for kid in sorted(kids) for p in kid],
         )
-        return UltrametricSpace(tuple(self.labels[p] for p in pts), dist, tuple(least))
+        labels = tuple(map(self.labels.__getitem__, pts))
+        return UltrametricSpace(labels, ranks, self.values, tuple(least))
+
+    def _rows(self, key: Callable[[int], Any]) -> frozenset:
+        """Each label with the set of (label, key of the rank) of its row."""
+        labels = self.labels
+        rows = (frozenset(zip(labels, map(key, row))) for row in self.ranks)
+        return frozenset(zip(labels, rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UltrametricSpace):
             return NotImplemented
-        if sorted(self.labels) != sorted(other.labels):
-            return False
-        om = {lab: i for i, lab in enumerate(other.labels)}
-        n = self.size
-        return all(
-            self.dist[i][j] == other.dist[om[self.labels[i]]][om[self.labels[j]]]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return self._rows(int) == other._rows(_rank_map(other.values, self.values).__getitem__)
 
     def __hash__(self) -> int:
-        pairs = frozenset(
-            (frozenset((self.labels[i], self.labels[j])), self.dist[i][j])
-            for i in range(self.size)
-            for j in range(i + 1, self.size)
-        )
-        return hash((frozenset(self.labels), pairs))
+        return hash(self._rows(list(map(hash, self.values)).__getitem__))
 
     def __repr__(self) -> str:
         return f"UltrametricSpace({list(self.labels)!r}, {self.size} points)"
+
+
+def _rank_map(values: Sequence[Fraction], table: Sequence[Fraction]) -> list[int | None]:
+    """The rank in ``table`` of each of ``values``, None where it is missing:
+    by object in a shared table, else by lowest terms, as hashing a Fraction is slow."""
+    if len(values) == len(table) and all(map(is_, values, table)):
+        return list(range(len(values)))
+    rank = {v.as_integer_ratio(): r for r, v in enumerate(table)}
+    return [rank.get(v.as_integer_ratio()) for v in values]
 
 
 def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> UltrametricSpace:
@@ -132,12 +156,11 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     A float entry raises TypeError, the first one in row order.
 
     Every check compares integers: each distance is replaced by its rank
-    among the distinct values, 0 included, which orders them as the
-    values do.  Entries are ranked by object, each distinct one coerced
-    once; parse_uspace ranks its tokens instead, and from the rank matrix
-    on both run the same checks.  The returned space keeps the
-    nearest-unused walk the check took, which is its canonical convex
-    order, and holds one Fraction per distinct value.
+    among the distinct values, 0 included.  Entries are ranked by object,
+    each distinct one coerced once; parse_uspace ranks its tokens instead,
+    and from the rank matrix on both run the same checks.  The space is
+    that matrix over the table of distinct values, and keeps the
+    nearest-unused walk the check took, its canonical convex order.
 
     Cost: O(n^2) for a valid space, which is checked along the
     nearest-unused walk with O(n) Python steps for path maxima, the rest
@@ -149,11 +172,10 @@ def validate_space(matrix: Sequence[Sequence], labels: Sequence[str]) -> Ultrame
     n = len(names)
     if n == 0:
         raise EmptySpace()
-    seen = set()
-    for name in names:
-        if name in seen:
+    first: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if first.setdefault(name, i) != i:
             raise DuplicateLabel(name)
-        seen.add(name)
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square and match the label count")
     # each distinct entry object is coerced once, in row order, so the
@@ -180,11 +202,10 @@ def _ranked(exact: list[Fraction]) -> tuple[list[Fraction], list[int], int]:
 
 
 def _validated(
-    names: tuple[str, ...], ranks: list[list[int]], values: list[Fraction], zero: int,
-    scan: bool,
+    names: tuple[str, ...], ranks: list[list[int]], values: list[Fraction], zero: int, scan: bool
 ) -> UltrametricSpace:
-    """The space holding ``values[r]`` where the square rank matrix holds
-    r, once every check of validate_space after the label checks passes on
+    """The space of the square rank matrix over the ascending ``values``,
+    once every check of validate_space after the label checks passes on
     the ranks (``zero`` is the rank of 0), or the first witness's error.
     The pair scan, for asymmetric and nonpositive pairs, runs only when
     ``scan`` is true: the caller knows that no pair is bad otherwise."""
@@ -206,8 +227,7 @@ def _validated(
     # path maxima at a < b < c give d(a, c) = max(d(a, b), d(b, c)).
     walk = _walk(ranks)
     if _path_maxima(ranks, walk):
-        dist = tuple(tuple(map(values.__getitem__, row)) for row in ranks)
-        return UltrametricSpace(names, dist, walk)
+        return UltrametricSpace(names, tuple(map(tuple, ranks)), tuple(values), walk)
     raise UltrametricViolation(*(names[k] for k in _first_witness(ranks)))
 
 
@@ -256,64 +276,60 @@ def _minimax(ranks: list[list[int]]) -> list[list[int]]:
 
 def space_from_distances(labels: Sequence[str], pairs: dict) -> UltrametricSpace:
     """Build and validate a space from ``{(a, b): distance}`` label pairs."""
-    names = tuple(labels)
-    index = {lab: i for i, lab in enumerate(names)}
-    n = len(names)
-    rows = [[_ZERO] * n for _ in range(n)]
+    index = {lab: i for i, lab in enumerate(labels)}
+    rows = [[_ZERO] * len(labels) for _ in labels]
     for (a, b), value in pairs.items():
-        v = as_fraction(value)
-        rows[index[a]][index[b]] = v
-        rows[index[b]][index[a]] = v
-    return validate_space(rows, names)
+        rows[index[a]][index[b]] = rows[index[b]][index[a]] = as_fraction(value)
+    return validate_space(rows, labels)
 
 
 def distance_set(space: UltrametricSpace) -> DistanceSet:
     """Distinct off-diagonal distances, largest first: the steps of a convex order."""
-    steps = _steps(space.dist, canonical_convex_order(space))
-    return DistanceSet(tuple(sorted(set(steps), reverse=True)))
+    steps = _steps(space.ranks, canonical_convex_order(space))
+    return _realized(space.values, sorted(set(steps), reverse=True))
 
 
 def ball_partition(space: UltrametricSpace, radius: Fraction) -> tuple[tuple[int, ...], ...]:
     """Closed balls of the given radius; in an ultrametric space they
     partition the points, and they are the runs of a convex order between
-    its steps above the radius.  Blocks are sorted by smallest member."""
+    its steps above the radius: above the largest table value within it.
+    Blocks are sorted by smallest member."""
     r = as_fraction(radius)
     if r <= 0:
         raise ValueError("radius must be positive")
-    order = canonical_convex_order(space)
-    blocks = [[order[0]]]
-    for p, step in zip(order[1:], _steps(space.dist, order)):
-        if step > r:
-            blocks.append([])
-        blocks[-1].append(p)
-    return tuple(sorted(tuple(sorted(block)) for block in blocks))
+    cut, order = bisect_right(space.values, r) - 1, canonical_convex_order(space)
+    ends = [i for i, step in enumerate(_steps(space.ranks, order), 1) if step > cut]
+    return tuple(sorted(tuple(sorted(order[a:b])) for a, b in zip([0, *ends], [*ends, None])))
 
 
 def _path_maxima(dist: Sequence[Sequence], order: Sequence[int]) -> bool:
     """True iff along the order each entry is the largest step between its
-    two points.  On an ultrametric matrix that holds iff every ball is an
-    interval: the ball of radius d(x, y) around x spans every step between
-    x and y, and by path maxima no point between them lies farther from x
-    than y.
+    two points, checked row by row against ``_maxima``.  On an ultrametric
+    matrix that holds iff every ball is an interval: the ball of radius
+    d(x, y) around x spans every step between x and y, and by path maxima
+    no point between them lies farther from x than y."""
+    return all(
+        list(map(dist[order[i]].__getitem__, order[i + 1:])) == row
+        for i, row in _maxima(_steps(dist, order))
+    )
 
-    From step i on, the running maximum of the steps is step i up to the
-    next larger step j, and from j on the running maximum from j.  One pass
-    from the right keeps the next larger steps on a stack, each with its
-    expected row, so each point's expected row is one run of equal steps
-    followed by a row already built: O(n) Python steps, and O(n^2) copies
-    and compares made in C."""
-    steps = _steps(dist, order)
+
+def _maxima(steps: Sequence[Any]) -> Iterator[tuple[int, list]]:
+    """Each point i before the last of a sequence of steps, right to left,
+    with the largest step between it and each later point.  From step i
+    on, the running maximum is step i up to the next larger step j, then
+    the running maximum from j, so one pass keeping the next larger steps
+    and their rows on a stack builds each row as one run of equal steps
+    and a row already built: O(n) Python steps, O(n^2) copies made in C."""
     larger: list[tuple[int, list]] = [(len(steps), [])]
     for i in range(len(steps) - 1, -1, -1):
         step = steps[i]
         while len(larger) > 1 and larger[-1][1][0] <= step:
             larger.pop()
         j, suffix = larger[-1]
-        expected = [step] * (j - i) + suffix
-        if list(map(dist[order[i]].__getitem__, order[i + 1:])) != expected:
-            return False
-        larger.append((i, expected))
-    return True
+        row = [step] * (j - i) + suffix
+        yield i, row
+        larger.append((i, row))
 
 
 def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
@@ -322,7 +338,7 @@ def is_convex_order(space: UltrametricSpace, order: tuple[int, ...]) -> bool:
     step between its two points along the order."""
     if sorted(order) != list(range(space.size)):
         raise ValueError("order must be a permutation of the point indices")
-    return _path_maxima(space.dist, order)
+    return _path_maxima(space.ranks, order)
 
 
 def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
@@ -331,7 +347,7 @@ def canonical_convex_order(space: UltrametricSpace) -> tuple[int, ...]:
     Only a space built with the constructor walks the matrix for it."""
     if space._order is not None:
         return space._order
-    return _walk(space.dist)
+    return _walk(space.ranks)
 
 
 def _walk(dist: Sequence[Sequence]) -> tuple[int, ...]:
@@ -344,7 +360,7 @@ def _walk(dist: Sequence[Sequence]) -> tuple[int, ...]:
 
 
 def _steps(dist: Sequence[Sequence], order: Sequence[int]) -> tuple:
-    """The distances between neighbours along an order."""
+    """The entries between neighbours along an order."""
     return tuple([dist[a][b] for a, b in zip(order, order[1:])])
 
 
@@ -378,19 +394,13 @@ def order_labels(space: UltrametricSpace, order: tuple[int, ...]) -> tuple[str, 
 #   d <name_i> <name_j> <p/q>        one line per unordered pair
 
 def format_uspace(space: UltrametricSpace) -> str:
-    lines = [
-        "uspace v1",
-        f"points {space.size}",
-        "labels " + " ".join(space.labels),
-    ]
-    # each distinct value object is formatted once
-    text = {id(v): v for row in space.dist for v in row}
-    text = {key: format_rational(v) for key, v in text.items()}
-    for i in range(space.size):
-        for j in range(i + 1, space.size):
-            lines.append(
-                f"d {space.labels[i]} {space.labels[j]} {text[id(space.dist[i][j])]}"
-            )
+    labels = space.labels
+    lines = ["uspace v1", f"points {space.size}", "labels " + " ".join(labels)]
+    # each table value is formatted once, each row's lines share a prefix
+    texts = [" " + format_rational(v) for v in space.values]
+    for i, row in enumerate(space.ranks):
+        prefix = f"d {labels[i]} "
+        lines += [prefix + b + texts[r] for b, r in zip(labels[i + 1:], row[i + 1:])]
     return "\n".join(lines) + "\n"
 
 
@@ -422,9 +432,7 @@ def parse_uspace(text: str) -> UltrametricSpace:
         raise FormatError("missing distance lines")
     # each cell holds the index of its token's value, 0 the diagonal's
     # zero; off-diagonal cells stay None until their line fills them
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        table[i][i] = 0
+    table = [[None] * i + [0] + [None] * (n - 1 - i) for i in range(n)]
     tokens: dict[str, int] = {}
     exact = [_ZERO]
     for line in lines[2:]:
@@ -449,7 +457,8 @@ def parse_uspace(text: str) -> UltrametricSpace:
         raise EmptySpace()
     values, rank, zero = _ranked(exact)
     # the table is symmetric with a zero diagonal by construction, so a
-    # pair can be bad only when some token's value is not positive
-    scan = any(v <= 0 for v in exact[1:])
+    # pair can be bad only when some token's value is not positive: a
+    # negative one ranks below 0, and a zero one with the diagonal
+    scan = zero != 0 or zero in rank[1:]
     ranks = [list(map(rank.__getitem__, row)) for row in table]
     return _validated(names, ranks, values, zero, scan)

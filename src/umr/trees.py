@@ -22,17 +22,16 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial, prod
 from typing import Any, Callable, Sequence, TypeVar
 
 from .errors import FormatError, NonConvexOrder
 from .rational import body_lines, format_rational, parse_rational
 from .spaces import (
-    DistanceSet, UltrametricSpace, _fold, _steps, canonical_convex_order, is_convex_order,
+    _ZERO, DistanceSet, UltrametricSpace, _fold, _maxima, _realized, _steps,
+    canonical_convex_order, is_convex_order,
 )
 
-_ZERO = Fraction(0)
 _T = TypeVar("_T")
 
 
@@ -55,12 +54,11 @@ class LeveledTree:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate leaf labels")
         # a node at depth d has two children iff two neighbours join at d
-        joined = set(self.joins)
-        for depth in range(height):
-            if depth not in joined:
-                raise ValueError(
-                    f"level {depth} has no branching node; its distance is unrealized"
-                )
+        unbranched = set(range(height)).difference(self.joins)
+        if unbranched:
+            raise ValueError(
+                f"level {min(unbranched)} has no branching node; its distance is unrealized"
+            )
 
     @property
     def height(self) -> int:
@@ -112,33 +110,26 @@ def canonical_tree(space: UltrametricSpace) -> LeveledTree:
 
 
 def _build_tree(space: UltrametricSpace, seq: tuple[int, ...]) -> LeveledTree:
-    # seq is convex, so its steps are all the distances
-    steps = _steps(space.dist, seq)
-    radii = DistanceSet(tuple(sorted(set(steps), reverse=True)))
-    depth_of = {radius: depth for depth, radius in enumerate(radii)}
-    return LeveledTree(
-        tuple(space.labels[p] for p in seq), tuple(depth_of[d] for d in steps), radii
-    )
+    # seq is convex, so it steps over every distance: a step's depth counts the larger ranks
+    steps = _steps(space.ranks, seq)
+    depth_of = {r: depth for depth, r in enumerate(sorted(set(steps), reverse=True))}
+    labels, joins = tuple(space.labels[p] for p in seq), tuple(map(depth_of.__getitem__, steps))
+    return LeveledTree(labels, joins, _realized(space.values, depth_of))
 
 
 def tree_to_space(tree: LeveledTree) -> tuple[UltrametricSpace, tuple[int, ...]]:
     """Dual space of a tree: points are the leaves in left-to-right order,
     the distance of two leaves is the level distance of their deepest
     common ancestor, and the returned order is the identity, which is the
-    space's canonical convex order."""
-    labels, joins = tree.labels, tree.joins
-    n = len(labels)
-    levels = tree.levels.values
-    dist = [[_ZERO] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        top = tree.height
-        for t in range(s + 1, n):
-            if joins[t - 1] < top:
-                top = joins[t - 1]
-            row[t] = dist[t][s] = levels[top]
-    order = tuple(range(n))
-    return UltrametricSpace(labels, tuple(tuple(row) for row in dist), order), order
+    space's canonical convex order.  The value table is 0 and the levels,
+    ascending, so a join at depth j is rank height - j, and the rank of two
+    leaves is the largest such rank between them."""
+    n, steps = len(tree.labels), [tree.height - j for j in tree.joins]
+    # each row's entries after and, read backwards, before the diagonal
+    after, before = dict(_maxima(steps)), dict(_maxima(steps[::-1]))
+    rows = tuple((*before.get(n - 1 - i, ())[::-1], 0, *after.get(i, ())) for i in range(n))
+    order, values = tuple(range(n)), (_ZERO, *reversed(tree.levels.values))
+    return UltrametricSpace(tree.labels, rows, values, order), order
 
 
 def count_automorphisms(tree: LeveledTree) -> int:

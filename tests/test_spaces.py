@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -10,7 +12,9 @@ from hypothesis import strategies as st
 import umr
 from util import (
     brute_convex_orders,
+    brute_copies,
     c3,
+    comb4,
     convexity_oracle,
     e3,
     equilateral,
@@ -518,3 +522,95 @@ def test_restrict_keeps_the_least_convex_order_without_walking(tree, data):
             assert order == umr.enumerate_convex_orders(sub)[0]
             if sub.size <= 5:
                 assert order == brute_convex_orders(sub)[0]
+
+
+def test_restriction_keeps_its_parents_value_table():
+    parent = comb4()  # a b at 1, c at 2 from them, e at 3 from the rest
+    sub = parent.restrict([3, 1, 0])  # e b a: distance 2 is not realized
+    assert sub.values is parent.values and F(2) in sub.values
+    assert list(umr.distance_set(sub)) == [3, 1]
+
+    def eba(far, a="a"):
+        return f"uspace v1\npoints 3\nlabels e b {a}\nd e b {far}\nd e {a} {far}\nd b {a} 1\n"
+
+    text = eba("3")
+    fresh = umr.parse_uspace(text)
+    assert F(2) not in fresh.values
+    assert umr.format_uspace(sub) == umr.format_uspace(fresh) == text
+    # equal to a parse with the rows in another order, not to one that
+    # renames a point or puts the unrealized table value on a pair
+    permuted = umr.parse_uspace("uspace v1\npoints 3\nlabels a e b\nd a e 3\nd a b 1\nd e b 3\n")
+    assert sub == permuted and permuted == sub and hash(sub) == hash(permuted)
+    renamed = umr.parse_uspace(eba("3", a="x"))
+    closer = umr.parse_uspace(eba("2"))
+    assert renamed != sub and sub != renamed
+    assert closer != sub and sub != closer
+    # radii on, between, below and above the table's values, realized or not
+    n = sub.size
+    for r in (F(1), F(2), F(3), F(3, 2), F(5, 2), F(1, 2), F(7, 2), F(100)):
+        balls = {tuple(y for y in range(n) if sub.dist[x][y] <= r) for x in range(n)}
+        assert umr.ball_partition(sub, r) == umr.ball_partition(fresh, r) == tuple(sorted(balls))
+    # copies through the ambient's table; a value missing from it leaves none
+    assert umr.enumerate_copies(parent, fresh) == umr.enumerate_copies(parent, sub)
+    assert [c.points() for c in umr.enumerate_copies(parent, fresh)] == brute_copies(parent, fresh)
+    farther = umr.parse_uspace(eba("5/2"))
+    assert umr.enumerate_copies(parent, farther) == brute_copies(parent, farther) == []
+
+
+def fraction_frames(call) -> int:
+    """The frames from fractions.py entered while call() runs, apart from
+    those under format_rational, which reads a value's terms as text."""
+    boundary = umr.rational.format_rational.__code__
+    frames = 0
+
+    def hook(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not boundary:
+                caller = caller.f_back
+            frames += caller is None
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+def test_tree_order_copy_and_text_functions_read_no_fraction():
+    levels = umr.DistanceSet((F(7), F(5, 2), F(2), F(1, 3), F(1, 5)))
+    uniform, _ = umr.tree_to_space(umr.uniform_tree((2, 2, 2, 2, 3), levels))
+    shuffled = uniform.restrict(random.Random(48).sample(range(48), 48))
+    space = umr.parse_uspace(umr.format_uspace(shuffled))
+    assert space.size == 48 and space.values is not uniform.values
+    order = umr.canonical_convex_order(space)
+    pattern = space.restrict([order[0], order[1], order[47]])
+    # 48 points have at least 2^47 convex orders, so 12 of them are listed
+    small = space.restrict(order[:12])
+    calls = {
+        "_fold": lambda: umr.spaces._fold(
+            umr.spaces._steps(space.ranks, order), [0] * 48, umr.trees._Classes()
+        ),
+        "canonical_tree": lambda: umr.canonical_tree(space),
+        "enumerate_convex_orders": lambda: umr.enumerate_convex_orders(small),
+        "order_type_partition": lambda: umr.order_type_partition(space),
+        "enumerate_copies": lambda: umr.enumerate_copies(space, pattern),
+        "format_uspace": lambda: umr.format_uspace(space),
+        "tree_to_space": lambda: umr.tree_to_space(umr.canonical_tree(space)),
+        "restrict": lambda: space.restrict(order[::2]),
+        "distance_set": lambda: umr.distance_set(space),
+        "is_convex_order": lambda: umr.is_convex_order(space, order),
+    }
+    assert {name: fraction_frames(call) for name, call in calls.items()} == dict.fromkeys(calls, 0)
+    # a table value is formatted once however many pairs realize it
+    formatted = []
+    original = umr.spaces.format_rational
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(umr.spaces, "format_rational", lambda v: formatted.append(v) or original(v))
+        umr.format_uspace(space)
+    assert formatted == list(space.values)
+    # the runs above did the work: 48 pairs at 1/5, each with 24 points at 7
+    assert len(umr.enumerate_copies(space, pattern)) == 48 * 24
+    assert len(umr.enumerate_convex_orders(small)) == umr.count_convex_orders(small) == 10368
