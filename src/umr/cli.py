@@ -39,13 +39,13 @@ from .shapes import extremal_scan
 from .spaces import canonical_convex_order, format_uspace, order_labels, parse_uspace
 from .trees import canonical_tree, count_automorphisms, format_utree, parse_utree, tree_to_space
 from .urysohn import (
+    QsAutomorphism,
+    _extend,
+    _first_difference,
+    _read_qpoints,
     check_homogeneity,
-    extend_isometry,
     format_automorphism,
     parse_menu,
-    parse_qpoint,
-    qs_distance,
-    qs_lex_compare,
 )
 
 _CMP_WORDS = {-1: "less", 0: "equal", 1: "greater"}
@@ -74,27 +74,49 @@ def _verb(name: str, *specs):
     return register
 
 
+def _with_specs(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flags, options in VERBS[name][0]:
+        parser.add_argument(*flags, **options)
+    return parser
+
+
+# Each parser is a fixed function of ``VERBS``: built once, on first use.
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser is a fixed function of ``VERBS``: built once, on first use."""
     parser = argparse.ArgumentParser(
         prog="umr",
         description="exact computations on finite ultrametric spaces",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (specs, _) in VERBS.items():
-        verb = sub.add_parser(name)
-        for flags, options in specs:
-            verb.add_argument(*flags, **options)
+    for name in VERBS:
+        _with_specs(sub.add_parser(name), name)
     return parser
+
+
+@cache
+def _verb_parser(name: str) -> argparse.ArgumentParser:
+    """The verb's own parser, as ``_parser`` makes it for that verb."""
+    return _with_specs(argparse.ArgumentParser(prog=f"umr {name}"), name)
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The verb argv names and its arguments, in one pass of the verb's own
+    parser.  The full parser speaks when argv names no verb, and when the
+    verb's parser leaves arguments over, which it reports with its usage."""
+    if argv and argv[0] in VERBS:
+        args, rest = _verb_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    args = _parser().parse_args(argv)
+    return args.verb, args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        verb, args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _, handler = VERBS[args.verb]
+    _, handler = VERBS[verb]
     try:
         return handler(args)
     except BudgetExceeded as exc:
@@ -278,19 +300,26 @@ def _extremal(args) -> int:
     return 0
 
 
+def _load_qpoints(args):
+    """The menu's frame and the qpoint files' value tuples over their least
+    common grid, and that grid; the menu is read first, then each file is
+    read and parsed in turn."""
+    menu = parse_menu(_read(args.menu))
+    return _read_qpoints(map(_read, args.files), menu)
+
+
 @_verb("qs-dist", _arg("files", nargs=2), _MENU)
 def _qs_dist(args) -> int:
-    menu = parse_menu(_read(args.menu))
-    x, y = (parse_qpoint(_read(path), menu) for path in args.files)
-    print(f"d={format_rational(qs_distance(x, y))}")
+    frame, (x, y), _ = _load_qpoints(args)
+    k = _first_difference(x, y)
+    print(f"d={format_rational(frame.scales[k]) if k < len(x) else 0}")
     return 0
 
 
 @_verb("qs-cmp", _arg("files", nargs=2), _MENU)
 def _qs_cmp(args) -> int:
-    menu = parse_menu(_read(args.menu))
-    x, y = (parse_qpoint(_read(path), menu) for path in args.files)
-    print(f"cmp={_CMP_WORDS[qs_lex_compare(x, y)]}")
+    _, (x, y), _ = _load_qpoints(args)
+    print(f"cmp={_CMP_WORDS[(x > y) - (x < y)]}")
     return 0
 
 
@@ -300,8 +329,8 @@ def _qs_extend(args) -> int:
     if len(args.files) % 2 != 0:
         print("qs-extend needs an even number of qpoint files (x1 y1 x2 y2 ...)")
         return 2
-    points = [parse_qpoint(_read(path), menu) for path in args.files]
-    auto = extend_isometry(list(zip(points[0::2], points[1::2])), menu)
+    frame, points, grid = _read_qpoints(map(_read, args.files), menu)
+    auto = QsAutomorphism(frame.record(_extend(points[0::2], points[1::2]), grid))
     print(f"moves={len(auto.moves)}")
     print(format_automorphism(auto), end="")
     return 0

@@ -10,6 +10,7 @@ integer for denominator 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import FormatError
 
@@ -25,15 +26,24 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q`` or the integer shorthand ``p``."""
+def rational_terms(token: str) -> tuple[int, int]:
+    """The token rule: ``p/q`` or the integer shorthand ``p``, each term as
+    ``int`` reads it, as (numerator, denominator) in lowest terms with the
+    denominator positive."""
+    num, slash, den = token.partition("/")
     try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
-    except (ValueError, ZeroDivisionError) as exc:
+        p, q = int(num), int(den) if slash else 1
+    except ValueError as exc:
         raise FormatError(f"bad rational {token!r}") from exc
+    if not q:
+        raise FormatError(f"bad rational {token!r}")
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(token: str) -> Fraction:
+    """Parse ``p/q`` or the integer shorthand ``p`` (``rational_terms``)."""
+    return Fraction(*rational_terms(token))
 
 
 def body_lines(text: str, header: str) -> list[str]:

@@ -85,7 +85,10 @@ def _shapes(height: int, leaves: int, need: int = 0) -> tuple[_Coded, ...]:
     return tuple(sorted(result, key=lambda entry: entry[0]))
 
 
+@lru_cache(maxsize=None)
 def default_levels(height: int) -> DistanceSet:
+    """The powers of two below 2^height, largest first: one table per
+    height, shared by every shape of that height."""
     return DistanceSet(tuple(Fraction(2 ** (height - 1 - i)) for i in range(height)))
 
 

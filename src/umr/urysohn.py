@@ -18,9 +18,11 @@ it lifts its input by the least L1 that makes its own data integers and
 gates there, and a ball then applies each slope p/q as the integer p*Q/q,
 with Q the lcm of its slope denominators, so L = L1*Q.  The grid grows by
 one factor per move; an extension ball, whose threshold is the midpoint of
-two grid values, has L = q or 2q for its slope p/q.  ``QsPoint`` and the
-move records, over ``Fraction``, are built only by ``_Frame.point`` and
-``_Frame.record`` and in text I/O.
+two grid values, has L = q or 2q for its slope p/q.  Qpoint texts are read
+straight into value tuples: each value token into integer terms, the points
+then onto one grid, the lcm of their denominators (``_read_qpoints``).
+``QsPoint`` and the move records, over ``Fraction``, are built only by
+``_Frame.point`` and ``_Frame.record`` and by the menu and move parsers.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import itemgetter
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     DuplicatePoint, FormatError, NotOrderPreserving, NotPartialIsometry, UmrError,
 )
-from .rational import as_fraction, body_lines, format_rational, parse_rational
+from .rational import as_fraction, body_lines, format_rational, parse_rational, rational_terms
 from .spaces import DistanceSet
 
 _ZERO = Fraction(0)
@@ -476,7 +478,7 @@ _last_frame: tuple = (None, None)
 
 def _menu_frame(menu: DistanceSet) -> _Frame:
     """The menu's frame, built once for a run of calls on one menu object
-    (the CLI parses each qpoint of a job against one); frames never change."""
+    (parsing many points against one menu, say); frames never change."""
     global _last_frame
     last = _last_frame
     if last[0] is not menu:
@@ -694,23 +696,29 @@ def format_qpoint(point: QsPoint) -> str:
     return "\n".join(["qpoint v1", *lines]) + "\n"
 
 
-def _read_coords(pairs, frame: _Frame) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Coordinates, in frame order and without zeros, from (scale, value)
-    token pairs in any order, each scale once and on the frame; a scale is
-    parsed only when not in its canonical spelling."""
-    values: list[Fraction | None] = [None] * len(frame.scales)
+def _read_terms(pairs, frame: _Frame) -> list[tuple[int, int]]:
+    """A point's value at each frame position as (numerator, denominator)
+    in lowest terms, (0, 1) where it has none, from (scale, value) token
+    pairs in any order, each scale once and on the frame; a scale is read
+    only when not in its canonical spelling."""
+    terms: list = [None] * len(frame.scales)
     for scale, value in pairs:
         k = frame.tokens.get(scale)
         if k is None:
-            s = parse_rational(scale)
-            k = frame.position.get((s.numerator, s.denominator))
+            s = rational_terms(scale)
+            k = frame.position.get(s)
+            if s[0] <= 0:  # the scale rule speaks before the menu
+                raise FormatError("scales must be positive")
             if k is None:
-                _check_scales(((s, None),))  # the scale rule speaks before the menu
                 raise FormatError(f"coordinate {scale} not in menu")
-        if values[k] is not None:
+        if terms[k] is not None:
             raise FormatError(f"repeated coordinate {scale}")
-        values[k] = parse_rational(value)
-    return tuple((s, v) for s, v in zip(frame.scales, values) if v)
+        terms[k] = rational_terms(value)
+    return [t or (0, 1) for t in terms]
+
+
+def _terms_point(terms: list[tuple[int, int]], frame: _Frame) -> QsPoint:
+    return frame.build(tuple([(s, Fraction(p, q)) for s, (p, q) in zip(frame.scales, terms) if p]))
 
 
 def _line_pair(line: str) -> list[str]:
@@ -720,13 +728,19 @@ def _line_pair(line: str) -> list[str]:
     return parts
 
 
-def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
-    lines = body_lines(text, "qpoint v1")
+def _read_qpoints(texts: Iterable[str], menu: DistanceSet) -> tuple[_Frame, list[tuple], int]:
+    """The menu's frame, the points of qpoint texts, each read as it is
+    drawn (so its errors come before a later text is drawn), as value
+    tuples over their least common grid, and that grid."""
     frame = _menu_frame(menu)
-    try:
-        return frame.build(_read_coords(map(_line_pair, lines), frame))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    read = [_read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame) for text in texts]
+    grid = lcm(*(q for terms in read for _, q in terms))
+    return frame, [tuple([p * (grid // q) for p, q in terms]) for terms in read], grid
+
+
+def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
+    frame = _menu_frame(menu)
+    return _terms_point(_read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame), frame)
 
 
 def _chunk_pairs(token: str, none: str, kind: str):
@@ -740,8 +754,8 @@ def _chunk_pairs(token: str, none: str, kind: str):
         yield chunk.split(":", 1)
 
 
-def _parse_inline_point(token: str, frame: _Frame) -> QsPoint:
-    return frame.build(_read_coords(_chunk_pairs(token, "0", "point"), frame))
+def _parse_inline_point(token: str, frame: _Frame, none="0", kind="point") -> QsPoint:
+    return _terms_point(_read_terms(_chunk_pairs(token, none, kind), frame), frame)
 
 
 def _inline_pairs(pairs: tuple[tuple[Fraction, Fraction], ...], none: str = "-") -> str:
@@ -790,7 +804,7 @@ def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
                 center=_parse_inline_point(fields["center"], frame),
                 threshold=parse_rational(fields["alpha"]),
                 value_map=PiecewiseLinearMap(tuple(a for a, _ in phi), tuple(b for _, b in phi)),
-                shifts=_read_coords(_chunk_pairs(fields["shifts"], "-", "pair"), frame),
+                shifts=_parse_inline_point(fields["shifts"], frame, "-", "pair").coords,
             ))
         except KeyError as exc:
             raise FormatError(f"missing coordmap field {exc}") from exc

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import random
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import umr
+from umr import cli, urysohn
 from umr.cli import VERBS, main
 from util import (
     brute_convex_orders,
@@ -20,11 +22,13 @@ from util import (
     comb4,
     e3,
     equilateral,
+    fraction_frames,
     from_nested,
     profile_classes,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+MENU3 = umr.menu_of(1, F(1, 2), F(1, 4))  # the menu of the fixture files
 
 
 @pytest.fixture
@@ -467,6 +471,30 @@ def test_qs_extend_rejects_bad_pairs(files, capsys):
     assert "NotPartialIsometry" in out or "DuplicatePoint" in out
 
 
+def test_qs_errors_keep_their_order_across_files(files, capsys, tmp_path):
+    # an odd file count beats a malformed first file, which beats a missing
+    # third file; files are read and parsed one at a time, in order
+    bad, missing = tmp_path / "bad.qpoint", str(tmp_path / "missing.qpoint")
+    bad.write_text("qpoint v1\n2/6 1\n")
+    ok, menu = files["y.qpoint"], ["--menu", files["menu.menu"]]
+    not_found = f"FileNotFoundError [Errno 2] No such file or directory: '{missing}'\n"
+    assert run(capsys, "qs-extend", str(bad), ok, missing, *menu) == (
+        2, "qs-extend needs an even number of qpoint files (x1 y1 x2 y2 ...)\n",
+    )
+    assert run(capsys, "qs-extend", str(bad), ok, missing, ok, *menu) == (
+        1, "FormatError coordinate 2/6 not in menu\n",
+    )
+    assert run(capsys, "qs-extend", ok, ok, missing, str(bad), *menu) == (1, not_found)
+    # a text that does not decode is reported as such, not as a format error
+    undecodable = tmp_path / "undecodable.qpoint"
+    undecodable.write_bytes(b"qpoint v1\n1 \xff\n")
+    for verb in ("qs-dist", "qs-cmp"):
+        assert run(capsys, verb, str(bad), missing, *menu) == (1, "FormatError coordinate 2/6 not in menu\n")
+        assert run(capsys, verb, missing, str(bad), *menu) == (1, not_found)
+        code, out = run(capsys, verb, ok, str(undecodable), *menu)
+        assert (code, out.split()[0]) == (1, "UnicodeDecodeError")
+
+
 def test_qs_check_seed_header(files, capsys):
     code, out = run(
         capsys, "qs-check", "--menu", files["menu.menu"],
@@ -535,10 +563,11 @@ def test_missing_file_diagnostic(capsys, tmp_path, monkeypatch):
         assert run(capsys, "validate", path) == (1, line)
 
 
-def test_every_verb_is_reachable(files, capsys, tmp_path):
+def valid_invocations(files, tmp_path):
+    """A quick argv that succeeds, for each verb, in table order."""
     hull_path = tmp_path / "hull.uspace"
     hull_path.write_text(umr.format_uspace(umr.order_invariant_hull(c3())))
-    invocations = {
+    return {
         "validate": ["validate", files["c3.uspace"]],
         "tree": ["tree", files["c3.uspace"]],
         "space": ["space", files["c3.utree"]],
@@ -576,11 +605,126 @@ def test_every_verb_is_reachable(files, capsys, tmp_path):
             "qs-check", "--menu", files["menu.menu"], "-n", "1", "--trials", "2",
         ],
     }
+
+
+def test_every_verb_is_reachable(files, capsys, tmp_path):
+    invocations = valid_invocations(files, tmp_path)
     assert list(invocations) == list(VERBS)
     for verb, argv in invocations.items():
         code = main(argv)
         capsys.readouterr()
         assert code == 0, f"verb {verb} exited {code}"
+
+
+def answer(argv):
+    """main's exit code, stdout and stderr on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def full_parser_answer(argv):
+    """``answer`` with every argv parsed by the full parser, subparsers and all."""
+    def parse(argv):
+        args = cli._parser().parse_args(argv)
+        return args.verb, args
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse", parse)
+        return answer(argv)
+
+
+def argv_cases(argv):
+    """Cases around a verb's valid argv: help, no arguments, a bad integer,
+    unrecognized extras, a ``--`` before the positionals, abbreviated long
+    options and ``--opt=value``."""
+    verb, rest = argv[0], argv[1:]
+    specs = {flag: options for flags, options in VERBS[verb][0] for flag in flags}
+    options, positionals, i = [], [], 0
+    while i < len(rest):
+        takes_value = rest[i] in specs and specs[rest[i]].get("action") != "store_true"
+        if rest[i].startswith("-"):
+            options.append(rest[i:i + 1 + takes_value])
+            i += 1 + takes_value
+        else:
+            positionals.append(rest[i])
+            i += 1
+    flat = [token for option in options for token in option]
+    cases = [
+        [verb, "-h"], [verb], [*argv, "--bogus"], [*argv, "stray"],
+        [verb, *flat, "--", *positionals],
+    ]
+    for flag, spec in specs.items():
+        if "type" in spec:
+            cases.append([*argv, flag, "x"])
+        if flag.startswith("--") and len(flag) > 5:
+            value = [] if spec.get("action") == "store_true" else ["5"] if "type" in spec else [rest[-1]]
+            cases.append([*argv, flag[:5], *value])
+    for at, option in enumerate(options):
+        if len(option) == 2:
+            joined = [token for o in options[:at] + [["=".join(option)]] + options[at + 1:] for token in o]
+            cases.append([verb, *positionals, *joined])
+    return cases
+
+
+def test_verb_parsers_answer_as_the_full_parser(files, tmp_path):
+    for verb, argv in valid_invocations(files, tmp_path).items():
+        for case in argv_cases(argv):
+            assert answer(case) == full_parser_answer(case), case
+    for case in ([], ["-h"], ["--help"], ["valid", files["c3.uspace"]], ["no-such-verb"], ["-k", "2"]):
+        assert answer(case) == full_parser_answer(case), case
+    # the cases reach help, usage errors on both parsers' usage lines, and answers
+    assert answer(["validate", "-h"])[1].startswith("usage: umr validate [-h] files\n")
+    assert answer(["arrow", "-k", "x"])[2].startswith("usage: umr arrow [-h]")
+    assert answer(["validate", files["c3.uspace"], "stray"])[2] == (
+        f"{cli._parser().format_usage()}umr: error: unrecognized arguments: stray\n"
+    )
+    arrow = valid_invocations(files, tmp_path)["arrow"]
+    assert answer([*arrow, "--bud", "1"]) == (2, "arrow budget-exceeded copies=3 colorings=1\n", "")
+
+
+def test_qs_verbs_read_qpoints_without_fraction_in_one_parse_pass(files, tmp_path, capsys):
+    # no Fraction from the qpoint texts through _extend: the menu (its parse
+    # and frame) and the move records and their text are exempt
+    frame = urysohn._Frame
+    exempt = (
+        urysohn.parse_menu, frame.__init__, frame.position.func, frame.tokens.func,
+        frame.record, urysohn.format_automorphism,
+    )
+    texts = {
+        "x1": "1 -3/4\n", "y1": "-2/-2 -6/8\n1/4 5/6\n",
+        "x2": "1/2 1/3\n1 -3/4\n", "y2": "1 -3/4\n2/4 4/6\n1/4 1/5\n",
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.qpoint"
+        paths[name].write_text("qpoint v1\n" + text)
+    menu = ["--menu", files["menu.menu"]]
+    points = [umr.parse_qpoint(path.read_text(), MENU3) for path in paths.values()]
+    auto = umr.extend_isometry(list(zip(points[0::2], points[1::2])), MENU3)
+    assert len(auto.moves) == 2
+    runs = {
+        ("qs-extend", *map(str, paths.values()), *menu): f"moves=2\n{umr.format_automorphism(auto)}",
+        ("qs-dist", str(paths["x2"]), str(paths["y2"]), *menu): "d=1/2\n",
+        ("qs-cmp", str(paths["y2"]), str(paths["x2"]), *menu): "cmp=greater\n",
+    }
+    for argv, expected in runs.items():
+        assert fraction_frames(lambda: main(list(argv)), *exempt) == 0, argv
+        assert capsys.readouterr().out == expected
+    # every verb's argv is parsed in one pass, by the verb's own parser
+    passes = []
+    original = argparse.ArgumentParser.parse_known_args
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            argparse.ArgumentParser, "parse_known_args",
+            lambda parser, *args, **kwargs: passes.append(parser.prog) or original(parser, *args, **kwargs),
+        )
+        for argv in [*runs, *valid_invocations(files, tmp_path).values()]:
+            passes.clear()
+            main(list(argv))
+            assert passes == [f"umr {argv[0]}"]
+    capsys.readouterr()
 
 
 def table_flags(verb):

@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, product
 from math import factorial, prod
 
 import pytest
@@ -76,6 +76,26 @@ def test_comb_tree_shape():
         assert umr.is_comb(comb)
         assert umr.tree_degree(comb) == 2 ** (n - 2)
     assert umr.format_utree(umr.comb_tree(4)).splitlines()[2] == "(((p1 p2) (p3)) ((p4)))"
+
+
+def test_shapes_of_one_height_share_their_levels():
+    # one levels table per height; spaces and rank maps read as they do
+    # from a table built afresh for each shape
+    shapes = [tree for n in range(1, 6) for tree in umr.all_tree_shapes(n)] + [umr.comb_tree(5)]
+    for a, b in zip(shapes, shapes[1:]):
+        assert (a.levels is b.levels) == (a.height == b.height)
+    assert umr.comb_tree(5).levels is umr.all_tree_shapes(5)[-1].levels
+    fresh = [
+        umr.LeveledTree(t.labels, t.joins, umr.DistanceSet(tuple(F(2 ** (t.height - 1 - i)) for i in range(t.height))))
+        for t in shapes
+    ]
+    shared = [umr.tree_to_space(t) for t in shapes]
+    alone = [umr.tree_to_space(t) for t in fresh]
+    assert [(s.labels, s.ranks, s.values, o) for s, o in shared] == [
+        (s.labels, s.ranks, s.values, o) for s, o in alone
+    ]
+    for ((x, _), (fx, _)), ((y, _), (fy, _)) in product(zip(shared, alone), repeat=2):
+        assert umr.spaces._rank_map(x.values, y.values) == umr.spaces._rank_map(fx.values, fy.values)
 
 
 def test_deep_comb_compares_hashes_and_is_a_comb():

@@ -1,6 +1,4 @@
-import fractions
 import random
-import sys
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -18,6 +16,7 @@ from util import (
     convexity_oracle,
     e3,
     equilateral,
+    fraction_frames,
     leveled_trees,
     naive_convex_orders,
     naive_first_error,
@@ -555,28 +554,6 @@ def test_restriction_keeps_its_parents_value_table():
     assert [c.points() for c in umr.enumerate_copies(parent, fresh)] == brute_copies(parent, fresh)
     farther = umr.parse_uspace(eba("5/2"))
     assert umr.enumerate_copies(parent, farther) == brute_copies(parent, farther) == []
-
-
-def fraction_frames(call) -> int:
-    """The frames from fractions.py entered while call() runs, apart from
-    those under format_rational, which reads a value's terms as text."""
-    boundary = umr.rational.format_rational.__code__
-    frames = 0
-
-    def hook(frame, event, arg):
-        nonlocal frames
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            caller = frame.f_back
-            while caller is not None and caller.f_code is not boundary:
-                caller = caller.f_back
-            frames += caller is None
-
-    sys.setprofile(hook)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-    return frames
 
 
 def test_tree_order_copy_and_text_functions_read_no_fraction():

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 import umr
 from umr import urysohn
 from util import (
+    fraction_qpoint,
+    fraction_qpoint_values,
+    fraction_rational,
     naive_apply,
     naive_compare,
     naive_distance,
@@ -901,6 +904,86 @@ def test_parsed_points_match_qs_point_in_any_line_order(coords):
     assert coordmap.center == expected.restrict_above(MENU3[-1])
     frame, grid = urysohn._Frame(MENU3), urysohn._grid([expected])
     assert frame.point(frame.values(expected, grid), grid) == expected
+
+
+# Spellings of each scale of MENU6, its canonical one first, and of values;
+# the lines a qpoint text may go wrong by.
+SPELLINGS = {
+    F(3): ["3", "6/2", "-3/-1", "+3", "03", "3_0/1_0"],
+    F(1): ["1", "+1", "2/2", "-1/-1", "001"],
+    F(1, 2): ["1/2", "2/4", "-1/-2", "+1/2", "0_1/2", "5/10"],
+    F(1, 6): ["1/6", "2/12", "-1/-6", "1/0_6"],
+}
+MENU6 = umr.menu_of(*SPELLINGS)
+VALUE_TOKENS = st.one_of(
+    st.sampled_from(["2/4", "-3/-6", "+1", "0/5", "007", "1_0", "0", "-0", "1/-3", "-7/1"]),
+    st.tuples(st.integers(-40, 40), st.integers(-12, 12).filter(bool)).map("{0[0]}/{0[1]}".format),
+    st.fractions(max_denominator=30).map(str),
+)
+BAD_LINES = [
+    "1/3 1", "2/6 1", "0 1", "0/5 2", "-1/2 1", "-2/4 1", "-0/3 1", "1/0 1", "x 1",
+    "1 1/0", "1 x", "1/2 3/0_0", "1", "1 2 3",
+]
+
+
+@st.composite
+def qpoint_texts(draw):
+    """A qpoint text over MENU6 in any spellings, with at most one fault: a
+    bad line, a scale repeated (maybe under another spelling) or a bad header."""
+    scales = draw(st.lists(st.sampled_from(list(SPELLINGS)), unique=True))
+    lines = [f"{draw(st.sampled_from(SPELLINGS[s]))} {draw(VALUE_TOKENS)}" for s in scales]
+    fault = draw(st.sampled_from(["none", "none", "line", "repeat", "header"]))
+    at = draw(st.integers(0, len(lines)))
+    if fault == "line":
+        lines.insert(at, draw(st.sampled_from(BAD_LINES)))
+    elif fault == "repeat" and scales:
+        lines.insert(at, f"{draw(st.sampled_from(SPELLINGS[draw(st.sampled_from(scales))]))} 1")
+    header = "qpoint v2" if fault == "header" else "qpoint v1"
+    return "\n".join([header, *lines]) + "\n"
+
+
+def outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def drawn(texts, missing):
+    """The texts one at a time, as a reader draws files, with the one at
+    index ``missing`` unreadable."""
+    for i, text in enumerate(texts):
+        if i == missing:
+            raise FileNotFoundError(f"no text {i}")
+        yield text
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(qpoint_texts(), min_size=1, max_size=4), st.none() | st.integers(0, 3))
+@example(["qpoint v1\n1/2 1\n2/4 3\n"], None)  # one scale under two spellings
+@example(["qpoint v1\n0/5 1\n", "qpoint v1\n1/3 1\n"], None)  # nonpositive, off-menu
+@example(["qpoint v1\n1 1/0\n", "qpoint v1\n"], 1)  # a malformed text before a missing one
+def test_qpoint_reader_matches_the_fraction_route(texts, missing):
+    # numerators, grid and every error, including the first of several
+    # texts, read as the Fraction route reads them
+    expected = outcome(lambda: fraction_qpoint_values(drawn(texts, missing), MENU6))
+    got = outcome(lambda: urysohn._read_qpoints(drawn(texts, missing), MENU6)[1:])
+    assert got == expected
+    for text in texts:
+        point = outcome(lambda: umr.qs_point(fraction_qpoint(text, MENU6)))
+        assert outcome(lambda: umr.parse_qpoint(text, MENU6)) == point
+        for token in text.split():
+            assert outcome(lambda: umr.parse_rational(token)) == outcome(lambda: fraction_rational(token))
+
+
+def test_rational_terms_are_lowest_terms_with_a_positive_denominator():
+    cases = {"2/4": (1, 2), "-3/-6": (1, 2), "+1": (1, 1), "0/5": (0, 1), "0/-5": (0, 1),
+             "007": (7, 1), "1_0": (10, 1), "4/-6": (-2, 3), "-0": (0, 1)}
+    assert {token: umr.rational.rational_terms(token) for token in cases} == cases
+    for token in ("1/0", "-0/0", "x", "1/2/3", "1.5", "/2", "2/"):
+        with pytest.raises(umr.FormatError, match=f"bad rational {token!r}"):
+            umr.rational.rational_terms(token)
 
 
 def test_automorphism_serialization_round_trip():

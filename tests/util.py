@@ -10,18 +10,21 @@ by trying every coloring (or every restricted-growth coloring, one by one,
 for the engine's counts, or, for instances too large for that scan, by a
 recursive search that cuts only at an already safe Y-copy), the
 homogeneous model's checks and moves are pair loops and arithmetic over
-plain coordinate dicts and its draws are ``randint`` calls, and trees are
+plain coordinate dicts, its draws are ``randint`` calls and its qpoint
+texts are read over ``Fraction`` line by line, and trees are
 read, padded and walked as nested tuples (a leaf is its label, a node the
 tuple of its children).  Expected values in the tests come from these,
 never from the functions under test.
 """
 
+import fractions
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations, count, permutations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from hypothesis import strategies as st
 
@@ -521,6 +524,50 @@ def naive_apply(move, point):
     return umr.qs_point(items)
 
 
+def fraction_rational(token):
+    """A rational token as ``Fraction`` takes its two ``int`` terms."""
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(token))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise umr.FormatError(f"bad rational {token!r}") from exc
+
+
+def fraction_qpoint(text, menu):
+    """A qpoint text as a {scale: value} dict of ``Fraction``s, line by
+    line, with the parser's errors: a scale in its canonical spelling is
+    looked up as written, any other is read as a rational first."""
+    canonical = {umr.format_rational(s): s for s in menu}
+    coords = {}
+    for line in body_lines(text, "qpoint v1"):
+        parts = line.split()
+        if len(parts) != 2:
+            raise umr.FormatError(f"bad coordinate line {line!r}")
+        token, value = parts
+        scale = canonical.get(token)
+        if scale is None:
+            scale = fraction_rational(token)
+            if scale <= 0:
+                raise umr.FormatError("scales must be positive")
+            if scale not in menu:
+                raise umr.FormatError(f"coordinate {token} not in menu")
+        if scale in coords:
+            raise umr.FormatError(f"repeated coordinate {token}")
+        coords[scale] = fraction_rational(value)
+    return coords
+
+
+def fraction_qpoint_values(texts, menu):
+    """Qpoint texts, each read in turn by ``fraction_qpoint``, as numerator
+    tuples at the menu's positions over the least common denominator of
+    their values, and that denominator."""
+    points = [fraction_qpoint(text, menu) for text in texts]
+    grid = lcm(*(v.denominator for p in points for v in p.values()))
+    return [tuple(int(p.get(s, 0) * grid) for s in menu) for p in points], grid
+
+
 def naive_piecewise(breakpoints, slopes, x):
     """Value at x of the map with these breakpoints and slopes, summed
     segment by segment from the left: x itself up to the first breakpoint,
@@ -783,6 +830,29 @@ def leveled_trees(draw, max_leaves):
         )
     )
     return from_nested(nodes[0], umr.DistanceSet(tuple(sorted(levels, reverse=True))))
+
+
+def fraction_frames(call, *exempt) -> int:
+    """The frames from fractions.py entered while call() runs, apart from
+    those under format_rational, which reads a value's terms as text, or
+    under one of the ``exempt`` functions."""
+    boundaries = {f.__code__ for f in (umr.rational.format_rational, *exempt)}
+    frames = 0
+
+    def hook(frame, event, arg):
+        nonlocal frames
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in boundaries:
+                caller = caller.f_back
+            frames += caller is None
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return frames
 
 
 def frac(text):
