@@ -3,8 +3,12 @@
 Z -> (Y)^X_{k,l} says: color the copies of X inside Z with k colors however
 you like; some copy of Y will see at most l colors on its own copies of X.
 The search cuts a partial coloring once some Y-copy can see at most l
-colors in every completion; ``colorings=`` still counts every coloring
-decided, cut ones included, so K6 reports all 16384.
+colors in every completion, and once a swap of two twin points of Z (at
+equal distance from every other point) turns it into an earlier partial
+coloring: the swap maps copies to copies, so each completion holds the
+arrow as its image, which the search has already passed, does.
+``colorings=`` still counts every coloring decided, cut ones included, so
+K6 reports all 16384.
 
 Run:  python demos/03_arrows.py
 """

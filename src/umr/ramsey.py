@@ -10,18 +10,21 @@ requires the induced order to match.
 The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
 color 0), and cuts a subtree once some Y-copy can see at most l colors in
-every completion of the partial coloring, or once every color of some
-later copy would make a Y-copy safe; a cut subtree is counted, not
-visited.  The prunings are tested against oracles that try every
-coloring, that scan the restricted-growth strings one by one, and that cut
-only at a safe Y-copy.  Work is metered in colorings decided, the number
-that scan examines, and cut off by a budget.
+every completion of the partial coloring, once every color of some later
+copy would make a Y-copy safe, or once a swap of twin points of Z that
+keeps the copy lists takes the partial coloring to an earlier one, all of
+whose completions hold the arrow as the search got past them; a cut
+subtree is counted, not visited.  The prunings are tested against oracles
+that try every coloring, that scan the restricted-growth strings one by
+one, and that cut only at a safe Y-copy.  Work is metered in colorings
+decided, the number that scan examines, and cut off by a budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, pairwise
+from math import inf
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -32,6 +35,9 @@ from .spaces import UltrametricSpace, _fold, _rank_map, _steps, canonical_convex
 from .trees import _require_convex, space_to_tree, tree_to_space
 
 DEFAULT_BUDGET = 10 ** 7
+# Finding the twin swaps costs about as much as coloring n + |Y| copies; the
+# arrow search finds them once it has colored this many times that.
+_SWAP_WAIT = 2
 
 OrderedSpace = tuple[UltrametricSpace, tuple[int, ...]]
 
@@ -166,6 +172,43 @@ def _members(x_copies: Sequence[Copy], y_copies: Sequence[Copy], m: int) -> list
     ]
 
 
+def _twins(space: UltrametricSpace, walk: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Pairs of twin points, at equal distance from every other point: the
+    points that are children of one ball, each paired with the next of them
+    along the convex order ``walk``."""
+    pairs: list[tuple[int, int]] = []
+    _fold(_steps(space.ranks, walk), walk,
+          lambda step, kids: pairs.extend(pairwise([p for p in kids if p is not None])))
+    return pairs
+
+
+def _swaps(
+    ambient: UltrametricSpace, order: tuple[int, ...] | None,
+    x_copies: Sequence[Copy], y_copies: Sequence[Copy],
+) -> list[list[tuple[list[int], int]]]:
+    """The swaps of ``_twins`` along ``order`` (else the canonical order)
+    that map every X-copy and every Y-copy, as a point set, to one in its
+    list, each as ``(perm, first)``: the permutation of the X-copies and the
+    first copy it moves.  Entry i, for each copy i but the last, lists the
+    swaps that map copies 0..i onto themselves."""
+    n = len(x_copies)
+    bit = [1 << p for p in range(ambient.size)]
+    at = {sum(map(bit.__getitem__, c.mapping)): j for j, c in enumerate(x_copies)}
+    y_bits = {sum(map(bit.__getitem__, y.mapping)) for y in y_copies}
+    stable: list[list[tuple[list[int], int]]] = [[] for _ in range(n)]
+    for p, q in _twins(ambient, order or canonical_convex_order(ambient)):
+        pq, one = bit[p] | bit[q], (bit[p], bit[q])
+        perm = [at.get(b ^ pq) if (b & pq) in one else j for b, j in at.items()]
+        if None in perm or any((b ^ pq) not in y_bits for b in y_bits if (b & pq) in one):
+            continue
+        first = next((j for j in range(n) if perm[j] != j), n)
+        # copies 0..j map onto themselves when none of them goes beyond j
+        for j, reach in enumerate(accumulate(perm[first:n - 1], max), first):
+            if reach == j:
+                stable[j].append((perm, first))
+    return stable
+
+
 def verify_arrow(
     ambient: UltrametricSpace,
     target: UltrametricSpace,
@@ -190,7 +233,15 @@ def verify_arrow(
     forced: a Y-copy whose only uncolored member is its last one, and whose
     other members show exactly l colors, is safe if that member takes one
     of them, and such Y-copies may cover every color of one later copy.
-    Both cuts drop only colorings that hold the arrow, so a full coloring
+    The third cut swaps two twin points of Z (at equal distance from every
+    other point) if that maps the X- and Y-copies, as point sets, onto their
+    lists.  Once a swap maps copies 0..i onto themselves and their colors,
+    renamed in order of first use, to an earlier string, it maps every
+    completion c into an earlier subtree, where every coloring holds the
+    arrow as the search got here; the swap keeps which X-copies lie in which
+    Y-copy, so c holds it too.  The swaps are found once the search has
+    colored 2 (n + |Y|) copies, twice what finding them costs.
+    All cuts drop only colorings that hold the arrow, so a full coloring
     the search reaches is the first counterexample, and ``colorings`` is
     the number of colorings decided, the same number an exhaustive scan
     examines: all of them when the arrow holds, the counterexample's rank
@@ -250,18 +301,36 @@ def _arrow(
     # safe.  forced[j][c] counts the placed members, over such Y-copies
     # closing at j, that show color c; covered[j] counts the colors so forced.
     closing: list[list[tuple[int, list[int], int]]] = [[] for _ in range(n)]
-    forced: dict[int, list[int]] = {}
     for y, inside in enumerate(members):
         for i in inside:
             covering[i].append(y)
-        *head, last = sorted(inside)
-        closing[head[-1]].append((y, head, last))
-        forced.setdefault(last, [0] * palette)
+        inside.sort()
+        closing[inside[-2]].append((y, inside[:-1], inside[-1]))
+    forced = {inside[-1]: [0] * palette for inside in members}
     covered = [0] * n
     uncolored = [len(inside) for inside in members]
     seen = [[0] * palette for _ in members]
     distinct = [0] * len(members)
     top = [0] * n  # largest color among copies 0..i
+    stable: list = []  # _swaps' table, once the search has colored `wait` copies
+    wait = _SWAP_WAIT * (n + len(members))
+
+    def earlier(i: int) -> bool:
+        """Whether a swap in ``stable[i]`` takes copies 0..i to an earlier
+        restricted-growth string, its colors renamed; the two agree before
+        ``first``, where colors 0..top[first - 1] keep their names."""
+        for perm, first in stable[i]:
+            base = top[first - 1] + 1 if first else 0
+            fresh: dict[int, int] = {}
+            for j in range(first, i + 1):
+                c = colors[perm[j]]
+                if c >= base:
+                    c = fresh.setdefault(c, base + len(fresh))
+                if c != colors[j]:
+                    if c < colors[j]:
+                        return True
+                    break
+        return False
 
     def place(i: int) -> bool:
         """Color copy i with colors[i]; True when that makes a Y-copy safe,
@@ -307,7 +376,7 @@ def _arrow(
     i = 0
     while True:
         nodes += 1
-        if not place(i):
+        if not place(i) and not (stable and stable[i] and earlier(i)):
             if i == n - 1:
                 return decided(count + 1, False)
             i += 1
@@ -325,6 +394,8 @@ def _arrow(
             unplace(i)
         if i == 0:
             return decided(count, True)
+        if nodes > wait:
+            stable, wait = _swaps(ambient, ambient_order, x_copies, y_copies), inf
         colors[i] += 1
         top[i] = max(top[i - 1], colors[i])
 

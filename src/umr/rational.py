@@ -26,10 +26,9 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}")
 
 
-def rational_terms(token: str) -> tuple[int, int]:
-    """The token rule: ``p/q`` or the integer shorthand ``p``, each term as
-    ``int`` reads it, as (numerator, denominator) in lowest terms with the
-    denominator positive."""
+def _terms(token: str) -> tuple[int, int]:
+    """``rational_terms`` before the reduction: both terms as ``int`` reads
+    them, the denominator nonzero."""
     num, slash, den = token.partition("/")
     try:
         p, q = int(num), int(den) if slash else 1
@@ -37,13 +36,22 @@ def rational_terms(token: str) -> tuple[int, int]:
         raise FormatError(f"bad rational {token!r}") from exc
     if not q:
         raise FormatError(f"bad rational {token!r}")
+    return p, q
+
+
+def rational_terms(token: str) -> tuple[int, int]:
+    """The token rule: ``p/q`` or the integer shorthand ``p``, each term as
+    ``int`` reads it, as (numerator, denominator) in lowest terms with the
+    denominator positive."""
+    p, q = _terms(token)
     g = gcd(p, q) if q > 0 else -gcd(p, q)
     return p // g, q // g
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse ``p/q`` or the integer shorthand ``p`` (``rational_terms``)."""
-    return Fraction(*rational_terms(token))
+    """Parse ``p/q`` or the integer shorthand ``p`` (``rational_terms``);
+    the ``Fraction`` reduces the terms, once."""
+    return Fraction(*_terms(token))
 
 
 def body_lines(text: str, header: str) -> list[str]:

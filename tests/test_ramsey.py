@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -12,6 +12,7 @@ from util import (
     _colorings,
     brute_arrow_holds,
     brute_convex_orders,
+    brute_twin_classes,
     brute_copies,
     brute_ordered_copies,
     c3,
@@ -22,6 +23,7 @@ from util import (
     exhaustive_arrow,
     leveled_trees,
     safe_cut_arrow,
+    shape_spaces,
     shuffled_shape_spaces,
 )
 
@@ -430,6 +432,166 @@ def test_forced_colors_cut_at_least_half_the_nodes():
         holds, colorings, _, nodes = safe_cut_arrow(equilateral(n), e3(), pair, 2, 1)
         assert (verdict.holds, verdict.colorings) == (holds, colorings)
         assert 2 * verdict.nodes <= nodes
+
+
+def test_twins_are_the_points_of_one_ball_along_the_walk():
+    # consecutive twins along each convex order, every order of up to 4 points
+    checked = 0
+    for space in shuffled_shape_spaces(6):
+        classes = brute_twin_classes(space)
+        for walk in brute_convex_orders(space) if space.size <= 4 else [ordered(space)]:
+            place = {p: i for i, p in enumerate(walk)}
+            expected = set()
+            for cls in classes:
+                cls.sort(key=place.__getitem__)
+                expected.update(zip(cls, cls[1:]))
+            got = umr.ramsey._twins(space, walk)
+            assert len(got) == len(expected) and set(got) == expected
+            checked += bool(got)
+    assert checked > 100
+
+
+def eager_arrow(*args, **kwargs):
+    """verify_arrow with the twin swaps found at the first raised color, so
+    that the symmetry cut also runs on searches too short to wait for them."""
+    wait, umr.ramsey._SWAP_WAIT = umr.ramsey._SWAP_WAIT, 0
+    try:
+        return umr.verify_arrow(*args, **kwargs)
+    finally:
+        umr.ramsey._SWAP_WAIT = wait
+
+
+def assert_symmetry_cut_is_exact(ambient, target, pattern, k, l, orders):
+    """The eager search's verdict, colorings and witness colors are the
+    safe-cut search's, and the one-by-one scan's when it is short; returns
+    whether the oracle had to search."""
+    args = (ambient, target, pattern, k, l)
+    verdict = eager_arrow(*args, budget=10 ** 12, **orders)
+    holds, colorings, colors, nodes = safe_cut_arrow(*args, budget=10 ** 12, **orders)
+    got = (verdict.holds, verdict.colorings, verdict.witness and verdict.witness.colors)
+    assert got == (holds, colorings, colors)
+    if nodes and restricted_growth_count(verdict.copies, k) <= 4096:
+        assert exhaustive_arrow(*args, **orders) == (holds, colorings, colors)
+    return bool(nodes)
+
+
+def shape_instances():
+    """Every (Z, Y, X) over the shape spaces of at most 5 points, and those
+    with a 6-point Z, Y of at most 4 and X of at most 3 points, with (k, l)
+    = (2, 1), (3, 1) and (3, 2), unordered and along canonical orders."""
+    spaces = shape_spaces(6)
+    for ambient in spaces:
+        for target in spaces:
+            for pattern in spaces:
+                if not pattern.size <= target.size <= ambient.size:
+                    continue
+                if ambient.size == 6 and (target.size > 4 or pattern.size > 3):
+                    continue
+                for with_orders in (False, True):
+                    orders = arrow_orders(ambient, target, pattern, with_orders)
+                    for k, l in ((2, 1), (3, 1), (3, 2)):
+                        yield ambient, target, pattern, k, l, orders
+
+
+def test_symmetry_cut_matches_the_oracles_on_shape_spaces(monkeypatch):
+    # each copy list is enumerated once, keyed by the spaces' identities
+    copies, found = umr.ramsey._copies, {}
+
+    def copies_once(ambient, pattern, ambient_order=None, pattern_order=None):
+        key = (id(ambient), id(pattern), ambient_order, pattern_order)
+        if key not in found:
+            found[key] = copies(ambient, pattern, ambient_order, pattern_order)
+        return found[key]
+
+    monkeypatch.setattr(umr.ramsey, "_copies", copies_once)
+    monkeypatch.setattr(umr, "enumerate_copies", copies_once)
+    searched = 0
+    for instance in shape_instances():
+        searched += assert_symmetry_cut_is_exact(*instance)
+    assert searched > 2000
+
+
+def test_symmetry_cut_matches_the_oracles_along_every_order_of_z():
+    # twins need not be neighbours along a convex order of Z, and swapping
+    # them may then take an ordered copy off its list
+    spaces = shape_spaces(5)
+    small = [space for space in spaces if space.size <= 3]
+    checked = 0
+    for ambient in [space for space in spaces if space.size == 5]:
+        for walk in brute_convex_orders(ambient):
+            for target in small:
+                for pattern in small:
+                    if pattern.size > min(target.size, 2):
+                        continue
+                    orders = {
+                        "ambient_order": walk,
+                        "target_order": ordered(target),
+                        "pattern_order": ordered(pattern),
+                    }
+                    for k, l in ((2, 1), (3, 1), (3, 2)):
+                        checked += assert_symmetry_cut_is_exact(ambient, target, pattern, k, l, orders)
+    assert checked > 600
+
+
+@st.composite
+def any_order_instances(draw):
+    """``arrow_instances`` whose ordered ones take convex orders drawn at
+    random, so that twins of Z need not be neighbours along its order."""
+    ambient, target, pattern, k, l, orders = draw(arrow_instances())
+    if orders:
+        orders = {
+            name: draw(st.sampled_from(brute_convex_orders(space)))
+            for name, space in (
+                ("ambient_order", ambient), ("target_order", target), ("pattern_order", pattern)
+            )
+        }
+    return ambient, target, pattern, k, l, orders
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(any_order_instances())
+def test_symmetry_cut_matches_the_oracles_on_random_instances(instance):
+    assert_symmetry_cut_is_exact(*instance)
+
+
+def test_symmetry_cut_opens_k9_and_k10():
+    pair = equilateral(2)
+    # R(4, 4) = 18: K10 has a 2-coloring of its edges with no one-colored K4
+    verdict = umr.verify_arrow(equilateral(10), equilateral(4), pair, 2, 1, budget=10 ** 12)
+    assert (verdict.holds, verdict.colorings) == (False, 76987847441)
+    assert verdict.nodes <= 7458
+    witness = verdict.witness
+    color = {frozenset(copy.mapping): c for copy, c in zip(witness.copies, witness.colors)}
+    for quad in combinations(range(10), 4):
+        assert {color[frozenset(edge)] for edge in combinations(quad, 2)} == {0, 1}
+    # R(3, 3) = 6: every 2-coloring of K9's 36 edges has a one-colored triangle
+    verdict = umr.verify_arrow(equilateral(9), e3(), pair, 2, 1, budget=10 ** 12)
+    assert (verdict.holds, verdict.colorings) == (True, 2 ** 35)
+    assert verdict.nodes <= 295
+
+
+def test_search_work_on_benchmark_shaped_instances(monkeypatch):
+    # the copies colored over arrows shaped like the benchmark's, so that a
+    # lost cut fails here and not only in a timing
+    nodes = []
+    arrow = umr.ramsey._arrow
+
+    def counted(*args):
+        verdict = arrow(*args)
+        nodes.append(verdict.nodes)
+        return verdict
+
+    monkeypatch.setattr(umr.ramsey, "_arrow", counted)
+    pair, far_pair = equilateral(2), equilateral(2, 2)
+    for n, k, l in ((3, 2, 1), (4, 3, 1), (5, 2, 1), (5, 3, 2), (6, 2, 1), (7, 2, 1)):
+        for with_orders in (False, True):
+            ambient = equilateral(n)
+            umr.verify_arrow(ambient, e3(), pair, k, l, **arrow_orders(ambient, e3(), pair, with_orders))
+    for x, y in ((pair, e3()), (pair, c3()), (far_pair, c3()), (c3(), c3())):
+        umr.search_witness(x, ordered(x), y, ordered(y), 2)
+    for x, y in ((pair, e3()), (pair, c3()), (c3(), c3())):
+        umr.chain_upper_bound(x, y, 2)
+    assert sum(nodes) <= 1000  # 3178 without the symmetry cut
 
 
 def test_order_type_coloring_constant_for_pair():

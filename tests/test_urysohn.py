@@ -978,12 +978,17 @@ def test_qpoint_reader_matches_the_fraction_route(texts, missing):
 
 
 def test_rational_terms_are_lowest_terms_with_a_positive_denominator():
+    # parse_rational follows the same token rule into a Fraction of those terms
     cases = {"2/4": (1, 2), "-3/-6": (1, 2), "+1": (1, 1), "0/5": (0, 1), "0/-5": (0, 1),
              "007": (7, 1), "1_0": (10, 1), "4/-6": (-2, 3), "-0": (0, 1)}
     assert {token: umr.rational.rational_terms(token) for token in cases} == cases
-    for token in ("1/0", "-0/0", "x", "1/2/3", "1.5", "/2", "2/"):
-        with pytest.raises(umr.FormatError, match=f"bad rational {token!r}"):
-            umr.rational.rational_terms(token)
+    parsed = {token: umr.parse_rational(token) for token in cases}
+    assert {token: (v.numerator, v.denominator) for token, v in parsed.items()} == cases
+    assert all(type(v) is F and type(v.numerator) is int for v in parsed.values())
+    for token in ("1/0", "-0/0", "x", "1/2/3", "1.5", "/2", "2/", "1/"):
+        for parse in (umr.rational.rational_terms, umr.parse_rational):
+            with pytest.raises(umr.FormatError, match=f"bad rational {token!r}"):
+                parse(token)
 
 
 def test_automorphism_serialization_round_trip():

@@ -1,7 +1,8 @@
 """Shared builders and independent brute-force oracles for the tests.
 
 The oracles deliberately avoid the library's own code paths: isometries
-are counted by scanning all permutations against the raw matrix, convexity
+are counted by scanning all permutations against the raw matrix, twin
+points are grouped by comparing raw matrix entries, convexity
 is re-derived from the interval definition (and path maxima from running
 maxima), the validity check and its first witness are naive scans ending
 in a triple loop, the USPACE parser is the sequential one that fills a
@@ -94,6 +95,23 @@ def brute_isometries(space):
 
 def brute_isometry_count(space):
     return len(brute_isometries(space))
+
+
+def brute_twin_classes(space):
+    """The points grouped into classes of twins, read off the raw matrix:
+    p and q are twins when every other point is as far from p as from q.
+    Classes of one point are left out."""
+    n = space.size
+    classes = []
+    for p in range(n):
+        for cls in classes:
+            q = cls[0]
+            if all(space.dist[p][x] == space.dist[q][x] for x in range(n) if x not in (p, q)):
+                cls.append(p)
+                break
+        else:
+            classes.append([p])
+    return [cls for cls in classes if len(cls) > 1]
 
 
 def convexity_oracle(space):
