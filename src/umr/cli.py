@@ -14,6 +14,7 @@ tracer does) reaches every verb.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from functools import cache
 
@@ -133,11 +134,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+# the encoding ``open`` picks for text: UTF-8 in UTF-8 mode, else the locale's
+_ENCODING = io.TextIOWrapper(io.BytesIO()).encoding
+
+
 def _read(path: str) -> str:
-    """The file's text, decoded and newline-translated as ``open`` does by
-    default; an error names the path as typed."""
-    with open(path) as file:
-        return file.read()
+    """The file's text as ``open(path).read()`` gives it, from one binary
+    read: decoded strictly in one call, as a whole-file text read decodes
+    (so a decode error names the same byte), then each CR LF and lone CR
+    made LF, as universal newlines do; an error names the path as typed."""
+    with open(path, "rb", buffering=0) as file:
+        text = file.read().decode(_ENCODING)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_space(path: str):

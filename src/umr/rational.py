@@ -57,7 +57,7 @@ def parse_rational(token: str) -> Fraction:
 def body_lines(text: str, header: str) -> list[str]:
     """The stripped non-blank lines of a text after its first line, which
     must be ``header``."""
-    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or lines[0] != header:
         raise FormatError(f"expected {header!r} header")
     return lines[1:]

@@ -130,8 +130,13 @@ class UltrametricSpace:
             return NotImplemented
         return self._rows(int) == other._rows(_rank_map(other.values, self.values).__getitem__)
 
-    def __hash__(self) -> int:
+    @cached_property
+    def _hash(self) -> int:
+        """The hash, computed on first use: a space is immutable."""
         return hash(self._rows(list(map(hash, self.values)).__getitem__))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"UltrametricSpace({list(self.labels)!r}, {self.size} points)"

@@ -696,11 +696,14 @@ def format_qpoint(point: QsPoint) -> str:
     return "\n".join(["qpoint v1", *lines]) + "\n"
 
 
-def _read_terms(pairs, frame: _Frame) -> list[tuple[int, int]]:
+def _read_terms(pairs, frame: _Frame, values: dict | None = None) -> list[tuple[int, int]]:
     """A point's value at each frame position as (numerator, denominator)
     in lowest terms, (0, 1) where it has none, from (scale, value) token
     pairs in any order, each scale once and on the frame; a scale is read
-    only when not in its canonical spelling."""
+    only when not in its canonical spelling, and a value token only when
+    not yet in ``values`` (token -> terms), which keeps what it reads."""
+    if values is None:
+        values = {}
     terms: list = [None] * len(frame.scales)
     for scale, value in pairs:
         k = frame.tokens.get(scale)
@@ -713,7 +716,10 @@ def _read_terms(pairs, frame: _Frame) -> list[tuple[int, int]]:
                 raise FormatError(f"coordinate {scale} not in menu")
         if terms[k] is not None:
             raise FormatError(f"repeated coordinate {scale}")
-        terms[k] = rational_terms(value)
+        t = values.get(value)
+        if t is None:
+            t = values[value] = rational_terms(value)
+        terms[k] = t
     return [t or (0, 1) for t in terms]
 
 
@@ -731,9 +737,14 @@ def _line_pair(line: str) -> list[str]:
 def _read_qpoints(texts: Iterable[str], menu: DistanceSet) -> tuple[_Frame, list[tuple], int]:
     """The menu's frame, the points of qpoint texts, each read as it is
     drawn (so its errors come before a later text is drawn), as value
-    tuples over their least common grid, and that grid."""
+    tuples over their least common grid, and that grid.  Each distinct
+    value token is read once per call: the texts share one token table."""
     frame = _menu_frame(menu)
-    read = [_read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame) for text in texts]
+    values: dict[str, tuple[int, int]] = {}
+    read = [
+        _read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame, values)
+        for text in texts
+    ]
     grid = lcm(*(q for terms in read for _, q in terms))
     return frame, [tuple([p * (grid // q) for p, q in terms]) for terms in read], grid
 

@@ -10,7 +10,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import umr
@@ -549,8 +549,9 @@ def test_usage_error_exits_2(files, capsys):
     assert main(["arrow", "--Z", files["e6.uspace"]]) == 2
 
 
-def test_missing_file_diagnostic(capsys, tmp_path, monkeypatch):
-    # the error names the path as typed, not normalised
+def test_missing_file_diagnostic(files, capsys, tmp_path, monkeypatch):
+    # the error names the path as typed, not normalised, whichever file
+    # argument of whichever verb names it
     monkeypatch.chdir(tmp_path)
     expected = {
         "/nonexistent/file.uspace":
@@ -559,8 +560,44 @@ def test_missing_file_diagnostic(capsys, tmp_path, monkeypatch):
             "FileNotFoundError [Errno 2] No such file or directory: './missing//x.uspace'\n",
         str(tmp_path): f"IsADirectoryError [Errno 21] Is a directory: '{tmp_path}'\n",
     }
-    for path, line in expected.items():
-        assert run(capsys, "validate", path) == (1, line)
+    reading = 0
+    for argv in valid_invocations(files, tmp_path).values():
+        at_files = [i for i, token in enumerate(argv) if Path(token).is_file()]
+        reading += bool(at_files)
+        for at in at_files:
+            for path, line in expected.items():
+                assert run(capsys, *argv[:at], path, *argv[at + 1:]) == (1, line), (argv, at)
+    assert reading == len(VERBS) - 1  # all but extremal
+
+
+# Byte pieces a text file may hold: both line ends and CR LF, ASCII, a
+# two-byte UTF-8 letter, its lead byte alone, and bytes no UTF-8 text holds.
+READ_PIECES = [b"\r", b"\n", b"\r\n", b"\t", b" ", b"a", b"1/2", b"\xc3\xa9", b"\xc3", b"\xff", b"\x85"]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from([0, 1, 8180, 8190, 8191, 8192, 8193]),
+    st.lists(st.sampled_from(READ_PIECES), max_size=30),
+)
+@example(False, 0, [])  # the empty file
+@example(True, 8190, [b"\r\n"])  # a BOM, and CR LF across the first 8192 bytes
+@example(False, 8191, [b"\xc3\xa9", b"\r"])  # a letter across them, a final CR
+def test_read_matches_a_text_mode_read(tmp_path_factory, bom, pad, pieces):
+    # the same text, or the same error type and message, as open(path).read()
+    path = tmp_path_factory.getbasetemp() / "read.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + b"a" * pad + b"".join(pieces))
+
+    def outcome(read):
+        try:
+            return read()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    with open(path) as file:
+        expected = outcome(file.read)
+    assert outcome(lambda: cli._read(str(path))) == expected
 
 
 def valid_invocations(files, tmp_path):

@@ -977,6 +977,30 @@ def test_qpoint_reader_matches_the_fraction_route(texts, missing):
             assert outcome(lambda: umr.parse_rational(token)) == outcome(lambda: fraction_rational(token))
 
 
+def test_qpoint_reader_reads_each_value_token_once_per_call(monkeypatch):
+    # many texts over six value tokens: a call reads each distinct one once
+    # (scales in their canonical spelling are not read), the next call reads
+    # them again, and the result is the Fraction route's
+    rng = random.Random(29)
+    tokens = ["1/2", "-3/4", "2/4", "5", "0", "7/6"]
+    texts = [
+        "qpoint v1\n" + "".join(f"{s} {rng.choice(tokens)}\n" for s in MENU6 if rng.random() < 0.8)
+        for _ in range(40)
+    ]
+    used = sorted({line.split()[1] for text in texts for line in text.splitlines()[1:]})
+    expected = fraction_qpoint_values(texts, MENU6)
+    calls = []
+    terms = urysohn.rational_terms
+    monkeypatch.setattr(urysohn, "rational_terms", lambda token: calls.append(token) or terms(token))
+    for _ in range(2):
+        calls.clear()
+        assert urysohn._read_qpoints(iter(texts), MENU6)[1:] == expected
+        assert sorted(calls) == used
+    # a repeated coordinate speaks before its malformed value is read
+    with pytest.raises(umr.FormatError, match="repeated coordinate 1"):
+        urysohn._read_qpoints(["qpoint v1\n1 1/2\n", "qpoint v1\n1 1/2\n1 x/0\n"], MENU6)
+
+
 def test_rational_terms_are_lowest_terms_with_a_positive_denominator():
     # parse_rational follows the same token rule into a Fraction of those terms
     cases = {"2/4": (1, 2), "-3/-6": (1, 2), "+1": (1, 1), "0/5": (0, 1), "0/-5": (0, 1),
