@@ -30,11 +30,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, count, repeat
 from math import gcd, lcm, prod
-from operator import itemgetter
+from operator import add, itemgetter, mul, ne
 from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence
 
 from .errors import (
@@ -265,8 +265,9 @@ class _Offset(NamedTuple):
     offset: tuple[int, ...]
 
     def __call__(self, x: tuple) -> tuple:
-        f = self.factor
-        return tuple([a * f + d for a, d in zip(x, self.offset)])
+        # (*map(..),) allocates the tuple at its size; tuple(map(..)) shrinks a
+        # 10-slot guess, so its tuples pile up in their size's free list once freed
+        return (*map(add, map(mul, x, repeat(self.factor)), self.offset),)
 
 
 class _Ball(NamedTuple):
@@ -290,13 +291,13 @@ class _Ball(NamedTuple):
     def __call__(self, x: tuple) -> tuple:
         k, f, v = self.k, self.factor, x[self.k] * self.lift
         if x[:k] != self.gate or v <= self.threshold:
-            return x if f == 1 else tuple([a * f for a in x])
+            return x if f == 1 else (*map(mul, x, repeat(f)),)
         i = bisect_right(self.breakpoints, v) - 1
         if i < 0:
             v = v * f // self.lift
         else:
             v = self.anchors[i] + self.rates[i] * (v - self.breakpoints[i])
-        return (*self.head, v, *[a * f + d for a, d in zip(x[k + 1:], self.shifts)])
+        return (*self.head, v, *map(add, map(mul, x[k + 1:], repeat(f)), self.shifts))
 
 
 def _ball(k: int, lift: int, center, threshold: int, breakpoints, slopes, shifts) -> _Ball:
@@ -326,13 +327,22 @@ def _run(moves: Sequence[Callable[[tuple], tuple]], x: tuple) -> tuple:
     return x
 
 
+def _fused(moves: Sequence[Callable[[tuple], tuple]]) -> list[Callable[[tuple], tuple]]:
+    """The moves with each run of adjacent offsets composed exactly into
+    one: x*f1 + d1, then that times f2 plus d2, is x*(f1*f2) + (d1*f2 + d2)."""
+    fused: list = []
+    for move in moves:
+        if fused and isinstance(move, _Offset) and isinstance(fused[-1], _Offset):
+            fused[-1] = _Offset(fused[-1].factor * move.factor, move(fused[-1].offset))
+        else:
+            fused.append(move)
+    return fused
+
+
 def _first_difference(x: tuple, y: tuple) -> int:
     """The first position where two value tuples differ (the position of
     their distance), or len(x) when they are equal."""
-    for k, (a, b) in enumerate(zip(x, y)):
-        if a != b:
-            return k
-    return len(x)
+    return next(compress(count(), map(ne, x, y)), len(x))
 
 
 def _grid(points) -> int:
@@ -382,13 +392,16 @@ class _Frame:
         return self.build(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
-        """``random_point``'s draw over POINT_GRID: one rng.random() per
-        position and, per position it fills, the rng's bits read exactly as
-        ``rng.randint(-POINT_SPAN, POINT_SPAN)`` reads them, so the draws
-        and the rng's state are randint's."""
-        random_, bits = rng.random, rng.getrandbits
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: random.Random, count: int) -> list[tuple[int, ...]]:
+        """``count`` of ``random_point``'s draws over POINT_GRID, in one
+        loop: one rng.random() per position and, per position it fills, the
+        rng's bits read exactly as ``rng.randint(-POINT_SPAN, POINT_SPAN)``
+        reads them, so the draws and the rng's state are randint's."""
+        random_, bits, width = rng.random, rng.getrandbits, len(self.scales)
         values = []
-        for _ in self.scales:
+        for _ in range(count * width):
             if random_() < POINT_DENSITY:
                 r = bits(_DRAW_BITS)
                 while r >= _DRAW_WIDTH:
@@ -396,7 +409,7 @@ class _Frame:
                 values.append(r - POINT_SPAN)
             else:
                 values.append(0)
-        return tuple(values)
+        return list(zip(*[iter(values)] * width)) if width else [()] * count
 
     def scramble(self, rng: random.Random, max_moves: int = 3) -> list[_Offset | _Ball]:
         """``random_automorphism``'s moves on tuples over POINT_GRID, with
@@ -578,7 +591,7 @@ _SLOPES = ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1), (3, 1))
 def random_point(menu: DistanceSet, rng: random.Random) -> QsPoint:
     """Random point: each coordinate present with probability POINT_DENSITY,
     values n/POINT_GRID for integers n with |n| <= POINT_SPAN, each n read
-    from the rng's bits exactly as ``rng.randint`` reads it (``_Frame.draw``)."""
+    from the rng's bits exactly as ``rng.randint`` reads it (``_Frame.draws``)."""
     frame = _Frame(menu)
     return frame.point(frame.draw(rng), POINT_GRID)
 
@@ -613,7 +626,8 @@ def check_homogeneity(
     Each trial draws n distinct points, maps them by a random automorphism,
     extends that finite map, and checks that the extension hits every
     target and keeps distance and order on every pair of an independent
-    sample (along its sorted order, exact as the lex order is convex).
+    sample (along its sorted order, exact as the lex order is convex),
+    mapped one move at a time with adjacent offsets composed exactly.
     Everything is a value tuple, drawn over POINT_GRID with the rng calls
     of ``random_point`` and ``random_automorphism``; a drawn value reads
     the rng's bits exactly as ``randint`` does.  Trial i uses seed + i.
@@ -647,8 +661,7 @@ def check_homogeneity(
             else:
                 # numerators sort as their values do, so the check's own
                 # sort meets the sample in order
-                sample = sorted([frame.draw(rng) for _ in range(samples)])
-                if _preserves_sample(partial(_run, [*lift, *moves]), sample):
+                if _preserves_sample([*lift, *moves], sorted(frame.draws(rng, samples))):
                     continue
                 reason = "sample mismatch"
         failures.append(t)
@@ -656,17 +669,20 @@ def check_homogeneity(
     return HomogeneityReport(trials, trials - len(failures), tuple(failures), tuple(reasons))
 
 
-def _preserves_sample(image: Callable[[tuple], tuple], sample: Sequence[tuple]) -> bool:
-    """Whether ``image`` preserves distance and order on every pair of a
-    sample of value tuples."""
+def _preserves_sample(moves: Sequence[Callable[[tuple], tuple]], sample: Sequence[tuple]) -> bool:
+    """Whether the moves, run in order, preserve distance and order on
+    every pair of a sample of value tuples.  The distinct points are mapped
+    one move at a time, with adjacent offsets composed exactly (``_fused``)."""
     # Lex order is convex on every finite set, so each distance is the
-    # largest adjacent step between its two points, in both sorted lists.
+    # largest adjacent step between its two points, in both sorted lists;
+    # images a, b keep the step x < y at k iff a[:k] == b[:k] and a[k] < b[k].
     ordered = sorted(sample)
     points = ordered[:1] + [y for x, y in zip(ordered, ordered[1:]) if x != y]
-    images = [image(p) for p in points]
-    for x, y, a, b in zip(points, points[1:], images, images[1:]):
-        k = _first_difference(a, b)
-        if k != _first_difference(x, y) or a[k] >= b[k]:
+    images = points
+    for move in _fused(moves):
+        images = list(map(move, images))
+    for k, a, b in zip(map(_first_difference, points, points[1:]), images, images[1:]):
+        if a[:k] != b[:k] or a[k] >= b[k]:
             return False
     return True
 

@@ -5,7 +5,7 @@ from itertools import combinations
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import umr
@@ -14,6 +14,11 @@ from util import (
     fraction_qpoint,
     fraction_qpoint_values,
     fraction_rational,
+    loop_ball,
+    loop_first_difference,
+    loop_offset,
+    loop_preserves_sample,
+    loop_run,
     naive_apply,
     naive_compare,
     naive_distance,
@@ -374,11 +379,11 @@ def test_homogeneity_reports_extensions_that_break_the_sample(monkeypatch, break
         broken.factor = out.factor
         return [broken]
 
-    def recorded_check(image, sample):
-        verdict = check(image, sample)
+    def recorded_check(moves, sample):
+        verdict = check(moves, sample)
 
         def mapped(p):
-            return frame.point(image(frame.values(p, urysohn.POINT_GRID)), 1)
+            return frame.point(urysohn._run(moves, frame.values(p, urysohn.POINT_GRID)), 1)
 
         points = [frame.point(x, urysohn.POINT_GRID) for x in sample]
         verdicts.append((verdict, naive_preserves_sample(mapped, points)))
@@ -407,14 +412,14 @@ def test_sample_check_reads_the_extension_at_the_sampled_values(monkeypatch):
         seen["moves"] = extend(sources, targets)
         return seen["moves"]
 
-    def recorded_check(image, sample):
+    def recorded_check(moves, sample):
         grid = urysohn.POINT_GRID * prod(move.factor for move in seen["scrambler"])
         auto = umr.QsAutomorphism(frame.record(seen["moves"], grid))
         out = grid * prod(move.factor for move in seen["moves"])
         for x in sample:
-            assert frame.point(image(x), out) == auto(frame.point(x, urysohn.POINT_GRID))
+            assert frame.point(urysohn._run(moves, x), out) == auto(frame.point(x, urysohn.POINT_GRID))
         seen["checks"] += 1
-        return check(image, sample)
+        return check(moves, sample)
 
     monkeypatch.setattr(urysohn._Frame, "scramble", recorded_scramble)
     monkeypatch.setattr(urysohn, "_extend", recorded_extend)
@@ -438,7 +443,7 @@ def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
     auto = umr.random_automorphism(MENU3, random.Random(seed))
     mapped = auto if breaker is None else lambda p: breaker(auto(p))
     values, image = on_values(urysohn._Frame(MENU3), mapped, sample)
-    verdict = urysohn._preserves_sample(image, values)
+    verdict = urysohn._preserves_sample([image], values)
     assert verdict == naive_preserves_sample(mapped, sample)
     if breaker is None:
         assert verdict
@@ -449,8 +454,126 @@ def test_sample_check_matches_the_pair_loop(sample, seed, breaker):
 def test_sample_check_matches_the_pair_loop_on_any_map(data, sample):
     table = {p: data.draw(qs_points(MENU2)) for p in sample}
     values, image = on_values(urysohn._Frame(MENU2), table.get, sample)
-    verdict = urysohn._preserves_sample(image, values)
+    verdict = urysohn._preserves_sample([image], values)
     assert verdict == naive_preserves_sample(table.get, sample)
+
+
+# Value tuples for the kernels: few values per position, negative ones
+# among them, so pairs are often equal or agree on long prefixes.
+SMALL = st.integers(-4, 4)
+
+
+def value_tuples(length, values=SMALL):
+    return st.lists(values, min_size=length, max_size=length).map(tuple)
+
+
+@st.composite
+def tuple_pairs(draw):
+    x = draw(st.integers(1, 9).flatmap(value_tuples))
+    agree = draw(st.integers(0, len(x)))
+    return x, x[:agree] + draw(value_tuples(len(x) - agree))
+
+
+def offsets(length):
+    return st.builds(urysohn._Offset, st.integers(1, 12), value_tuples(length, st.integers(-10**20, 10**20)))
+
+
+@st.composite
+def balls(draw, length, finer=None):
+    """A compiled ball on tuples of this length: its factor is 1 when
+    ``finer`` is False, above 1 when it is True, either when None."""
+    k = draw(st.integers(0, length - 1))
+    slopes = urysohn._SLOPES if finer is not False else ((1, 1), (2, 1), (3, 1))
+    lift = draw(st.sampled_from((1, 2, 3) if finer is not False else (1,)))
+    threshold = draw(st.integers(-12, 12))
+    steps = draw(st.lists(st.integers(1, 6), max_size=2))
+    breakpoints = [threshold + draw(st.integers(0, 3))] if steps or draw(st.booleans()) else []
+    for step in steps:
+        breakpoints.append(breakpoints[-1] + step)
+    rates = [draw(st.sampled_from(slopes)) for _ in breakpoints]
+    if finer and lift == 1 and all(q == 1 for _, q in rates):
+        lift = 2
+    center = [c * lift for c in draw(value_tuples(k))]
+    if center and lift > 1 and draw(st.booleans()):
+        center[-1] += 1  # off the input grid: no point is in the ball
+    shifts = draw(value_tuples(length - k - 1, st.integers(-12, 12)))
+    return urysohn._ball(k, lift, center, threshold, breakpoints, rates, shifts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tuple_pairs())
+def test_first_difference_matches_the_loop(pair):
+    assert urysohn._first_difference(*pair) == loop_first_difference(*pair)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(offsets(n), value_tuples(n))))
+def test_offset_matches_the_loop(case):
+    move, x = case
+    assert move(x) == loop_offset(move, x)
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["in the ball", "outside"])
+@pytest.mark.parametrize("finer", [False, True], ids=["factor 1", "factor above 1"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), length=st.integers(1, 7))
+def test_ball_matches_the_loop(finer, inside, data, length):
+    move = data.draw(balls(length, finer))
+    assert (move.factor > 1) == finer
+    tail = data.draw(value_tuples(length - move.k - 1))
+    if inside:
+        assume(move.gate is not None)
+        # the least value whose lift passes the threshold, and some above it
+        v = move.threshold // move.lift + 1 + data.draw(st.integers(0, 12))
+        x = (*move.gate, v, *tail)
+    else:
+        way = data.draw(st.sampled_from(["value", "prefix", "any"]))
+        if way == "value" and move.gate is not None:
+            x = (*move.gate, move.threshold // move.lift - data.draw(st.integers(0, 12)), *tail)
+        elif way == "prefix" and move.gate:
+            gate = list(move.gate)
+            gate[data.draw(st.integers(0, move.k - 1))] += data.draw(st.sampled_from([-1, 1]))
+            x = (*gate, data.draw(SMALL), *tail)
+        else:
+            x = data.draw(value_tuples(length))
+    assert move(x) == loop_ball(move, x)
+
+
+def affine_moves(length):
+    return st.lists(st.one_of(offsets(length), balls(length)), max_size=7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(affine_moves(n), st.lists(value_tuples(n), max_size=6))))
+def test_fused_moves_match_the_moves_one_by_one(case):
+    moves, points = case
+    fused = urysohn._fused(moves)
+    kinds = [isinstance(move, urysohn._Offset) for move in fused]
+    assert not any(a and b for a, b in zip(kinds, kinds[1:]))
+    assert [m for m in fused if isinstance(m, urysohn._Ball)] == [m for m in moves if isinstance(m, urysohn._Ball)]
+    assert prod(move.factor for move in fused) == prod(move.factor for move in moves)
+    for x in points:
+        assert loop_run(fused, x) == loop_run(moves, x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    sample=st.lists(value_tuples(3), max_size=14),
+    lead=value_tuples(3),
+    trail=offsets(3),
+    reverse=st.booleans(),
+)
+def test_sample_check_on_move_lists_matches_the_per_point_loop(seed, sample, lead, trail, reverse):
+    # a translation before and an offset after a scrambler, which may hold
+    # adjacent offsets of its own; a final reflection reverses every order
+    frame = urysohn._Frame(MENU3)
+    moves = [urysohn._Offset(1, lead), *frame.scramble(random.Random(seed)), trail]
+    if reverse:
+        moves.append(urysohn._Offset(-1, frame.zero))
+    verdict = urysohn._preserves_sample(moves, sample)
+    assert verdict == loop_preserves_sample(moves, sample)
+    assert verdict == (not reverse or len(set(sample)) < 2)
 
 
 
@@ -774,14 +897,43 @@ def test_random_point_draws_are_pinned():
 
 def test_draws_read_the_rng_as_randint_does():
     # the rejection sampling on the rng's bits makes randint's draws and
-    # leaves the rng in randint's state
+    # leaves the rng in randint's state, whether the draws are made one at
+    # a time or k in one loop
     for length in range(1, 9):
         frame = urysohn._Frame(umr.menu_of(*range(length, 0, -1)))
         for seed in range(200):
-            fast, slow = random.Random(seed), random.Random(seed)
+            fast, batch, slow = (random.Random(seed) for _ in range(3))
             drawn = [frame.draw(fast) for _ in range(50)]
-            assert drawn == [naive_draw(length, slow) for _ in range(50)]
-            assert fast.getstate() == slow.getstate()
+            assert frame.draws(batch, 50) == drawn == [naive_draw(length, slow) for _ in range(50)]
+            assert fast.getstate() == batch.getstate() == slow.getstate()
+    # a frame of no scales draws empty tuples and reads no bits
+    rng, state = random.Random(0), random.Random(0).getstate()
+    assert urysohn._Frame(()).draws(rng, 3) == [(), (), ()]
+    assert umr.random_point(umr.DistanceSet(()), rng) == umr.ZERO_POINT
+    assert rng.getstate() == state
+
+
+def test_homogeneity_samples_are_the_draws_one_at_a_time(monkeypatch):
+    # the sorted samples the harness hands to its check, against a replay
+    # of each trial's rng with every point drawn on its own
+    frame, samples, check = urysohn._Frame(MENU3), [], urysohn._preserves_sample
+
+    def recorded_check(moves, sample):
+        samples.append(sample)
+        return check(moves, sample)
+
+    monkeypatch.setattr(urysohn, "_preserves_sample", recorded_check)
+    for seed in range(6):
+        samples.clear()
+        assert umr.check_homogeneity(MENU3, 4, 8, seed).all_passed
+        replayed = []
+        for t in range(8):
+            rng, drawn = random.Random(seed + t), set()
+            while len(drawn) < 4:
+                drawn.add(naive_draw(3, rng))
+            frame.scramble(rng)
+            replayed.append(sorted(naive_draw(3, rng) for _ in range(100)))
+        assert samples == replayed
 
 
 def test_public_point_constructor_keeps_its_checks():

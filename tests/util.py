@@ -11,7 +11,8 @@ by trying every coloring (or every restricted-growth coloring, one by one,
 for the engine's counts, or, for instances too large for that scan, by a
 recursive search that cuts only at an already safe Y-copy), the
 homogeneous model's checks and moves are pair loops and arithmetic over
-plain coordinate dicts, its draws are ``randint`` calls and its qpoint
+plain coordinate dicts (and its value-tuple kernels plain loops over one
+point at a time), its draws are ``randint`` calls and its qpoint
 texts are read over ``Fraction`` line by line, and trees are
 read, padded and walked as nested tuples (a leaf is its label, a node the
 tuple of its children).  Expected values in the tests come from these,
@@ -495,6 +496,67 @@ def naive_preserves_sample(auto, sample):
     return all(
         dict_geometry(p, q) == dict_geometry(fp, fq)
         for (p, fp), (q, fq) in combinations(mapped, 2)
+    )
+
+
+def loop_first_difference(x, y):
+    """The first position where two value tuples of one length differ, by
+    a plain loop; len(x) when they are equal."""
+    for k in range(len(x)):
+        if x[k] != y[k]:
+            return k
+    return len(x)
+
+
+def loop_offset(move, x):
+    """An ``_Offset`` applied position by position: x * factor + offset."""
+    out = []
+    for a, d in zip(x, move.offset):
+        out.append(a * move.factor + d)
+    return tuple(out)
+
+
+def loop_ball(move, x):
+    """A ``_Ball`` applied by plain loops.  Outside the ball (no gate, the
+    prefix before k is not the gate, or the lifted value at k is at most
+    the threshold) every position is scaled by the factor.  Inside, the
+    prefix becomes the head, the lifted value at k goes through the segment
+    of the last breakpoint at or below it (scaled alone below the first),
+    and each later position is scaled and shifted."""
+    k, f, v = move.k, move.factor, x[move.k] * move.lift
+    if move.gate is None or list(x[:k]) != list(move.gate) or v <= move.threshold:
+        return tuple(a * f for a in x)
+    i = -1
+    for j, b in enumerate(move.breakpoints):
+        if b <= v:
+            i = j
+    value = v * f // move.lift if i < 0 else move.anchors[i] + move.rates[i] * (v - move.breakpoints[i])
+    tail = [x[j] * f + move.shifts[j - k - 1] for j in range(k + 1, len(x))]
+    return (*move.head, value, *tail)
+
+
+def loop_run(moves, x):
+    """One value tuple through a move list, one move after another, each
+    offset and ball applied by its loop oracle (other callables as given)."""
+    for move in moves:
+        if isinstance(move, umr.urysohn._Offset):
+            x = loop_offset(move, x)
+        elif isinstance(move, umr.urysohn._Ball):
+            x = loop_ball(move, x)
+        else:
+            x = move(x)
+    return x
+
+
+def loop_preserves_sample(moves, sample):
+    """Whether a move list keeps distance (the first differing position)
+    and order on every pair of a sample of value tuples, each point mapped
+    on its own by ``loop_run`` and every pair compared."""
+    points = sorted(set(sample))
+    mapped = [(x, loop_run(moves, x)) for x in points]
+    return all(
+        loop_first_difference(x, y) == loop_first_difference(a, b) and (x < y) == (a < b)
+        for (x, a), (y, b) in combinations(mapped, 2)
     )
 
 
