@@ -21,6 +21,7 @@ from util import (
     c3,
     comb4,
     e3,
+    enumerated_extremal_report,
     equilateral,
     fraction_frames,
     from_nested,
@@ -419,6 +420,37 @@ def test_extremal(files, capsys):
     assert code == 0
     head = out.splitlines()[0]
     assert head == "extremal n=4 shapes=6 max-tau=4 comb-tau=4 argmax=1 all-combs=yes"
+
+
+def _extremal_text(report):
+    yes = {True: "yes", False: "no"}
+    lines = [
+        f"extremal n={report.leaves} shapes={report.shape_count} max-tau={report.max_degree} "
+        f"comb-tau={report.comb_degree} argmax={len(report.argmax)} all-combs={yes[report.all_combs]}"
+    ]
+    lines += [f"shape {f.code} tau={f.degree} comb={yes[f.comb]}" for f in report.argmax]
+    return "\n".join(lines) + "\n"
+
+
+def test_extremal_text_matches_the_enumeration(capsys):
+    for n in range(2, 8):
+        assert run(capsys, "extremal", "-n", str(n)) == (0, _extremal_text(enumerated_extremal_report(n)))
+
+
+def test_extremal_answers_up_to_the_cap(capsys):
+    code, out = run(capsys, "extremal", "-n", "10")
+    assert (code, out.splitlines()[0]) == (
+        0, "extremal n=10 shapes=165874 max-tau=360 comb-tau=256 argmax=1 all-combs=no"
+    )
+    assert out.splitlines()[1] == (
+        "shape (((((()()))))((((())(()))))((((()))((()))))((((())))(((()))))((((()))))((((())))))"
+        " tau=360 comb=no"
+    )
+    code, out = run(capsys, "extremal", "-n", "16")
+    assert (code, out.splitlines()[0]) == (
+        0, "extremal n=16 shapes=317018563806 max-tau=181440 comb-tau=16384 argmax=1 all-combs=no"
+    )
+    assert run(capsys, "extremal", "-n", "17") == (1, "ValueError scan capped at 16 leaves\n")
 
 
 def test_qs_verbs(files, capsys):

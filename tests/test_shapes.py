@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from itertools import islice, product
 from math import factorial, prod
@@ -9,8 +10,11 @@ from hypothesis import given, settings
 import umr
 from util import (
     cb4,
+    code_tree,
     comb4,
     e3,
+    enumerated_extremal_report,
+    from_nested,
     leveled_trees,
     naive_automorphisms,
     naive_canonical_code,
@@ -18,7 +22,16 @@ from util import (
     naive_is_comb,
     nested_tree,
     profile_classes,
+    uniform_entries,
 )
+
+# leaves: (shape count, max tau); for n >= 10 tau beats the comb's 2^(n-2)
+PINNED_SCANS = {
+    2: (1, 1), 3: (2, 2), 4: (6, 4), 5: (20, 8), 6: (90, 16), 7: (468, 32),
+    8: (2910, 64), 9: (20644, 128), 10: (165874, 360), 11: (1484344, 840),
+    12: (14653890, 2520), 13: (158136988, 6720), 14: (1852077284, 20160),
+    15: (23394406084, 60480), 16: (317018563806, 181440),
+}
 
 
 def test_shape_counts_match_hand_enumeration():
@@ -156,8 +169,84 @@ def test_extremal_scan_small():
 def test_extremal_scan_bounds():
     with pytest.raises(ValueError):
         umr.extremal_scan(1)
-    with pytest.raises(ValueError):
-        umr.extremal_scan(9)
+    with pytest.raises(ValueError, match="scan capped at 16 leaves"):
+        umr.extremal_scan(17)
+
+
+def test_extremal_scan_matches_the_enumeration():
+    # every field, the arg-max shapes and their order included
+    for n in range(2, 10):
+        assert umr.extremal_scan(n) == enumerated_extremal_report(n)
+
+
+def nested_labels(node):
+    return [node] if isinstance(node, str) else [label for child in node for label in nested_labels(child)]
+
+
+def test_extremal_scan_pins_every_leaf_count_up_to_the_cap():
+    assert max(PINNED_SCANS) == umr.shapes.MAX_SCAN_LEAVES
+    for n, (count, best) in PINNED_SCANS.items():
+        report = umr.extremal_scan(n)
+        assert (report.leaves, report.shape_count, report.max_degree) == (n, count, best)
+        assert report.comb_degree == 2 ** (n - 2)
+        (finding,) = report.argmax
+        assert report.all_combs == finding.comb == (n <= 9)
+        # the arg-max code is a shape of that degree, read back as a tree
+        root = code_tree(finding.code)
+        height = finding.code.index(")") - 1
+        tree = from_nested(root, umr.shapes.default_levels(height))
+        assert umr.canonical_code(tree) == finding.code
+        assert umr.tree_degree(tree) == finding.degree == best
+        assert umr.is_comb(tree) == finding.comb
+        if n >= 10:
+            # j single leaves and k - j distinct two-leaf children, which
+            # therefore split on distinct levels
+            sizes = Counter(len(nested_labels(child)) for child in root)
+            pairs = {naive_canonical_code(child) for child in root if len(nested_labels(child)) == 2}
+            j, k = sizes[1], len(root)
+            assert j in (2, 3) and sizes == {1: j, 2: k - j} and len(pairs) == k - j
+            assert best == factorial(k) // factorial(j)
+
+
+def test_ten_leaf_scan_finds_the_readme_shape():
+    tree = umr.parse_utree(
+        "utree v1\nlevels 16 8 4 2 1\n"
+        "(((((p1 p2)))) ((((p3) (p4)))) ((((p5)) ((p6)))) "
+        "((((p7))) (((p8)))) ((((p9)))) ((((p10)))))\n"
+    )
+    report = umr.extremal_scan(10)
+    assert report.argmax == (umr.ShapeFinding(umr.canonical_code(tree), 360, False),)
+    assert not report.all_combs
+
+
+def test_scan_tables_and_kept_trees_match_brute_force():
+    # every uniform-depth tree of each (height, size), unary nodes allowed,
+    # scored from its code; the scan keeps the best leaves // size
+    for leaves in range(2, 8):
+        scan = umr.shapes._Scan(leaves)
+        for height in range(leaves):
+            for size in range(1, leaves + 1):
+                entries = uniform_entries(height, size)
+                degrees = sorted((entry[2] for entry in entries), reverse=True)
+                rank = leaves // size
+                assert scan.top[height][size] == degrees[:rank]
+                floor = degrees[rank - 1] if len(degrees) >= rank else 1
+                kept = [(c, m, d, cb < 2) for c, m, d, cb in scan.kept(height, size)]
+                assert kept == sorted(
+                    (entry for entry in entries if entry[2] >= floor),
+                    key=lambda entry: (-entry[2], entry[0]),
+                )
+                # the shapes among them: every level branches
+                full = (1 << height) - 1
+                shapes = sorted((c, m, d, cb < 2) for c, m, d, cb in scan.trees(height, size, floor, full))
+                assert shapes == sorted(entry for entry in entries if entry[1] == full and entry[2] >= floor)
+                if height:
+                    # best[height][size, k]: the best degree with k children
+                    best = {}
+                    for code, _, degree, _ in entries:
+                        key = (size, len(code_tree(code)))
+                        best[key] = max(best.get(key, 0), degree)
+                    assert {key: v for key, v in scan.best[height].items() if key[0] == size} == best
 
 
 def test_branching_vector_order():

@@ -13,9 +13,10 @@ recursive search that cuts only at an already safe Y-copy), the
 homogeneous model's checks and moves are pair loops and arithmetic over
 plain coordinate dicts (and its value-tuple kernels plain loops over one
 point at a time), its draws are ``randint`` calls and its qpoint
-texts are read over ``Fraction`` line by line, and trees are
+texts are read over ``Fraction`` line by line, trees are
 read, padded and walked as nested tuples (a leaf is its label, a node the
-tuple of its children).  Expected values in the tests come from these,
+tuple of its children), and the extremal scan is the list of every shape,
+each scored.  Expected values in the tests come from these,
 never from the functions under test.
 """
 
@@ -761,6 +762,58 @@ def naive_is_comb(root):
             return False
         branched.append(k >= 2 or any(kids))
     return True
+
+
+def code_tree(code):
+    """The nested-tuple tree of a canonical code, read bracket by bracket:
+    ``()`` is a leaf, labeled p1, p2, ... from left to right."""
+    labels = (f"p{i}" for i in count(1))
+    stack = [[]]
+    for bracket in code:
+        if bracket == "(":
+            stack.append([])
+        else:
+            kids = stack.pop()
+            stack[-1].append(tuple(kids) if kids else next(labels))
+    return stack[0][0]
+
+
+def naive_degree(root):
+    """The Ramsey degree of a nested-tuple tree: its sibling orderings, the
+    product of k! over its nodes, over its automorphisms."""
+    orderings = prod(factorial(k) for level in naive_child_counts(root) for k in level)
+    return orderings // naive_automorphisms(root)
+
+
+def uniform_entries(height, size):
+    """(code, branching-level bitmask, degree, is comb) of every
+    uniform-depth tree of this height and size, unary nodes allowed, as the
+    shape generator lists them with no level required to branch."""
+    out = []
+    for code, mask, _ in umr.shapes._shapes(height, size):
+        root = code_tree(code)
+        out.append((code, mask, naive_degree(root), naive_is_comb(root)))
+    return out
+
+
+def enumerated_extremal_report(leaves):
+    """The extremal report by listing every shape and scoring each one."""
+    shapes = umr.all_tree_shapes(leaves)
+    degrees = [umr.tree_degree(tree) for tree in shapes]
+    best = max(degrees)
+    argmax = tuple(
+        umr.ShapeFinding(umr.canonical_code(tree), degree, umr.is_comb(tree))
+        for tree, degree in zip(shapes, degrees)
+        if degree == best
+    )
+    return umr.ExtremalReport(
+        leaves=leaves,
+        shape_count=len(shapes),
+        max_degree=best,
+        comb_degree=umr.tree_degree(umr.comb_tree(leaves)),
+        argmax=argmax,
+        all_combs=all(finding.comb for finding in argmax),
+    )
 
 
 def naive_parse_utree(text):
