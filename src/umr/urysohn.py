@@ -22,14 +22,15 @@ two grid values, has L = q or 2q for its slope p/q.  Qpoint texts are read
 straight into value tuples: each value token into integer terms, the points
 then onto one grid, the lcm of their denominators (``_read_qpoints``).
 ``QsPoint`` and the move records, over ``Fraction``, are built only by
-``_Frame.point`` and ``_Frame.record`` and by the menu and move parsers.
+``_Frame.point`` and ``_Frame.record`` and by the qpoint and move parsers.
+Each call that takes a menu builds its own ``_Frame`` of it.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, compress, count, repeat
@@ -117,7 +118,7 @@ def _split(x: QsPoint, y: QsPoint, menu: DistanceSet | None):
     their coordinates, the larger next scale) and their values there, or
     (0, 0, 0); with a menu, x's scales and then y's must lie on it."""
     if menu is not None:
-        position = _menu_frame(menu)._position
+        position = _Frame(menu)._position
         for s, _ in x.coords + y.coords:
             position(s)
     a, b, i = x.coords, y.coords, 0
@@ -150,8 +151,6 @@ class PiecewiseLinearMap:
 
     breakpoints: tuple[Fraction, ...] = ()
     slopes: tuple[Fraction, ...] = ()
-    # the image of each breakpoint, computed once when the map is built
-    _anchors: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.slopes):
@@ -162,10 +161,13 @@ class PiecewiseLinearMap:
         for m in self.slopes:
             if m <= 0:
                 raise ValueError("slopes must be positive")
+
+    @cached_property
+    def _anchors(self) -> tuple[Fraction, ...]:  # the image of each breakpoint
         b, m, anchors = self.breakpoints, self.slopes, list(self.breakpoints[:1])
         for i in range(1, len(b)):
             anchors.append(anchors[-1] + m[i - 1] * (b[i] - b[i - 1]))
-        object.__setattr__(self, "_anchors", tuple(anchors))
+        return tuple(anchors)
 
     def __call__(self, x: Fraction) -> Fraction:
         # the segment of the last breakpoint at or below x; the map is
@@ -355,16 +357,12 @@ class _Frame:
     conversions between records and value tuples there: numerators over a
     grid the caller keeps, 0 where a point has no coordinate.  The lookups
     are built on first use: the harness, which only draws, reads no scale.
-    ``build`` makes the frame's points from coordinates in its order
-    without zeros: unchecked when its scales keep the scale rule, as a
-    menu's do, and checked when a spanning frame ends at a move's scale
-    that does not."""
+    Its scales, a menu's or those of points and moves checked when built,
+    are positive, so its points are built unchecked (``QsPoint._of``)."""
 
     def __init__(self, scales: Sequence[Fraction]):
         self.scales = tuple(scales)
         self.zero = (0,) * len(self.scales)
-        # strictly decreasing, so the scale rule holds if the last is positive
-        self.build = QsPoint._of if not self.scales or self.scales[-1] > 0 else QsPoint
 
     @cached_property
     def position(self) -> dict[tuple[int, int], int]:  # by (numerator, denominator)
@@ -389,7 +387,7 @@ class _Frame:
 
     def point(self, values: Sequence[int], grid: int) -> QsPoint:
         """The point with values n/grid at the first len(values) positions."""
-        return self.build(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
+        return QsPoint._of(tuple((s, Fraction(n, grid)) for s, n in zip(self.scales, values) if n))
 
     def draw(self, rng: random.Random) -> tuple[int, ...]:
         return self.draws(rng, 1)[0]
@@ -486,19 +484,6 @@ def _spanning(point: QsPoint, moves: Sequence[Move]) -> _Frame:
     return _Frame(sorted(scales.values(), reverse=True))
 
 
-_last_frame: tuple = (None, None)
-
-
-def _menu_frame(menu: DistanceSet) -> _Frame:
-    """The menu's frame, built once for a run of calls on one menu object
-    (parsing many points against one menu, say); frames never change."""
-    global _last_frame
-    last = _last_frame
-    if last[0] is not menu:
-        last = _last_frame = (menu, _Frame(menu))
-    return last[1]
-
-
 def extend_isometry(pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet) -> QsAutomorphism:
     """Extend a finite distance- and order-preserving map to a full
     ``QsAutomorphism``, on value tuples over the pairs' least common grid.
@@ -512,7 +497,7 @@ def extend_isometry(pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet)
     above s and lie above the earlier targets at s, so a threshold between
     fixes those, and a stretch at s and shifts below s finish the move.
     """
-    frame, grid = _menu_frame(menu), _grid(p for pair in pairs for p in pair)
+    frame, grid = _Frame(menu), _grid(p for pair in pairs for p in pair)
     sources = [frame.values(p, grid) for p, _ in pairs]
     targets = [frame.values(q, grid) for _, q in pairs]
     return QsAutomorphism(frame.record(_extend(sources, targets), grid))
@@ -740,7 +725,7 @@ def _read_terms(pairs, frame: _Frame, values: dict | None = None) -> list[tuple[
 
 
 def _terms_point(terms: list[tuple[int, int]], frame: _Frame) -> QsPoint:
-    return frame.build(tuple([(s, Fraction(p, q)) for s, (p, q) in zip(frame.scales, terms) if p]))
+    return QsPoint._of(tuple([(s, Fraction(p, q)) for s, (p, q) in zip(frame.scales, terms) if p]))
 
 
 def _line_pair(line: str) -> list[str]:
@@ -755,7 +740,7 @@ def _read_qpoints(texts: Iterable[str], menu: DistanceSet) -> tuple[_Frame, list
     drawn (so its errors come before a later text is drawn), as value
     tuples over their least common grid, and that grid.  Each distinct
     value token is read once per call: the texts share one token table."""
-    frame = _menu_frame(menu)
+    frame = _Frame(menu)
     values: dict[str, tuple[int, int]] = {}
     read = [
         _read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame, values)
@@ -766,7 +751,7 @@ def _read_qpoints(texts: Iterable[str], menu: DistanceSet) -> tuple[_Frame, list
 
 
 def parse_qpoint(text: str, menu: DistanceSet) -> QsPoint:
-    frame = _menu_frame(menu)
+    frame = _Frame(menu)
     return _terms_point(_read_terms(map(_line_pair, body_lines(text, "qpoint v1")), frame), frame)
 
 
@@ -808,7 +793,7 @@ def format_automorphism(auto: QsAutomorphism) -> str:
 
 
 def parse_automorphism(text: str, menu: DistanceSet) -> QsAutomorphism:
-    frame = _menu_frame(menu)
+    frame = _Frame(menu)
     moves: list[Move] = []
     for line in filter(None, (ln.strip() for ln in text.splitlines())):
         parts = line.split()

@@ -397,6 +397,28 @@ def test_chain(files, capsys):
     assert out.splitlines()[0] == "chain steps=2 points=6 l=2 verified=holds"
 
 
+def test_chain_skips_a_check_the_budget_will_not_cover(files, capsys):
+    code, out = run(
+        capsys, "chain", "--Y", files["c3.uspace"], "--X", files["c3.uspace"],
+        "-k", "2", "--budget", "300",
+    )
+    result = umr.chain_upper_bound(c3(), c3(), 2, budget=300)
+    assert result.verdict is None
+    assert code == 2
+    assert out == "chain steps=2 points=6 l=2 verified=skipped\n" + umr.format_uspace(result.space)
+
+
+def test_every_traced_name_still_resolves():
+    # the benchmark's tracer wraps these names in the modules umr.cli loads;
+    # a name the library drops would break `bench/run.py --trace 1`, which
+    # no test here runs
+    from bench import tracing
+
+    found = tracing.originals()
+    assert sorted(found) == sorted(tracing.NAMES)
+    assert all(callable(found[name]) for name in tracing.NAMES)
+
+
 def test_search(files, capsys):
     code, out = run(
         capsys, "search", "--X", files["e2.uspace"], "--Y", files["e3.uspace"], "-k", "2"

@@ -146,6 +146,17 @@ def test_tau_examples():
     assert umr.tau(comb4()) == umr.RamseyDegreeReport(8, 2, 4)
 
 
+def test_profiles_split_the_convex_orders_as_their_steps_do():
+    # along a convex order each distance is the largest adjacent step
+    # between its two points, so the steps decide the whole profile
+    for space in shape_spaces(5):
+        orders = umr.enumerate_convex_orders(space)
+        profiles = [umr.order_profile(space, order) for order in orders]
+        steps = [tuple(space.dist[p][q] for p, q in zip(o, o[1:])) for o in orders]
+        assert len(set(profiles)) == len(set(steps)) == len(set(zip(profiles, steps)))
+        assert len(set(profiles)) == len(umr.order_type_partition(space))
+
+
 def test_tau_counts_order_types():
     for space in shape_spaces(5):
         assert umr.tau(space).tau == len(umr.order_type_partition(space))

@@ -718,6 +718,12 @@ def test_arrow_takes_all_three_orders_or_none():
             umr.verify_arrow(equilateral(6), e3(), pair, 2, 1, **orders)
 
 
+def test_copies_take_both_orders_or_neither():
+    for orders in [((0, 1, 2), None), (None, (0, 1))]:
+        with pytest.raises(ValueError, match="pass both orders or neither"):
+            umr.enumerate_copies(e3(), equilateral(2), *orders)
+
+
 def test_each_given_order_is_checked_once(monkeypatch):
     checked = []
     is_convex_order = umr.spaces.is_convex_order

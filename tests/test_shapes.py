@@ -38,6 +38,8 @@ def test_shape_counts_match_hand_enumeration():
     # n=4: flat, {2,2}, {3,1}, {2,1,1} at height 2, comb and double-split at height 3
     counts = [len(umr.all_tree_shapes(n)) for n in range(1, 8)]
     assert counts == [1, 1, 2, 6, 20, 90, 468]
+    with pytest.raises(ValueError, match="leaf count must be positive"):
+        umr.all_tree_shapes(0)
 
 
 def test_shapes_are_valid_and_distinct():
@@ -89,6 +91,8 @@ def test_comb_tree_shape():
         assert umr.is_comb(comb)
         assert umr.tree_degree(comb) == 2 ** (n - 2)
     assert umr.format_utree(umr.comb_tree(4)).splitlines()[2] == "(((p1 p2) (p3)) ((p4)))"
+    with pytest.raises(ValueError, match="a comb needs at least two leaves"):
+        umr.comb_tree(1)
 
 
 def test_shapes_of_one_height_share_their_levels():
@@ -267,3 +271,5 @@ def test_uniform_tree_structure():
     assert (single.labels, single.joins) == (("z1",), ())
     with pytest.raises(ValueError, match="leaf at depth 1, expected 2"):
         umr.uniform_tree((2, 0), levels)
+    with pytest.raises(ValueError, match="branching vector length must match the level count"):
+        umr.uniform_tree((2, 3, 2), levels)

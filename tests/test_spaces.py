@@ -85,6 +85,8 @@ def test_rejects_shape_mismatch():
 def test_rejects_floats():
     with pytest.raises(TypeError):
         umr.validate_space([[0, 0.5], [0.5, 0]], ["a", "b"])
+    with pytest.raises(TypeError, match="exact rational required, got str"):
+        umr.as_fraction("1")
 
 
 def test_distance_set_examples():
@@ -165,7 +167,11 @@ def test_path_maxima_match_running_maxima_on_integer_matrices(n, top, data):
 
 def test_canonical_convex_order_is_convex():
     for space in shape_spaces(6):
-        assert umr.is_convex_order(space, umr.canonical_convex_order(space))
+        walk = umr.canonical_convex_order(space)
+        assert umr.is_convex_order(space, walk)
+        # built by the constructor, a space keeps no order and walks its matrix
+        bare = umr.UltrametricSpace(space.labels, space.ranks, space.values)
+        assert bare._order is None and umr.canonical_convex_order(bare) == walk
 
 
 def test_validate_matches_naive_triple_loop():
@@ -280,6 +286,8 @@ def test_uspace_parse_errors():
         umr.parse_uspace("nope\n")
     with pytest.raises(umr.FormatError):
         umr.parse_uspace("uspace v1\npoints 2\nlabels a b\n")
+    with pytest.raises(umr.FormatError, match="bad points line"):
+        umr.parse_uspace("uspace v1\npoints x\nlabels a b\nd a b 1\n")
     with pytest.raises(umr.FormatError):
         umr.parse_uspace(
             "uspace v1\npoints 2\nlabels a b\nd a b 1\nd a b 1\n"
@@ -394,6 +402,7 @@ def test_space_equality_ignores_row_order():
     assert hash(one) == hash(other)
     third = umr.space_from_distances(["a", "b"], {("a", "b"): 2})
     assert one != third
+    assert not one == 3 and one != 3
 
 
 def fresh(value):

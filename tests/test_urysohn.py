@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -111,6 +112,11 @@ def test_piecewise_map_basics():
         "PiecewiseLinearMap(breakpoints=(Fraction(1, 2), Fraction(1, 1)),"
         " slopes=(Fraction(3, 1), Fraction(1, 1)))"
     )
+    assert [f.name for f in dataclasses.fields(phi)] == ["breakpoints", "slopes"]
+    # a stretch that keeps its source is one slope-1 segment: the identity
+    still = umr.stretch_above(F(1, 2), F(1), F(1))
+    assert still == umr.PiecewiseLinearMap((F(1, 2),), (F(1),))
+    assert [still(q) for q in (F(-3), F(1, 2), F(1), F(7, 3))] == [F(-3), F(1, 2), F(1), F(7, 3)]
     rng = random.Random(13)
     for _ in range(100):
         q = F(rng.randint(-60, 60), rng.randint(1, 12))
@@ -139,6 +145,8 @@ def test_piecewise_map_matches_the_segment_oracle():
 
 
 def test_piecewise_map_validation():
+    with pytest.raises(ValueError, match="one slope per breakpoint"):
+        umr.PiecewiseLinearMap((F(0), F(1)), (F(1),))
     with pytest.raises(ValueError):
         umr.PiecewiseLinearMap((F(1), F(0)), (F(1), F(1)))
     with pytest.raises(ValueError):
@@ -187,6 +195,10 @@ def test_coordmap_validation():
             value_map=umr.PiecewiseLinearMap(),
             shifts=((F(1), F(1)),),  # shift at/above the scale
         )
+    with pytest.raises(ValueError, match="zero shifts must be dropped"):
+        umr.CoordMap(F(1), umr.ZERO_POINT, F(0), umr.PiecewiseLinearMap(), ((F(1, 2), F(0)),))
+    with pytest.raises(ValueError, match="value map must be the identity up to the threshold"):
+        umr.CoordMap(F(1), umr.ZERO_POINT, F(0), umr.stretch_above(F(-1), F(1), F(2)))
     # shifts obey the scale rule when the move is built, not when applied
     for shifts in [((F(1, 4), F(1)), (F(1, 2), F(1))), ((F(1, 2), F(1)), (F(1, 2), F(2)))]:
         with pytest.raises(ValueError, match="scales must be strictly decreasing"):
@@ -224,6 +236,7 @@ def test_extend_identity_pairs_gives_identity():
     for _ in range(50):
         q = umr.random_point(MENU2, rng)
         assert auto(q) == q
+    assert umr.extend_isometry([], MENU2) == umr.IDENTITY
 
 
 def test_extend_two_pair_example():
@@ -285,6 +298,23 @@ def test_inverse_round_trips():
         assert inv(auto(p)) == p
         assert auto(inv(p)) == p
         assert double(p) == auto(p)
+
+
+def test_inverse_round_trips_through_stretched_coordmaps():
+    # CoordMap.invert inverts the value map, which reads its anchors
+    stretched = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        auto = umr.random_automorphism(MENU3, rng, max_moves=4)
+        inv = umr.invert_automorphism(auto)
+        for _ in range(40):
+            p = umr.random_point(MENU3, rng)
+            assert inv(auto(p)) == p
+            for move in auto.moves:
+                if isinstance(move, umr.CoordMap) and move.apply(p) != p:
+                    assert move.invert().apply(move.apply(p)) == p
+                    stretched += any(m != 1 for m in move.value_map.slopes)
+    assert stretched > 0
 
 
 def test_apply_is_left_to_right():
@@ -1222,6 +1252,7 @@ def test_automorphism_parse_raises_only_format_errors():
         # a point's coordinate is quoted as written, a move's scale as a rational
         "translate 2/6:1\n": "coordinate 2/6 not in menu",
         "coordmap s=2/6 center=0 alpha=0 phi=- shifts=-\n": "coordinate 1/3 not in menu",
+        "coordmap s=1 center=0 alpha=0 phi=- shifts\n": "bad field 'shifts'",
     }
     for text, message in bad.items():
         with pytest.raises(umr.FormatError, match=message):
