@@ -47,7 +47,7 @@ hull = umr.order_invariant_hull(c3)
 coloring = umr.order_type_coloring(hull, umr.canonical_convex_order(hull), c3)
 print(f"  copies of c3 in its hull, colored by induced order type (k={coloring.k}):")
 for copy, color in zip(coloring.copies, coloring.colors):
-    names = " ".join(hull.labels[p] for p in copy.mapping)
+    names = " ".join(hull.labels[p] for p in copy)
     print(f"    {{{names}}} -> color {color}")
 print(
     "  every hull copy sees all",

@@ -41,7 +41,6 @@ from .ramsey import (
     ArrowVerdict,
     ChainResult,
     Coloring,
-    Copy,
     chain_upper_bound,
     enumerate_copies,
     format_arrow_report,

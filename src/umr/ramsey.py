@@ -3,9 +3,9 @@ chaining, and the order-type lower-bound coloring.
 
 ``Z -> (Y)^X_{k,l}`` means: however the copies of X inside Z are colored
 with k colors, some copy of Y inside Z sees at most l colors on its own
-copies of X.  Copies are subsets (each counted once), decided by their
-adjacent steps along a convex order of Z; the ordered variant also
-requires the induced order to match.
+copies of X.  Copies are subsets (each counted once), held as mapping
+tuples and decided by their adjacent steps along a convex order of Z; the
+ordered variant also requires the induced order to match.
 
 The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
@@ -43,23 +43,10 @@ OrderedSpace = tuple[UltrametricSpace, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class Copy:
-    """Distance-preserving identification of a pattern inside an ambient
-    space; ``mapping[i]`` is the ambient index of pattern point i.  For an
-    unordered copy it is the isometry that lines up the canonical forms,
-    not always the lexicographically least one."""
-
-    mapping: tuple[int, ...]
-
-    def points(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping))
-
-
-@dataclass(frozen=True)
 class Coloring:
     pattern: UltrametricSpace
     ambient: UltrametricSpace
-    copies: tuple[Copy, ...]
+    copies: tuple[tuple[int, ...], ...]
     colors: tuple[int, ...]
     k: int
 
@@ -98,11 +85,14 @@ def enumerate_copies(
     pattern: UltrametricSpace,
     ambient_order: tuple[int, ...] | None = None,
     pattern_order: tuple[int, ...] | None = None,
-) -> list[Copy]:
-    """All subsets of the ambient space isometric to the pattern, one Copy
-    per subset, in lexicographic subset order.  Passing both orders, both
-    convex (NonConvexOrder otherwise), switches to the ordered variant,
-    where the unique monotone identification must preserve distances.
+) -> list[tuple[int, ...]]:
+    """All subsets of the ambient space isometric to the pattern, one per
+    subset, in lexicographic subset order, each as its mapping: entry i is
+    the ambient index of pattern point i.  Passing both orders, both convex
+    (NonConvexOrder otherwise), switches to the ordered variant, where the
+    unique monotone identification must preserve distances.  An unordered
+    copy carries the isometry that lines up the canonical forms, not
+    always the lexicographically least one.
 
     A subset read along a convex ambient order (the one given, else the
     canonical one) stays convex, so its adjacent steps decide it: an
@@ -118,7 +108,7 @@ def enumerate_copies(
 
 def _copies(
     ambient: UltrametricSpace, pattern: UltrametricSpace, ambient_order, pattern_order
-) -> list[Copy]:
+) -> list[tuple[int, ...]]:
     """``enumerate_copies`` on orders already checked."""
     ordered = pattern_order is not None
     if not ordered:
@@ -134,7 +124,7 @@ def _copies(
     key = (lambda s: (s, range(m))) if ordered else (lambda s: _fold(s, leaves, _ball))
     target, pattern_arranged = key(steps)
     place = {point: p for p, point in enumerate(ambient_order)}
-    out: list[Copy] = []
+    out: list[tuple[int, ...]] = []
     for subset in combinations(range(n), m):
         points = sorted(subset, key=place.__getitem__)
         form, arranged = key(_steps(ambient.ranks, points))
@@ -142,7 +132,7 @@ def _copies(
             mapping = [0] * m
             for i, j in zip(pattern_arranged, arranged):
                 mapping[pattern_order[i]] = points[j]
-            out.append(Copy(tuple(mapping)))
+            out.append(tuple(mapping))
     return out
 
 
@@ -162,14 +152,18 @@ def _completions(rows: int, k: int, cap: int) -> list[list[int]]:
     return table
 
 
-def _members(x_copies: Sequence[Copy], y_copies: Sequence[Copy], m: int) -> list[list[int]]:
-    """For each Y-copy, the indices of the X-copies inside it: its m-subsets
-    looked up in an index of the X-copies."""
-    index = {frozenset(c.mapping): i for i, c in enumerate(x_copies)}
-    return [
-        [index[s] for s in map(frozenset, combinations(y.mapping, m)) if s in index]
-        for y in y_copies
-    ]
+def _members(x_copies: Sequence[tuple], y_copies: Sequence[tuple], m: int) -> list[list[int]]:
+    """For each Y-copy, the indices of the X-copies inside it, in the order
+    of its m-subsets.  Each Y-copy is an isometry from Y (a monotone one for
+    ordered copies), so the positions of Y that carry an X-copy are the
+    same in all of them: found once on the first, read off every one."""
+    if not y_copies:
+        return []
+    index = {frozenset(c): i for i, c in enumerate(x_copies)}
+    first = y_copies[0]
+    carry = [s for s in combinations(range(len(first)), m)
+             if frozenset(map(first.__getitem__, s)) in index]
+    return [[index[frozenset(map(y.__getitem__, s))] for s in carry] for y in y_copies]
 
 
 def _twins(space: UltrametricSpace, walk: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -184,7 +178,7 @@ def _twins(space: UltrametricSpace, walk: tuple[int, ...]) -> list[tuple[int, in
 
 def _swaps(
     ambient: UltrametricSpace, order: tuple[int, ...] | None,
-    x_copies: Sequence[Copy], y_copies: Sequence[Copy],
+    x_copies: Sequence[tuple], y_copies: Sequence[tuple],
 ) -> list[list[tuple[list[int], int]]]:
     """The swaps of ``_twins`` along ``order`` (else the canonical order)
     that map every X-copy and every Y-copy, as a point set, to one in its
@@ -193,8 +187,8 @@ def _swaps(
     swaps that map copies 0..i onto themselves."""
     n = len(x_copies)
     bit = [1 << p for p in range(ambient.size)]
-    at = {sum(map(bit.__getitem__, c.mapping)): j for j, c in enumerate(x_copies)}
-    y_bits = {sum(map(bit.__getitem__, y.mapping)) for y in y_copies}
+    at = {sum(map(bit.__getitem__, c)): j for j, c in enumerate(x_copies)}
+    y_bits = {sum(map(bit.__getitem__, y)) for y in y_copies}
     stable: list[list[tuple[list[int], int]]] = [[] for _ in range(n)]
     for p, q in _twins(ambient, order or canonical_convex_order(ambient)):
         pq, one = bit[p] | bit[q], (bit[p], bit[q])
@@ -408,13 +402,13 @@ def order_type_coloring(
     its steps; uses exactly one color per order type."""
     _require_convex(ambient, ambient_order)
     classes = order_type_partition(pattern)
-    color_of = {_steps(pattern.ranks, c.representative): i for i, c in enumerate(classes)}
+    # each order type's steps as ambient ranks, as a copy reads its own
+    to_ambient = _rank_map(pattern.values, ambient.values).__getitem__
+    color_of = {tuple(map(to_ambient, _steps(pattern.ranks, c.representative))): i
+                for i, c in enumerate(classes)}
     place = {point: p for p, point in enumerate(ambient_order)}
     copies = enumerate_copies(ambient, pattern)
-    # a copy's steps are pattern values, read as pattern ranks
-    to_pattern = _rank_map(ambient.values, pattern.values).__getitem__
-    along = [sorted(copy.mapping, key=place.__getitem__) for copy in copies]
-    colors = [color_of[tuple(map(to_pattern, _steps(ambient.ranks, points)))] for points in along]
+    colors = [color_of[_steps(ambient.ranks, sorted(c, key=place.__getitem__))] for c in copies]
     return Coloring(pattern, ambient, tuple(copies), tuple(colors), k=len(classes))
 
 

@@ -147,12 +147,12 @@ def test_criterion_08_arrow_engine_ramsey_3_3():
     assert holds.holds and holds.copies == 15
     fails = umr.verify_arrow(equilateral(5), e3(), pair, 2, 1)
     assert not fails.holds
-    sets = [frozenset(c.mapping) for c in fails.witness.copies]
+    sets = [frozenset(c) for c in fails.witness.copies]
     for y in umr.enumerate_copies(equilateral(5), e3()):
         seen = {
             fails.witness.colors[i]
             for i, s in enumerate(sets)
-            if s <= frozenset(y.mapping)
+            if s <= frozenset(y)
         }
         assert len(seen) > 1
     report(8, "arrow engine reproduces R(3,3)=6")

@@ -1,8 +1,11 @@
 import argparse
 import contextlib
 import io
+import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -389,6 +392,14 @@ def test_degree_lower(files, capsys, tmp_path):
     assert out == "degree-lower holds\n"
 
 
+def test_degree_lower_holds_vacuously_without_y_copies(files, capsys):
+    # c3 does not embed in e2: no Y-copy can miss a color, while the arrow
+    # has no Y-copy to see few colors
+    pair = ("--Z", files["e2.uspace"], "--Y", files["c3.uspace"], "--X", files["e2.uspace"])
+    assert run(capsys, "degree-lower", *pair) == (0, "degree-lower holds\n")
+    assert run(capsys, "arrow", *pair) == (1, "arrow fails copies=1 colorings=1\ncopy 0 color 0\n")
+
+
 def test_chain(files, capsys):
     code, out = run(
         capsys, "chain", "--X", files["c3.uspace"], "--Y", files["c3.uspace"], "-k", "2"
@@ -595,6 +606,40 @@ def test_identical_invocations_identical_output(files, capsys):
         "--trials", "3", "--seed", "9",
     )
     assert first == second
+
+
+# Runs every argv of a JSON list through main in one process and prints
+# each exit code, stdout and stderr.
+HASH_SEED_DRIVER = """
+import contextlib, io, json, sys
+from umr.cli import main
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    answers.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(answers))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(files, tmp_path):
+    # a fresh process per hash seed, so set and dict order of strings differ
+    invocations = valid_invocations(files, tmp_path)
+    assert list(invocations) == list(VERBS)
+    argvs = json.dumps(list(invocations.values()))
+    src = str(Path(umr.__file__).resolve().parents[1])
+    answers = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_DRIVER, argvs],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        answers.append(json.loads(result.stdout))
+    assert answers[0] == answers[1]
+    assert [code for code, _, _ in answers[0]] == [0] * len(VERBS)
 
 
 def test_usage_error_exits_2(files, capsys):

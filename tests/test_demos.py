@@ -7,12 +7,14 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-# Lines a demo must print, so that a change in how colorings are counted
-# shows up here too.
+# Lines a demo must print, so that a change in how colorings are counted,
+# or in the mapping each copy carries, shows up here too.
 PRINTS = {
     "03_arrows.py": (
         "arrow fails copies=10 colorings=237",
         "arrow holds copies=15 colorings=16384",
+        "{a b c} -> color 0",
+        "{c _h1 a} -> color 1",
     ),
 }
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import umr
-from umr.ramsey import _completions
+from umr.ramsey import _completions, _members
 from util import (
     _colorings,
     brute_arrow_holds,
@@ -22,6 +22,7 @@ from util import (
     equilateral,
     exhaustive_arrow,
     leveled_trees,
+    profile,
     safe_cut_arrow,
     shape_spaces,
     shuffled_shape_spaces,
@@ -46,7 +47,7 @@ def test_c3_copies_in_complete_binary():
     copies = umr.enumerate_copies(cb4(), c3())
     assert len(copies) == 4
     for copy in copies:
-        sub = cb4().restrict(copy.points())
+        sub = cb4().restrict(sorted(copy))
         assert sorted(
             sub.dist[i][j] for i in range(3) for j in range(i + 1, 3)
         ) == [F(1), F(2), F(2)]
@@ -62,14 +63,14 @@ def test_ordered_copies_respect_the_order():
     assert len(copies) == 2
     for copy in copies:
         # pattern point 2 (the far point) must come first in ambient order
-        assert copy.mapping[2] == min(copy.mapping)
+        assert copy[2] == min(copy)
 
 
 def test_copy_mappings_preserve_distance():
     for copy in umr.enumerate_copies(comb4(), c3()):
         for i in range(3):
             for j in range(i + 1, 3):
-                assert comb4().dist[copy.mapping[i]][copy.mapping[j]] == c3().dist[i][j]
+                assert comb4().dist[copy[i]][copy[j]] == c3().dist[i][j]
 
 
 def assert_copies_are_the_oracles(ambient, ambient_order, pattern, pattern_orders):
@@ -77,18 +78,18 @@ def assert_copies_are_the_oracles(ambient, ambient_order, pattern, pattern_order
     mapping an isometry.  Ordered copies, for each given pattern order: the
     all-pairs monotone oracle's mappings in its order."""
     copies = umr.enumerate_copies(ambient, pattern)
-    assert [c.points() for c in copies] == brute_copies(ambient, pattern)
+    assert [tuple(sorted(c)) for c in copies] == brute_copies(ambient, pattern)
     for copy in copies:
-        assert sorted(copy.mapping) == list(copy.points())
+        assert len(set(copy)) == pattern.size
         assert all(
-            ambient.dist[copy.mapping[i]][copy.mapping[j]] == pattern.dist[i][j]
+            ambient.dist[copy[i]][copy[j]] == pattern.dist[i][j]
             for i in range(pattern.size)
             for j in range(i + 1, pattern.size)
         )
     for pattern_order in pattern_orders:
         got = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
         expected = brute_ordered_copies(ambient, ambient_order, pattern, pattern_order)
-        assert [c.mapping for c in got] == expected
+        assert got == expected
 
 
 def test_copies_match_the_oracles_on_shape_spaces():
@@ -146,10 +147,10 @@ def test_classical_ramsey_3_3():
     assert not fails.holds
     # the reported coloring really is bad: every triangle sees both colors
     witness = fails.witness
-    sets = [frozenset(c.mapping) for c in witness.copies]
+    sets = [frozenset(c) for c in witness.copies]
     for y in umr.enumerate_copies(equilateral(5), e3()):
         inside = {
-            witness.colors[i] for i, s in enumerate(sets) if s <= frozenset(y.mapping)
+            witness.colors[i] for i, s in enumerate(sets) if s <= frozenset(y)
         }
         assert len(inside) > 1
 
@@ -561,7 +562,7 @@ def test_symmetry_cut_opens_k9_and_k10():
     assert (verdict.holds, verdict.colorings) == (False, 76987847441)
     assert verdict.nodes <= 7458
     witness = verdict.witness
-    color = {frozenset(copy.mapping): c for copy, c in zip(witness.copies, witness.colors)}
+    color = {frozenset(copy): c for copy, c in zip(witness.copies, witness.colors)}
     for quad in combinations(range(10), 4):
         assert {color[frozenset(edge)] for edge in combinations(quad, 2)} == {0, 1}
     # R(3, 3) = 6: every 2-coloring of K9's 36 edges has a one-colored triangle
@@ -619,7 +620,7 @@ def test_order_type_coloring_is_isometry_invariant():
 
     hull = umr.order_invariant_hull(c3())
     coloring = umr.order_type_coloring(hull, ordered(hull), c3())
-    color_of = {frozenset(c.mapping): col for c, col in zip(coloring.copies, coloring.colors)}
+    color_of = {frozenset(c): col for c, col in zip(coloring.copies, coloring.colors)}
     n = hull.size
     isometries = [
         perm
@@ -632,11 +633,11 @@ def test_order_type_coloring_is_isometry_invariant():
     ]
     for perm in isometries:
         for copy, color in zip(coloring.copies, coloring.colors):
-            moved = frozenset(perm[p] for p in copy.mapping)
+            moved = frozenset(perm[p] for p in copy)
             # orbit image induces an isomorphic ordered copy iff profiles agree;
             # when it does, the color must be preserved
             seq = sorted(moved)
-            prof_orig = sorted(copy.mapping)
+            prof_orig = sorted(copy)
             same_profile = all(
                 hull.dist[seq[a]][seq[b]] == hull.dist[prof_orig[a]][prof_orig[b]]
                 for a in range(3)
@@ -644,6 +645,57 @@ def test_order_type_coloring_is_isometry_invariant():
             )
             if same_profile:
                 assert color_of[moved] == color
+
+
+def test_members_match_a_subset_scan():
+    # Z with at most 5 points, X no larger than Y, both at most 3; unordered
+    # and ordered under the canonical orders
+    spaces = list(shuffled_shape_spaces(5))
+    small = [space for space in spaces if space.size <= 3]
+    found = 0
+    for ambient in spaces:
+        for target in small:
+            for pattern in small:
+                if pattern.size > target.size:
+                    continue
+                for with_orders in (False, True):
+                    x_orders = (ordered(ambient), ordered(pattern)) if with_orders else ()
+                    y_orders = (ordered(ambient), ordered(target)) if with_orders else ()
+                    x_copies = umr.enumerate_copies(ambient, pattern, *x_orders)
+                    y_copies = umr.enumerate_copies(ambient, target, *y_orders)
+                    members = _members(x_copies, y_copies, pattern.size)
+                    assert len(members) == len(y_copies)
+                    for y, inside in zip(y_copies, members):
+                        expected = [i for i, c in enumerate(x_copies) if set(c) <= set(y)]
+                        assert sorted(inside) == expected
+                        found += len(inside)
+                    if pattern.size == 1:
+                        # the single-point copies are the points in index order
+                        assert [sorted(inside) for inside in members] == [sorted(y) for y in y_copies]
+                    assert _members(y_copies, y_copies, target.size) == [[i] for i in range(len(y_copies))]
+                    assert _members(x_copies, [], target.size) == []
+    assert found > 5000
+
+
+def test_order_type_coloring_reads_each_copys_profile_along_every_convex_order():
+    spaces = list(shape_spaces(5))
+    patterns = [space for space in spaces if space.size <= 3]
+    colored, used = 0, set()
+    for ambient in spaces:
+        for order in brute_convex_orders(ambient):
+            place = {point: p for p, point in enumerate(order)}
+            for pattern in patterns:
+                coloring = umr.order_type_coloring(ambient, order, pattern)
+                classes = umr.order_type_partition(pattern)
+                profiles = [profile(pattern, cls.representative) for cls in classes]
+                assert coloring.k == len(classes)
+                assert list(coloring.copies) == umr.enumerate_copies(ambient, pattern)
+                for copy, color in zip(coloring.copies, coloring.colors):
+                    along = sorted(copy, key=place.get)
+                    assert color == profiles.index(profile(ambient, along))
+                    colored += 1
+                    used.add(color)
+    assert colored > 8000 and used == {0, 1}
 
 
 def test_degree_lower_examples():
@@ -665,11 +717,11 @@ def test_degree_lower_matches_a_subset_scan():
                 if not pattern.size <= target.size <= ambient.size:
                     continue
                 coloring = umr.order_type_coloring(ambient, order, pattern)
-                x_sets = [frozenset(c.mapping) for c in coloring.copies]
+                x_sets = [frozenset(c) for c in coloring.copies]
                 expected = all(
                     len({
                         color for xs, color in zip(x_sets, coloring.colors)
-                        if xs <= frozenset(y.mapping)
+                        if xs <= frozenset(y)
                     }) == coloring.k
                     for y in umr.enumerate_copies(ambient, target)
                 )

@@ -185,14 +185,18 @@ def naive_order_type_partition(space):
     return list(classes.values())
 
 
+def profile(space, seq):
+    """The distances a sequence of points reads between every earlier and
+    later point."""
+    n = len(seq)
+    return tuple(space.dist[seq[p]][seq[q]] for p in range(n) for q in range(p + 1, n))
+
+
 def profile_classes(space, orders):
-    """Orders grouped by the distances they read between every earlier and
-    later point, groups in order of first appearance."""
-    n = space.size
+    """Orders grouped by their profiles, groups in order of first appearance."""
     classes = {}
     for seq in orders:
-        profile = tuple(space.dist[seq[p]][seq[q]] for p in range(n) for q in range(p + 1, n))
-        classes.setdefault(profile, []).append(seq)
+        classes.setdefault(profile(space, seq), []).append(seq)
     return list(classes.values())
 
 
@@ -285,9 +289,9 @@ def exhaustive_arrow(
     subset scan."""
     x_copies = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
     y_copies = umr.enumerate_copies(ambient, target, ambient_order, target_order)
-    x_sets = [frozenset(c.mapping) for c in x_copies]
+    x_sets = [frozenset(c) for c in x_copies]
     y_members = [
-        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
+        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y)]
         for y in y_copies
     ]
     examined = 0
@@ -316,9 +320,9 @@ def safe_cut_arrow(
     one-by-one scan."""
     x_copies = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
     y_copies = umr.enumerate_copies(ambient, target, ambient_order, target_order)
-    x_sets = [frozenset(c.mapping) for c in x_copies]
+    x_sets = [frozenset(c) for c in x_copies]
     y_members = [
-        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y.mapping)]
+        [i for i, xs in enumerate(x_sets) if xs <= frozenset(y)]
         for y in y_copies
     ]
     n = len(x_sets)
