@@ -22,6 +22,7 @@ decided, the number that scan examines, and cut off by a budget.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
 from math import inf
@@ -91,8 +92,10 @@ def enumerate_copies(
     the ambient index of pattern point i.  Passing both orders, both convex
     (NonConvexOrder otherwise), switches to the ordered variant, where the
     unique monotone identification must preserve distances.  An unordered
-    copy carries the isometry that lines up the canonical forms, not
-    always the lexicographically least one.
+    copy's points, read along the ambient's canonical order, form a convex
+    order of it, and its mapping sends the lexicographically least convex
+    order of the pattern with the same profile (the distance from each
+    point to each later one) onto that reading, point by point.
 
     A subset read along a convex ambient order (the one given, else the
     canonical one) stays convex, so its adjacent steps decide it: an
@@ -443,11 +446,16 @@ def search_witness(
     The pool is complete for the ordering side of the theory and a
     heuristic for the Ramsey side; the search is exhaustive only relative
     to this pool and its budget.  Raises BudgetExceeded when the cumulative
-    coloring budget runs out.  Each candidate is convexly ordered by
-    construction, so only the two given orders are checked.
+    coloring budget runs out, and ValueError when even the smallest
+    candidate, 2^height points, is more than a list can hold.  Each
+    candidate is convexly ordered by construction, so only the two given
+    orders are checked.
     """
     target_tree = space_to_tree(target, target_order)
     _require_convex(pattern, pattern_order)
+    smallest = 2 ** target_tree.height
+    if smallest > sys.maxsize:
+        raise ValueError(f"smallest candidate has {smallest} points, more than a list can hold")
     spent = 0
     for vector in branching_vectors(target_tree.height):
         candidate_tree = uniform_tree(vector, target_tree.levels)

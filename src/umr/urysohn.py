@@ -9,21 +9,22 @@ and above a threshold, the value at one scale by a piecewise-linear
 bijection and shifts the values below it.  ``extend_isometry`` grows any
 finite order-preserving isometry into such a list.
 
-The arithmetic runs on integers.  A value tuple holds a point's values at
-the positions of a ``_Frame``, largest scale first, as numerators over one
-grid G (n stands for n/G), so the lex order is tuple order and a distance
-is the first position where two tuples differ.  Each compiled move has an
-integer factor L and maps grid G to grid G*L, every position scaled alike:
-it lifts its input by the least L1 that makes its own data integers and
-gates there, and a ball then applies each slope p/q as the integer p*Q/q,
-with Q the lcm of its slope denominators, so L = L1*Q.  The grid grows by
-one factor per move; an extension ball, whose threshold is the midpoint of
-two grid values, has L = q or 2q for its slope p/q.  Qpoint texts are read
-straight into value tuples: each value token into integer terms, the points
-then onto one grid, the lcm of their denominators (``_read_qpoints``).
-``QsPoint`` and the move records, over ``Fraction``, are built only by
-``_Frame.point`` and ``_Frame.record`` and by the qpoint and move parsers.
-Each call that takes a menu builds its own ``_Frame`` of it.
+The records compute on their own exact coordinates: a move applies itself
+to a point's ``Fraction`` coordinates, as the sum, distance and order do.
+The extension, the homogeneity harness and the qs verbs run on integers: a
+value tuple holds a point's values at a ``_Frame``'s positions, largest
+scale first, as numerators over one grid G (n stands for n/G), so the lex
+order is tuple order and a distance is the first position where two
+tuples differ.  Each integer move has a factor L and maps grid G to grid
+G*L, every position scaled alike: it lifts its input by the least L1 that
+makes its own data integers and gates there, and a ball then applies each
+slope p/q as the integer p*Q/q, with Q the lcm of its slope denominators,
+so L = L1*Q.  The grid grows by one factor per move; an extension ball,
+whose threshold is the midpoint of two grid values, has L = q or 2q for
+its slope p/q.  Qpoint texts are read straight into value tuples: each
+value token into integer terms, the points then onto one grid, the lcm of
+their denominators (``_read_qpoints``).  ``_Frame.record`` turns the
+integer moves into records at the end.
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ class Translate:
     offset: QsPoint
 
     def apply(self, point: QsPoint) -> QsPoint:
-        return QsAutomorphism((self,))(point)
+        return _shifted(dict(point.coords), self.offset.coords)
 
     def invert(self) -> "Translate":
         return Translate(-self.offset)
@@ -229,11 +230,24 @@ class CoordMap:
             raise ValueError("value map must be the identity up to the threshold")
 
     def apply(self, point: QsPoint) -> QsPoint:
-        return QsAutomorphism((self,))(point)
+        coords, k = point.coords, len(self.center.coords)
+        s, value = coords[k] if k < len(coords) else (_ZERO, _ZERO)
+        value = value if s == self.scale else _ZERO
+        # in the ball iff the coordinates above the scale are the center's
+        if coords[:k] != self.center.coords or s > self.scale or value <= self.threshold:
+            return point
+        return _shifted({**dict(coords), self.scale: self.value_map(value)}, self.shifts)
 
     def invert(self) -> "CoordMap":
         shifts = tuple((t, -delta) for t, delta in self.shifts)
         return replace(self, value_map=self.value_map.inverse(), shifts=shifts)
+
+
+def _shifted(items: dict, shifts: Iterable[tuple[Fraction, Fraction]]) -> QsPoint:
+    """The point of the {scale: value} ``items`` with ``shifts`` added."""
+    for s, delta in shifts:
+        items[s] = items.get(s, _ZERO) + delta
+    return qs_point(items)
 
 
 Move = Translate | CoordMap
@@ -244,9 +258,9 @@ class QsAutomorphism:
     moves: tuple[Move, ...] = ()
 
     def __call__(self, point: QsPoint) -> QsPoint:
-        frame, grid = _spanning(point, self.moves), _grid((point,))
-        compiled, out = frame.compile(self.moves, grid)
-        return frame.point(_run(compiled, frame.values(point, grid)), out)
+        for move in self.moves:
+            point = move.apply(point)
+        return point
 
 
 IDENTITY = QsAutomorphism()
@@ -353,15 +367,15 @@ def _grid(points) -> int:
 
 
 class _Frame:
-    """The positions of strictly decreasing scales, largest first, and the
-    conversions between records and value tuples there: numerators over a
-    grid the caller keeps, 0 where a point has no coordinate.  The lookups
-    are built on first use: the harness, which only draws, reads no scale.
-    Its scales, a menu's or those of points and moves checked when built,
-    are positive, so its points are built unchecked (``QsPoint._of``)."""
+    """The positions of a menu's scales, largest first, for the integer
+    engine that runs the extension, the harness and the qs verbs: records
+    to and from value tuples there, numerators over a grid the caller
+    keeps, 0 where a point has no coordinate.  The lookups are built on
+    first use: the harness, which only draws, reads no scale.  A menu's
+    scales are positive, so its points are built unchecked (``QsPoint._of``)."""
 
-    def __init__(self, scales: Sequence[Fraction]):
-        self.scales = tuple(scales)
+    def __init__(self, menu: Sequence[Fraction]):
+        self.scales = tuple(menu)
         self.zero = (0,) * len(self.scales)
 
     @cached_property
@@ -429,26 +443,6 @@ class _Frame:
             grow *= moves[-1].factor
         return moves
 
-    def compile(self, moves: Sequence[Move], grid: int) -> tuple[list[_Offset | _Ball], int]:
-        """The moves on value tuples over ``grid``, and their output grid."""
-        compiled: list[_Offset | _Ball] = []
-        for move in moves:
-            if isinstance(move, Translate):
-                lifted = lcm(grid, _grid((move.offset,)))
-                compiled.append(_Offset(lifted // grid, self.values(move.offset, lifted)))
-            else:
-                k, shifts = self._position(move.scale), QsPoint(move.shifts)
-                numbers = (move.threshold, *move.value_map.breakpoints)
-                lifted = lcm(grid, _grid((move.center, shifts)), *(v.denominator for v in numbers))
-                threshold, *breakpoints = [v.numerator * (lifted // v.denominator) for v in numbers]
-                compiled.append(_ball(
-                    k, lifted // grid, self.values(move.center, lifted)[:k], threshold, breakpoints,
-                    [(m.numerator, m.denominator) for m in move.value_map.slopes],
-                    self.values(shifts, lifted)[k + 1:],
-                ))
-            grid *= compiled[-1].factor
-        return compiled, grid
-
     def record(self, moves: Sequence[_Offset | _Ball], grid: int) -> tuple[Move, ...]:
         """The public records of moves that run on tuples over ``grid``."""
         records: list[Move] = []
@@ -470,18 +464,6 @@ class _Frame:
                 ))
             grid = out
         return tuple(records)
-
-
-def _spanning(point: QsPoint, moves: Sequence[Move]) -> _Frame:
-    """The frame of every scale that the point and the moves mention."""
-    coords = list(point.coords)
-    for m in moves:
-        if isinstance(m, Translate):
-            coords += m.offset.coords
-        else:
-            coords += ((m.scale, None), *m.center.coords, *m.shifts)
-    scales = {(s.numerator, s.denominator): s for s, _ in coords}
-    return _Frame(sorted(scales.values(), reverse=True))
 
 
 def extend_isometry(pairs: Sequence[tuple[QsPoint, QsPoint]], menu: DistanceSet) -> QsAutomorphism:
@@ -616,11 +598,12 @@ def check_homogeneity(
     Everything is a value tuple, drawn over POINT_GRID with the rng calls
     of ``random_point`` and ``random_automorphism``; a drawn value reads
     the rng's bits exactly as ``randint`` does.  Trial i uses seed + i.
-    n may not exceed the (2 POINT_SPAN + 1)^len(menu) drawable points.
+    n may not exceed the (2 POINT_SPAN + 1)^len(menu) drawable points, and
+    a sample of fewer than 2 points, which has no pair, is refused.
     """
-    for name, count in (("n", n), ("trials", trials)):
-        if count < 1:
-            raise ValueError(f"{name} must be at least 1")
+    for name, count, least in (("n", n, 1), ("trials", trials, 1), ("samples", samples, 2)):
+        if count < least:
+            raise ValueError(f"{name} must be at least {least}")
     limit = _DRAW_WIDTH ** len(menu)
     if n > limit:
         raise ValueError(f"n must be at most {limit}, the number of distinct random points")

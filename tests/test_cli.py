@@ -264,18 +264,36 @@ def test_hull(files, capsys):
     assert umr.parse_uspace(out) == umr.order_invariant_hull(c3())
 
 
-def test_hull_refuses_more_points_than_a_list_holds(tmp_path, capsys):
-    # d(p_i, p_j) = max(i, j) is a 70-point comb, whose hull has 2^69 points
+def comb70(tmp_path):
+    """Path of the 70-point comb d(p_i, p_j) = max(i, j), of height 69."""
     n = 70
     labels = " ".join(f"p{k}" for k in range(1, n + 1))
     path = tmp_path / "comb70.uspace"
     path.write_text(f"uspace v1\npoints {n}\nlabels {labels}\n" + "".join(
         f"d p{i} p{j} {j}\n" for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ))
+    return str(path)
+
+
+def test_hull_refuses_more_points_than_a_list_holds(tmp_path, capsys):
+    # the comb's hull has 2^69 points
     start = time.perf_counter()
-    code, out = run(capsys, "hull", str(path))
+    code, out = run(capsys, "hull", comb70(tmp_path))
     elapsed = time.perf_counter() - start
     assert (code, out) == (1, f"ValueError hull has {2 ** 69} points, more than a list can hold\n")
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("verb", ["search", "chain"])
+def test_witness_verbs_refuse_a_target_too_tall_for_a_list(files, tmp_path, verb):
+    # every pool candidate for the comb has at least 2^69 points; chain
+    # reaches the pool through search_witness
+    argv = [verb, "--Y", comb70(tmp_path), "--X", files["e2.uspace"], "-k", "2", "--budget", "10"]
+    start = time.perf_counter()
+    answered = answer(argv)
+    elapsed = time.perf_counter() - start
+    message = f"ValueError smallest candidate has {2 ** 69} points, more than a list can hold\n"
+    assert answered == (1, message, "")
     assert elapsed < 1
 
 

@@ -107,6 +107,23 @@ def test_copies_match_the_oracles_on_shape_spaces():
     assert checked > 2000
 
 
+def test_unordered_copies_carry_the_least_order_of_their_reading():
+    # a copy read along Z's canonical order is a convex order of it; the
+    # mapping sends the least convex order of X with that profile onto it
+    patterns = [(x, brute_convex_orders(x)) for x in shuffled_shape_spaces(4)]
+    checked = 0
+    for ambient in shuffled_shape_spaces(6):
+        place = {point: i for i, point in enumerate(umr.canonical_convex_order(ambient))}
+        for pattern, orders in patterns:
+            for copy in umr.enumerate_copies(ambient, pattern):
+                reading = sorted(copy, key=place.__getitem__)
+                wanted = profile(ambient, reading)
+                least = next(order for order in orders if profile(pattern, order) == wanted)
+                assert [copy[p] for p in least] == reading
+                checked += 1
+    assert checked > 6000
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(leveled_trees(6), st.data())
 def test_copies_match_the_oracles_on_random_trees(z_tree, data):

@@ -364,6 +364,14 @@ def test_homogeneity_rejects_empty_runs(n, trials):
         umr.check_homogeneity(MENU2, n, trials, seed=0)
 
 
+@pytest.mark.parametrize("samples", [0, 1, -3])
+def test_homogeneity_rejects_samples_without_a_pair(samples):
+    # a sample of fewer than two points has no pair whose distance or order
+    # the extension could break, so every trial would pass unchecked
+    with pytest.raises(ValueError, match="^samples must be at least 2$"):
+        umr.check_homogeneity(umr.menu_of(1, F(1, 2)), 3, 5, 1, samples=samples)
+
+
 # Image breakers over MENU3: one reverses the order, one moves the value
 # at 1/2 down to 1/4 (where a value at 1/4 wins), one merges points 1/2
 # apart.  Each stays on the menu, as an image in the model must.
@@ -510,7 +518,7 @@ def offsets(length):
 
 @st.composite
 def balls(draw, length, finer=None):
-    """A compiled ball on tuples of this length: its factor is 1 when
+    """An integer ball on tuples of this length: its factor is 1 when
     ``finer`` is False, above 1 when it is True, either when None."""
     k = draw(st.integers(0, length - 1))
     slopes = urysohn._SLOPES if finer is not False else ((1, 1), (2, 1), (3, 1))
@@ -788,25 +796,22 @@ OFF_GRID = st.fractions(-3, 3, max_denominator=35)
     umr.CoordMap(2, umr.ZERO_POINT, F(-1), umr.PiecewiseLinearMap((F(-1),), (F(2),)),
                  ((F(1, 2), F(-1, 7)),)),
 ), others=[], seed=1)
-def test_compiled_moves_match_dict_arithmetic(case, others, seed):
+def test_records_off_the_point_grid_match_dict_arithmetic(case, others, seed):
     # the hand-built move first, while its ball often still holds the point
     point, move = case
     moves = (move, *umr.random_automorphism(MENU5, random.Random(seed), max_moves=4).moves)
-    check_compiled(MENU5, moves, (point, *others))
+    check_composed(moves, (point, *others))
 
 
-def check_compiled(menu, moves, points):
-    """Compiled on the points' least grid, the moves carry each point as the
-    composed ``naive_apply`` does, and ``record`` gives the moves back."""
-    frame = urysohn._Frame(menu)
-    grid = urysohn._grid(points)
-    compiled, out = frame.compile(moves, grid)
+def check_composed(moves, points):
+    """The automorphism of the moves carries each point as the composed
+    ``naive_apply`` does."""
+    auto = umr.QsAutomorphism(tuple(moves))
     for p in points:
         expected = p
         for m in moves:
             expected = naive_apply(m, expected)
-        assert frame.point(urysohn._run(compiled, frame.values(p, grid)), out) == expected
-    assert frame.record(compiled, grid) == tuple(moves)
+        assert auto(p) == expected
 
 
 # values with denominators 7, 11 and 13: a move's data are often off the
@@ -824,9 +829,38 @@ def odd_moves(unit, slopes):
     others=st.lists(qs_points(MENU5, SEVENS), max_size=4),
     more=st.lists(odd_moves(F(2, 13), (F(2, 13), F(7, 11))).map(lambda c: c[1]), max_size=3),
 )
-def test_compiled_moves_on_sevenths_elevenths_and_thirteenths(case, others, more):
+def test_records_on_sevenths_elevenths_and_thirteenths(case, others, more):
     point, move = case
-    check_compiled(MENU5, (move, *more), (point, *others))
+    check_composed((move, *more), (point, *others))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    points=st.lists(qs_points(MENU5, SEVENS), min_size=1, max_size=5, unique=True),
+    others=st.lists(qs_points(MENU5, SEVENS), max_size=3),
+    seed=st.integers(0, 2**16),
+)
+def test_records_carry_points_as_their_integer_moves_do(points, others, seed):
+    # a scramble over POINT_GRID, then the extension of its map on points
+    # whose grid its slopes and midpoints lift again
+    frame, rng = urysohn._Frame(MENU5), random.Random(seed)
+    scrambler = frame.scramble(rng, max_moves=4)
+    check_records(frame, scrambler, urysohn.POINT_GRID, frame.draws(rng, 5))
+    auto = umr.QsAutomorphism(frame.record(scrambler, urysohn.POINT_GRID))
+    pairs = [(p, auto(p)) for p in points]
+    grid = urysohn._grid([*others, *(p for pair in pairs for p in pair)])
+    sources, targets = ([frame.values(p, grid) for p in side] for side in zip(*pairs))
+    moves = urysohn._extend(sources, targets)
+    check_records(frame, moves, grid, [*sources, *targets, *(frame.values(p, grid) for p in others)])
+
+
+def check_records(frame, moves, grid, values):
+    """The records that ``_Frame.record`` makes of integer moves over
+    ``grid`` map the point of each value tuple to the point of its image."""
+    auto = umr.QsAutomorphism(frame.record(moves, grid))
+    out = grid * prod(move.factor for move in moves)
+    for x in values:
+        assert auto(frame.point(x, grid)) == frame.point(urysohn._run(moves, x), out)
 
 
 def test_extension_with_a_ball_per_pair_grows_the_grid():
@@ -845,11 +879,10 @@ def test_extension_with_a_ball_per_pair_grows_the_grid():
         for move in auto.moves:
             image = naive_apply(move, image)
         assert image == q
-    points = [p for pair in pairs for p in pair]
-    frame, grid = urysohn._Frame(MENU2), urysohn._grid(points)
-    compiled, out = frame.compile(auto.moves, grid)
-    assert out.bit_length() > 400
-    assert frame.record(compiled, grid) == auto.moves
+    frame, grid = urysohn._Frame(MENU2), urysohn._grid(p for pair in pairs for p in pair)
+    moves = urysohn._extend(*([frame.values(p, grid) for p in side] for side in zip(*pairs)))
+    assert frame.record(moves, grid) == auto.moves
+    assert (grid * prod(move.factor for move in moves)).bit_length() > 400
 
 
 def pinned_extension(menu, seed, n):
