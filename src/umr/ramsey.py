@@ -4,8 +4,8 @@ chaining, and the order-type lower-bound coloring.
 ``Z -> (Y)^X_{k,l}`` means: however the copies of X inside Z are colored
 with k colors, some copy of Y inside Z sees at most l colors on its own
 copies of X.  Copies are subsets (each counted once), held as mapping
-tuples and decided by their adjacent steps along a convex order of Z; the
-ordered variant also requires the induced order to match.
+tuples: a subset read along a convex order of Z is a copy when its steps
+are those of the given order of X, else of an order type's representative.
 
 The verifier searches colorings depth first, one representative per
 color-permutation class (restricted-growth strings, first copy pinned to
@@ -26,7 +26,6 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, combinations, pairwise
 from math import inf
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import BudgetExceeded, OracleFailure
@@ -68,19 +67,6 @@ class ArrowVerdict:
     nodes: int
 
 
-def _ball(step: int, balls: list[tuple[tuple, list[int]]]) -> tuple[tuple, list[int]]:
-    """Canonical form of a ball of a convex sequence, and the sequence's
-    positions arranged along it, as ``_fold``'s node over the leaves
-    ``((), [p])`` for the positions p, which the fold reads and never changes.
-
-    A point's form is ``()``; a ball cut at its largest step rank into top
-    balls has the form ``(step, their forms sorted)``, and its arrangement
-    is theirs in that order.  Equal forms mean isometric spaces, and lining
-    up their arrangements gives an isometry."""
-    balls.sort(key=itemgetter(0))
-    return (step, tuple([form for form, _ in balls])), [p for _, part in balls for p in part]
-
-
 def enumerate_copies(
     ambient: UltrametricSpace,
     pattern: UltrametricSpace,
@@ -91,16 +77,17 @@ def enumerate_copies(
     subset, in lexicographic subset order, each as its mapping: entry i is
     the ambient index of pattern point i.  Passing both orders, both convex
     (NonConvexOrder otherwise), switches to the ordered variant, where the
-    unique monotone identification must preserve distances.  An unordered
-    copy's points, read along the ambient's canonical order, form a convex
-    order of it, and its mapping sends the lexicographically least convex
-    order of the pattern with the same profile (the distance from each
-    point to each later one) onto that reading, point by point.
+    unique monotone identification must preserve distances.
 
-    A subset read along a convex ambient order (the one given, else the
-    canonical one) stays convex, so its adjacent steps decide it: an
-    ordered copy has the pattern's steps along ``pattern_order``, an
-    unordered one the pattern's canonical form."""
+    A subset read along a convex ambient order stays convex, so its
+    adjacent steps decide which convex orders of the pattern it is an
+    ordered copy of, and the mapping sends such an order onto the reading,
+    point by point.  An ordered copy matches ``pattern_order``.  An
+    unordered copy is an ordered copy of one of the pattern's order types,
+    read along the ambient's canonical order: its mapping sends that type's
+    representative, the pattern's least convex order of the type, onto the
+    reading.  The types are found once, so the search costs tau(pattern)
+    up front and one lookup per subset."""
     if (ambient_order is None) != (pattern_order is None):
         raise ValueError("pass both orders or neither")
     if pattern_order is not None:
@@ -113,29 +100,27 @@ def _copies(
     ambient: UltrametricSpace, pattern: UltrametricSpace, ambient_order, pattern_order
 ) -> list[tuple[int, ...]]:
     """``enumerate_copies`` on orders already checked."""
-    ordered = pattern_order is not None
-    if not ordered:
-        ambient_order = canonical_convex_order(ambient)
-        pattern_order = canonical_convex_order(pattern)
-    m, n = pattern.size, ambient.size
-    # the pattern's steps as ambient ranks; a value the ambient lacks leaves no copy
+    m = pattern.size
+    # the pattern's distances as ambient ranks; a distance the ambient lacks leaves no copy
     to_ambient = _rank_map(pattern.values, ambient.values)
-    steps = tuple(map(to_ambient.__getitem__, _steps(pattern.ranks, pattern_order)))
-    if None in steps:
+    if any(to_ambient[r] is None for row in pattern.ranks for r in row):
         return []
-    leaves = [((), [p]) for p in range(m)]
-    key = (lambda s: (s, range(m))) if ordered else (lambda s: _fold(s, leaves, _ball))
-    target, pattern_arranged = key(steps)
+    if pattern_order is None:
+        ambient_order = canonical_convex_order(ambient)
+        orders = [c.representative for c in order_type_partition(pattern)]
+    else:
+        orders = [pattern_order]
+    # each order by its steps, held as its inverse: the place of each
+    # pattern point along it, so that mapping[order[i]] = points[i]
+    places = {tuple(map(to_ambient.__getitem__, _steps(pattern.ranks, order))):
+              sorted(range(m), key=order.__getitem__) for order in orders}
     place = {point: p for p, point in enumerate(ambient_order)}
     out: list[tuple[int, ...]] = []
-    for subset in combinations(range(n), m):
+    for subset in combinations(range(ambient.size), m):
         points = sorted(subset, key=place.__getitem__)
-        form, arranged = key(_steps(ambient.ranks, points))
-        if form == target:
-            mapping = [0] * m
-            for i, j in zip(pattern_arranged, arranged):
-                mapping[pattern_order[i]] = points[j]
-            out.append(tuple(mapping))
+        at = places.get(_steps(ambient.ranks, points))
+        if at is not None:
+            out.append(tuple(map(points.__getitem__, at)))
     return out
 
 

@@ -171,7 +171,9 @@ def extremal_scan(leaves: int) -> ExtremalReport:
         leaves=leaves,
         shape_count=_shape_count(leaves),
         max_degree=best,
-        comb_degree=tree_degree(comb_tree(leaves)),
+        # the comb's leaves - 1 nodes each order two children; only its two
+        # bottom leaves swap
+        comb_degree=2 ** (leaves - 2),
         argmax=argmax,
         all_combs=all(finding.comb for finding in argmax),
     )

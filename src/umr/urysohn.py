@@ -244,10 +244,12 @@ class CoordMap:
 
 
 def _shifted(items: dict, shifts: Iterable[tuple[Fraction, Fraction]]) -> QsPoint:
-    """The point of the {scale: value} ``items`` with ``shifts`` added."""
+    """The point of the {scale: value} ``items`` with ``shifts`` added, all
+    taken from checked points and moves, so built unchecked."""
     for s, delta in shifts:
         items[s] = items.get(s, _ZERO) + delta
-    return qs_point(items)
+    coords = [c for c in items.items() if c[1]]
+    return QsPoint._of(tuple(sorted(coords, key=itemgetter(0), reverse=True)))
 
 
 Move = Translate | CoordMap

@@ -75,10 +75,14 @@ def test_copy_mappings_preserve_distance():
 
 def assert_copies_are_the_oracles(ambient, ambient_order, pattern, pattern_orders):
     """Unordered copies: the permutation oracle's subsets in its order, each
-    mapping an isometry.  Ordered copies, for each given pattern order: the
-    all-pairs monotone oracle's mappings in its order."""
+    mapping the least convex order of the pattern with the profile of the
+    copy's reading along Z's canonical order onto that reading.  Ordered
+    copies, for each given pattern order: the all-pairs monotone oracle's
+    mappings in its order."""
     copies = umr.enumerate_copies(ambient, pattern)
     assert [tuple(sorted(c)) for c in copies] == brute_copies(ambient, pattern)
+    place = {point: i for i, point in enumerate(umr.canonical_convex_order(ambient))}
+    orders = brute_convex_orders(pattern)
     for copy in copies:
         assert len(set(copy)) == pattern.size
         assert all(
@@ -86,6 +90,10 @@ def assert_copies_are_the_oracles(ambient, ambient_order, pattern, pattern_order
             for i in range(pattern.size)
             for j in range(i + 1, pattern.size)
         )
+        reading = sorted(copy, key=place.__getitem__)
+        wanted = profile(ambient, reading)
+        least = next(order for order in orders if profile(pattern, order) == wanted)
+        assert [copy[p] for p in least] == reading
     for pattern_order in pattern_orders:
         got = umr.enumerate_copies(ambient, pattern, ambient_order, pattern_order)
         expected = brute_ordered_copies(ambient, ambient_order, pattern, pattern_order)
@@ -122,6 +130,24 @@ def test_unordered_copies_carry_the_least_order_of_their_reading():
                 assert [copy[p] for p in least] == reading
                 checked += 1
     assert checked > 6000
+
+
+def test_unordered_copies_are_the_ordered_copies_of_the_order_types():
+    # (2,2) at 4 2 sits in (4,4,4) at 4 2 1 on two of the 4 top balls (6
+    # ways), two of the 4 balls below each (6 each), one point of each
+    # bottom ball (4 each)
+    def uniform(vector, *levels):
+        return umr.tree_to_space(umr.uniform_tree(vector, umr.DistanceSet(tuple(map(F, levels)))))[0]
+
+    ambient, pattern = uniform((4, 4, 4), 4, 2, 1), uniform((2, 2), 4, 2)
+    copies = umr.enumerate_copies(ambient, pattern)
+    assert len(copies) == 6 * 6 ** 2 * 4 ** 4 == 55296
+    walk = ordered(ambient)
+    ordered_copies = [
+        copy for cls in umr.order_type_partition(pattern)
+        for copy in umr.enumerate_copies(ambient, pattern, walk, cls.representative)
+    ]
+    assert copies == sorted(ordered_copies, key=sorted)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
